@@ -1,21 +1,18 @@
-//! Microbench: inter-node merge scaling — fast path vs pre-optimization
-//! baseline.
+//! Microbench: inter-node merge scaling — the merge against its oracle.
 //!
 //! The pairwise merge is the O(n²) factor in the paper's complexity
 //! analysis (n = compressed trace size); merging across ranks is the
 //! O(n² log P) bottleneck Chameleon removes. This bench exposes three
 //! axes: n (trace size), structural similarity (identical / near-identical
-//! / disjoint), and the number of traces folded — and runs three merge
+//! / disjoint), and the number of traces folded — and runs both merge
 //! implementations on each:
 //!
-//! - `pairwise_fast` — `merge_traces`: trim prefilters + Hirschberg
-//!   linear-memory alignment (this PR).
-//! - `pairwise_baseline` — `merge_traces_baseline`: the pre-PR algorithm
-//!   (full n×m table, no prefilters). This is the "before" in the
-//!   before/after comparison.
+//! - `pairwise_fast` — `merge_traces`: diagonal trim, then Hirschberg's
+//!   linear-memory alignment with word-parallel LCS rows over interned
+//!   node ids.
 //! - `pairwise_reference` — `merge_traces_reference`: the correctness
-//!   oracle (shares the trim prefilters, so it is also fast on SPMD
-//!   traces; quadratic only in the untrimmed middle).
+//!   oracle (shares the trim, so it is also fast on SPMD traces; a scalar
+//!   full table over the untrimmed middle).
 //!
 //! The axes — merge cases, trace sizes, and fold widths — come from the
 //! committed scenario-matrix plan `plans/merge_scaling.plan.json` (cases
@@ -30,16 +27,18 @@
 //! tree depth (O(log P)), not with P.
 //!
 //! Results (plus derived speedups and the online curve) land in
-//! `experiments_out/merge_scaling.json`; the run asserts the fast path's
-//! ≥2× speedup over the baseline on near-identical (SPMD) traces at
-//! n ≥ 512, and the O(log P) growth of the online critical path.
+//! `experiments_out/merge_scaling.json`; the run asserts that the fast
+//! path is never slower than 1.25× the oracle and ≥2× faster on disjoint
+//! traces at n ≥ 512 (where the whole middle reaches the aligner), that
+//! the offline SPMD fold grows linearly in P, and the O(log P) growth of
+//! the online critical path.
 //! Regenerate with `cargo bench -p chameleon-bench --bench merge_scaling`.
 
 use std::path::Path;
 
 use chameleon_bench::harness::Harness;
 use mpisim::{Comm, World, WorldConfig};
-use scalatrace::merge::{merge_all, merge_traces, merge_traces_baseline, merge_traces_reference};
+use scalatrace::merge::{merge_all, merge_traces, merge_traces_reference};
 use scalatrace::reduction::{radix_tree_merge, DEFAULT_RADIX};
 use scalatrace::{CompressedTrace, Endpoint, EventRecord, MpiOp};
 use sigkit::StackSig;
@@ -111,9 +110,6 @@ fn main() {
                 _ => unreachable!(),
             };
             h.bench("pairwise_fast", &label, || merge_traces(&a, &b));
-            h.bench("pairwise_baseline", &label, || {
-                merge_traces_baseline(&a, &b)
-            });
             h.bench("pairwise_reference", &label, || {
                 merge_traces_reference(&a, &b)
             });
@@ -122,26 +118,13 @@ fn main() {
 
     // Folding P SPMD traces: the work ScalaTrace does at finalize (P
     // traces) vs Chameleon online (K traces). The P-axis is the paper's
-    // whole point. This *wall-clock* axis is capped: the 16384-wide fold
-    // costs ~25 s per sample (ranklist growth makes the offline fold
-    // O(P²) even on identical traces — exactly the finalize-time cost the
-    // paper gets rid of), which is too slow to repeat batch-style on
-    // every push. The cap is printed, not silent; the 16384 point is
-    // still measured twice below — once by the world-backed online curve
-    // here, and once (single-shot, with its size and digest pinned) by
-    // the merge-scaling scenario matrix.
-    const OFFLINE_FOLD_WALL_CAP: usize = 4096;
-    for &p in plan.ranks.iter().filter(|&&p| p <= OFFLINE_FOLD_WALL_CAP) {
+    // whole point; with ranklists unioned section-wise the offline fold
+    // is O(P·n) on SPMD input, so the whole axis runs.
+    for &p in &plan.ranks {
         let traces: Vec<CompressedTrace> = (0..p).map(|r| trace_with_sites(r, 24, 0)).collect();
         h.bench("merge_p_traces", &format!("spmd/{p}"), || {
             merge_all(traces.iter())
         });
-    }
-    if plan.ranks.iter().any(|&p| p > OFFLINE_FOLD_WALL_CAP) {
-        println!(
-            "note: offline fold wall-bench capped at P = {OFFLINE_FOLD_WALL_CAP}; \
-             larger points are covered by the online curve and the scenario matrix"
-        );
     }
     let traces: Vec<CompressedTrace> = (0..9).map(|r| trace_with_sites(r, 24, 0)).collect();
     h.bench("merge_p_traces", "chameleon_k9", || {
@@ -173,8 +156,7 @@ fn main() {
         online.push((p, report.results[0]));
     }
 
-    // Derived speedups: baseline median / fast median per case and size
-    // (the before/after this PR claims).
+    // Derived speedups: oracle median / fast median per case and size.
     let mut derived: Vec<(String, f64)> = Vec::new();
     for &(p, tool_s) in &online {
         derived.push((format!("online_root_tool_s_p{p}"), tool_s));
@@ -185,12 +167,18 @@ fn main() {
             let fast = h
                 .median_ns("pairwise_fast", &label)
                 .expect("fast sample recorded");
-            let baseline = h
-                .median_ns("pairwise_baseline", &label)
-                .expect("baseline sample recorded");
-            derived.push((format!("speedup_{case}_n{n}"), baseline / fast));
+            let reference = h
+                .median_ns("pairwise_reference", &label)
+                .expect("reference sample recorded");
+            derived.push((format!("speedup_{case}_n{n}"), reference / fast));
         }
     }
+    let fold_ns = |p: usize| {
+        h.median_ns("merge_p_traces", &format!("spmd/{p}"))
+            .expect("fold sample recorded")
+    };
+    let fold_growth = fold_ns(4096) / fold_ns(1024);
+    derived.push(("fold_growth_p1024_to_p4096".to_string(), fold_growth));
 
     h.print_summary();
     println!();
@@ -204,24 +192,38 @@ fn main() {
     h.write_json(&out, &derived).expect("write JSON artifact");
     println!("\nwrote {}", out.display());
 
-    // Acceptance gate: the SPMD fast path must beat the pre-PR baseline
-    // by ≥2× at n ≥ 512 (it is orders of magnitude in practice — the
-    // whole alignment trims away and no DP table is built).
-    for case in ["identical", "near_identical"] {
-        for n in [512usize, 1024] {
-            let key = format!("speedup_{case}_n{n}");
-            let speedup = derived
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .expect("derived entry");
-            assert!(
-                speedup >= 2.0,
-                "fast path must be ≥2x baseline for {case} at n={n}, got {speedup:.2}x"
-            );
-        }
+    // Acceptance gate: one merge has to earn its place next to its own
+    // oracle — never slower than 1.25× the full table (identical and
+    // near-identical inputs trim away on both, so they tie), and ≥2×
+    // faster where the whole middle reaches the aligner.
+    for (key, speedup) in derived.iter().filter(|(k, _)| k.starts_with("speedup_")) {
+        assert!(
+            *speedup >= 1.0 / 1.25,
+            "fast path slower than 1.25x the reference: {key} = {speedup:.2}x"
+        );
     }
-    println!("speedup gate passed (≥2x on SPMD-like traces at n ≥ 512)");
+    for n in sizes.iter().filter(|&&n| n >= 512) {
+        let key = format!("speedup_disjoint_n{n}");
+        let speedup = derived
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .expect("derived entry");
+        assert!(
+            speedup >= 2.0,
+            "fast path must be ≥2x the reference on disjoint traces at n={n}, got {speedup:.2}x"
+        );
+    }
+    println!("speedup gate passed (≥0.8x everywhere, ≥2x on disjoint traces at n ≥ 512)");
+
+    // Acceptance gate: the offline fold of SPMD traces is linear in P.
+    // 4× the traces may cost up to 6× the time (the inputs fall out of
+    // cache); the member-expanding union this replaced cost 16×.
+    assert!(
+        fold_growth <= 6.0,
+        "offline SPMD fold is not linear in P: spmd/4096 = {fold_growth:.1}x spmd/1024"
+    );
+    println!("fold-growth gate passed (spmd/4096 = {fold_growth:.1}x spmd/1024)");
 
     // Acceptance gate: the online merge's critical path grows with the
     // reduction tree's *depth*, not with P. Between the smallest and

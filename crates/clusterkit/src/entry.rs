@@ -47,7 +47,7 @@ impl ClusterEntry {
     /// coordinates (the paper: "other non-selected clusters are merged
     /// with the closest clusters").
     pub fn absorb(&mut self, other: &ClusterEntry) {
-        self.members = self.members.union(&other.members);
+        self.members.union_with(&other.members);
     }
 
     /// Member count.

@@ -50,7 +50,7 @@ impl EventRecord {
     /// Panics in debug builds if the records are not the same site.
     pub fn absorb(&mut self, other: &EventRecord) {
         debug_assert!(self.same_site(other), "absorbing a different site");
-        self.ranks = self.ranks.union(&other.ranks);
+        self.ranks.union_with(&other.ranks);
         self.pre_time.merge(&other.pre_time);
     }
 

@@ -544,6 +544,25 @@ mod tests {
     }
 
     #[test]
+    fn rejects_malformed_ranklists() {
+        let with_ranks = |ranks: &str| {
+            from_text(&format!(
+                "{HEADER}\nE send sig=0000000000000001 src=- dest=r1 tag=0 count=8 comm=0 ranks={ranks} time=1,0,0,0\n"
+            ))
+        };
+        assert!(with_ranks("0/3,1").is_ok());
+        assert!(with_ranks("0/0,1").is_err(), "zero iterations");
+        assert!(with_ranks("2/3,-2").is_err(), "member below zero");
+        // Three iterations of stride 0 name one rank three times: `len()`
+        // would say 3 where `expand()` yields 1.
+        assert!(with_ranks("5/3,0").is_err(), "repeated member");
+        assert!(
+            with_ranks("0/2,8/3,0").is_err(),
+            "repeated member, inner dim"
+        );
+    }
+
+    #[test]
     fn errors_cite_line_number_and_snippet() {
         // Line 1 is the header, line 2 a comment, line 3 the bad event.
         let text = format!(

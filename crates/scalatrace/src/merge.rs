@@ -33,11 +33,41 @@
 //! ([`merge_traces`], [`merge_into`]) reproduces the identical alignment
 //! with a Hirschberg-style divide-and-conquer that only ever materializes
 //! O(min(n, m)) DP cells at a time: split x in half, score the halves with
-//! two rolling rows, cut y at the *smallest* column maximizing the
-//! combined score (which is exactly where the leftmost table walk crosses
-//! the split row), and recurse. Prefilters — per-node structural hashes
-//! and an identical-stream fast path where trimming consumes everything —
-//! make the SPMD common case linear with small constants.
+//! a forward and a backward row, cut y at the *smallest* column maximizing
+//! the combined score (which is exactly where the leftmost table walk
+//! crosses the split row), and recurse. When trimming consumes everything
+//! — the SPMD common case — no aligner runs at all.
+//!
+//! # The merge kernel
+//!
+//! The trim compares diagonal pairs with [`TraceNode::matches`] directly:
+//! each pair is looked at once, so a hash would only be a second walk of
+//! the node. What the trim leaves — the two *middles* — is interned once
+//! per merge: every top-level node of either middle gets a dense class id
+//! (structural hash → bucket → exact `matches` against the class
+//! representative), so that equal id ⇔ `matches`, hash collisions
+//! included. From there the aligner never touches a node again.
+//!
+//! The score rows are bit vectors, one bit per column of the y-slice, 64
+//! columns per word, advanced by the bit-parallel LCS recurrence
+//! `U = V & M; V = (V + U) | (V & !M)` with the carry running across
+//! words. `M` is the match mask of the row's x-symbol over the y-slice;
+//! masks are built per row pass, only for classes both slices hold, and an
+//! x-symbol the slice lacks skips its row outright — on disjoint inputs,
+//! which is what Chameleon's K lead traces are by construction, every row
+//! is skipped. A decoded row is the running count of zero bits. All
+//! scratch belongs to the one merge and is dropped with it.
+//!
+//! [`MergeMetrics::dp_cells`] counts the LCS cells each row pass *covers*,
+//! `(x1 − x0)·(y1 − y0)` per split, not the word-ops spent on them: it is
+//! the quantity `mpisim::WorkModel::merge_measured` charges the modeled
+//! tool clock for, so every journal, golden and matrix baseline depends on
+//! its exact value, and the recursion — the same splits in the same order
+//! — fixes it. The oracle stays scalar and stays on `hash && matches`: it
+//! shares nothing with the kernel but the trim, so a differential failure
+//! cannot be a bug both sides have.
+
+use std::collections::HashMap;
 
 use crate::trace::{CompressedTrace, TraceNode};
 
@@ -57,12 +87,12 @@ pub struct MergeMetrics {
     pub mid_long: usize,
     /// Shorter-side middle length handed to the aligner after trimming.
     pub mid_short: usize,
-    /// LCS cells evaluated (≈ 2·`mid_long`·`mid_short` for the
-    /// divide-and-conquer aligner; the reference table pays the full
-    /// product once).
+    /// LCS cells covered (≈ 2·`mid_long`·`mid_short` for the
+    /// divide-and-conquer aligner, 64 of them per word-op; the reference
+    /// table pays the full product once).
     pub dp_cells: u64,
-    /// Largest single DP buffer allocated, in cells. The fast path rows
-    /// over the shorter middle, so this stays ≤ min(n, m) + 1 — the
+    /// Largest single decoded DP row, in cells. The fast path rows over
+    /// the shorter middle, so this stays ≤ min(n, m) + 1 — the
     /// linear-memory guarantee (asserted by unit test). The reference
     /// oracle reports its full table here.
     pub peak_dp_alloc: usize,
@@ -123,53 +153,6 @@ pub fn merge_traces_reference(a: &CompressedTrace, b: &CompressedTrace) -> Compr
     CompressedTrace::from_nodes(emit_cloned(&steps, a.nodes(), b.nodes()))
 }
 
-/// The pre-optimization merge, kept verbatim for before/after
-/// benchmarking (`benches/merge_scaling.rs`): full quadratic LCS table,
-/// no prefiltering, match-first backtrack. It pays the n·m table even
-/// when the traces are identical — the cost profile this PR's fast path
-/// removes.
-///
-/// Its output is *equivalent* to the canonical merge (same matched-node
-/// count, same per-input orderings, same rank/time mass) but not always
-/// byte-identical: with repeated call sites the match-first backtrack can
-/// attach a fold's payload to a different (structurally equal) node than
-/// the canonical leftmost walk does. Differential correctness tests use
-/// [`merge_traces_reference`] instead.
-pub fn merge_traces_baseline(a: &CompressedTrace, b: &CompressedTrace) -> CompressedTrace {
-    let (x, y) = (a.nodes(), b.nodes());
-    let (n, m) = (x.len(), y.len());
-    let mut dp = vec![vec![0u32; m + 1]; n + 1];
-    for i in (0..n).rev() {
-        for j in (0..m).rev() {
-            dp[i][j] = if x[i].matches(&y[j]) {
-                dp[i + 1][j + 1] + 1
-            } else {
-                dp[i + 1][j].max(dp[i][j + 1])
-            };
-        }
-    }
-    let mut out = Vec::with_capacity(n.max(m));
-    let (mut i, mut j) = (0, 0);
-    while i < n && j < m {
-        if x[i].matches(&y[j]) && dp[i][j] == dp[i + 1][j + 1] + 1 {
-            let mut merged = x[i].clone();
-            merged.absorb(&y[j]);
-            out.push(merged);
-            i += 1;
-            j += 1;
-        } else if dp[i + 1][j] >= dp[i][j + 1] {
-            out.push(x[i].clone());
-            i += 1;
-        } else {
-            out.push(y[j].clone());
-            j += 1;
-        }
-    }
-    out.extend(x[i..].iter().cloned());
-    out.extend(y[j..].iter().cloned());
-    CompressedTrace::from_nodes(out)
-}
-
 /// Merge many traces left-to-right (the order the reduction tree produces).
 pub fn merge_all<'a>(traces: impl IntoIterator<Item = &'a CompressedTrace>) -> CompressedTrace {
     let mut iter = traces.into_iter();
@@ -181,10 +164,6 @@ pub fn merge_all<'a>(traces: impl IntoIterator<Item = &'a CompressedTrace>) -> C
         acc = merge_into(acc, t).0;
     }
     acc
-}
-
-fn node_hashes(nodes: &[TraceNode]) -> Vec<u64> {
-    nodes.iter().map(TraceNode::structural_hash).collect()
 }
 
 /// Build the alignment plan for x against y under the canonical merge
@@ -209,7 +188,7 @@ fn plan_merge(x: &[TraceNode], y: &[TraceNode], fast: bool, met: &mut MergeMetri
 }
 
 /// Plan with the orientation fixed: `y` is the shorter (or equal) side, so
-/// every DP row buffer below is sized by a slice of `y`.
+/// every DP row below is sized by a slice of `y`.
 fn plan_oriented(
     x: &[TraceNode],
     y: &[TraceNode],
@@ -217,20 +196,17 @@ fn plan_oriented(
     met: &mut MergeMetrics,
 ) -> Vec<Step> {
     debug_assert!(y.len() <= x.len());
-    let hx = node_hashes(x);
-    let hy = node_hashes(y);
-    let eq = |i: usize, j: usize| hx[i] == hy[j] && x[i].matches(&y[j]);
-
     let mut steps = Vec::with_capacity(x.len() + y.len());
-    // Common-prefix trim.
+    // Common-prefix trim. A diagonal pair is compared once, so hashing it
+    // first would only add a second walk of the node.
     let mut lo = 0;
-    while lo < y.len() && eq(lo, lo) {
+    while lo < y.len() && x[lo].matches(&y[lo]) {
         steps.push(Step::Fold(lo, lo));
         lo += 1;
     }
     // Common-suffix trim (never crossing the prefix).
     let (mut xhi, mut yhi) = (x.len(), y.len());
-    while xhi > lo && yhi > lo && eq(xhi - 1, yhi - 1) {
+    while xhi > lo && yhi > lo && x[xhi - 1].matches(&y[yhi - 1]) {
         xhi -= 1;
         yhi -= 1;
     }
@@ -239,13 +215,17 @@ fn plan_oriented(
     met.mid_long = xhi - lo;
     met.mid_short = yhi - lo;
 
-    if lo == xhi && lo == yhi {
+    // Both middles start at `lo`; the aligners index them from zero.
+    let (xm, ym) = (&x[lo..xhi], &y[lo..yhi]);
+    if xm.is_empty() {
         // Trimming consumed everything: structurally identical streams.
         met.fast_path = true;
+    } else if ym.is_empty() {
+        steps.extend((lo..xhi).map(Step::TakeX));
     } else if fast {
-        hirschberg(x, y, &hx, &hy, (lo, xhi), (lo, yhi), &mut steps, met);
+        Aligner::new(xm, ym, lo, &mut steps, met).hirschberg((0, xm.len()), (0, ym.len()));
     } else {
-        reference_table(x, y, &hx, &hy, (lo, xhi), (lo, yhi), &mut steps, met);
+        reference_table(xm, ym, lo, &mut steps, met);
     }
 
     for t in 0..(x.len() - xhi) {
@@ -255,24 +235,24 @@ fn plan_oriented(
 }
 
 /// Canonical alignment of the middles via the full suffix-LCS table.
-/// dp\[i\]\[j\] = LCS(x\[i..x1\], y\[j..y1\]); the forward walk prefers
+/// dp\[i\]\[j\] = LCS(x\[i..\], y\[j..\]); the forward walk prefers
 /// x-advance whenever dp\[i+1\]\[j\] == dp\[i\]\[j\] (it preserves
 /// optimality), else folds a match (always optimal at a match corner by
-/// the LCS corner lemma), else advances y.
-#[allow(clippy::too_many_arguments)]
+/// the LCS corner lemma), else advances y. `off` is where both middles
+/// start in their streams.
 fn reference_table(
     x: &[TraceNode],
     y: &[TraceNode],
-    hx: &[u64],
-    hy: &[u64],
-    (x0, x1): (usize, usize),
-    (y0, y1): (usize, usize),
+    off: usize,
     steps: &mut Vec<Step>,
     met: &mut MergeMetrics,
 ) {
-    let n = x1 - x0;
-    let m = y1 - y0;
-    let eq = |i: usize, j: usize| hx[x0 + i] == hy[y0 + j] && x[x0 + i].matches(&y[y0 + j]);
+    let (n, m) = (x.len(), y.len());
+    let hashes = |nodes: &[TraceNode]| -> Vec<u64> {
+        nodes.iter().map(TraceNode::structural_hash).collect()
+    };
+    let (hx, hy) = (hashes(x), hashes(y));
+    let eq = |i: usize, j: usize| hx[i] == hy[j] && x[i].matches(&y[j]);
     let w = m + 1;
     let mut dp = vec![0u32; (n + 1) * w];
     for i in (0..n).rev() {
@@ -290,158 +270,242 @@ fn reference_table(
     let (mut i, mut j) = (0, 0);
     while i < n && j < m {
         if dp[(i + 1) * w + j] == dp[i * w + j] {
-            steps.push(Step::TakeX(x0 + i));
+            steps.push(Step::TakeX(off + i));
             i += 1;
         } else if eq(i, j) {
-            steps.push(Step::Fold(x0 + i, y0 + j));
+            steps.push(Step::Fold(off + i, off + j));
             i += 1;
             j += 1;
         } else {
-            steps.push(Step::TakeY(y0 + j));
+            steps.push(Step::TakeY(off + j));
             j += 1;
         }
     }
-    for i in i..n {
-        steps.push(Step::TakeX(x0 + i));
-    }
-    for j in j..m {
-        steps.push(Step::TakeY(y0 + j));
-    }
+    steps.extend((i..n).map(|i| Step::TakeX(off + i)));
+    steps.extend((j..m).map(|j| Step::TakeY(off + j)));
 }
 
-/// Canonical alignment of the middles in O(min(n, m)) memory: Hirschberg's
-/// divide-and-conquer with the split column chosen as the *smallest*
-/// maximizer, which reproduces the reference walk's leftmost path exactly.
-#[allow(clippy::too_many_arguments)]
-fn hirschberg(
+/// "No class" / "no mask slot".
+const NONE: u32 = u32::MAX;
+/// Row-pass marker in [`RowScratch::slot`]: an x row will ask for this
+/// class's mask, should the y-slice turn out to hold the class.
+const WANTED: u32 = u32::MAX - 1;
+
+/// Intern the top-level nodes of both middles into dense class ids such
+/// that two nodes get the same id exactly when they [`TraceNode::matches`].
+/// `hash` only has to send matching nodes to the same value: it picks the
+/// bucket, and the exact comparison against each class representative in
+/// the bucket decides — a collision costs a comparison, never a wrong
+/// class. Returns the ids of `x`, the ids of `y` and the class count.
+fn intern(
     x: &[TraceNode],
     y: &[TraceNode],
-    hx: &[u64],
-    hy: &[u64],
-    (x0, x1): (usize, usize),
-    (y0, y1): (usize, usize),
-    steps: &mut Vec<Step>,
-    met: &mut MergeMetrics,
-) {
-    let n = x1 - x0;
-    let m = y1 - y0;
-    if n == 0 {
-        for j in y0..y1 {
-            steps.push(Step::TakeY(j));
-        }
-        return;
-    }
-    if m == 0 {
-        for i in x0..x1 {
-            steps.push(Step::TakeX(i));
-        }
-        return;
-    }
-    if n == 1 {
-        // Single x node: the canonical walk folds it into the *first*
-        // structural match in y, or emits it before all of y if none.
-        let hit = (y0..y1).find(|&j| hx[x0] == hy[j] && x[x0].matches(&y[j]));
-        match hit {
-            Some(p) => {
-                for j in y0..p {
-                    steps.push(Step::TakeY(j));
-                }
-                steps.push(Step::Fold(x0, p));
-                for j in p + 1..y1 {
-                    steps.push(Step::TakeY(j));
-                }
+    hash: impl Fn(&TraceNode) -> u64,
+) -> (Vec<u32>, Vec<u32>, usize) {
+    // Class id → (representative, next class whose representative has the
+    // same hash); `first` maps a hash to the head of that chain.
+    let mut classes: Vec<(&TraceNode, u32)> = Vec::new();
+    let mut first: HashMap<u64, u32> = HashMap::with_capacity(x.len() + y.len());
+    let mut class_of = |node| {
+        let fresh = classes.len() as u32;
+        let mut id = *first.entry(hash(node)).or_insert(fresh);
+        while id != fresh {
+            let (rep, next) = &mut classes[id as usize];
+            if rep.matches(node) {
+                return id;
             }
-            None => {
-                steps.push(Step::TakeX(x0));
-                for j in y0..y1 {
-                    steps.push(Step::TakeY(j));
-                }
+            if *next == NONE {
+                *next = fresh;
+            }
+            id = *next;
+        }
+        classes.push((node, NONE));
+        fresh
+    };
+    let xs = x.iter().map(&mut class_of).collect();
+    let ys = y.iter().map(&mut class_of).collect();
+    (xs, ys, classes.len())
+}
+
+/// Buffers one LCS row pass works in, reused by every pass of a merge.
+struct RowScratch {
+    /// Class id → that class's mask slot for the y-slice of the running
+    /// pass; all [`NONE`] between passes.
+    slot: Vec<u32>,
+    /// Slot-major match masks: bit t of slot s is set when the y-slice
+    /// holds the slot's class at position t.
+    masks: Vec<u64>,
+    /// The row itself as a bit vector, one bit per column.
+    v: Vec<u64>,
+}
+
+impl RowScratch {
+    /// Score x against every prefix of y: fills `out` with
+    /// `out[k] = LCS(x, y[..k])` for k in 0..=y.len(). Both sequences come
+    /// as iterators so that the backward row is this same pass over
+    /// reversed slices.
+    ///
+    /// Bit-vector LCS (Crochemore et al. / Hyyrö): column t of the row is
+    /// the t-th bit of `v`, a zero bit where the score steps up, so one
+    /// word-op advances 64 cells and `out[k]` is the number of zero bits
+    /// below k. A bit only depends on lower bits (the carry runs upward),
+    /// which is why one pass over all of y scores every prefix at once.
+    fn lcs_row(
+        &mut self,
+        x: impl Iterator<Item = u32> + Clone,
+        y: impl ExactSizeIterator<Item = u32>,
+        out: &mut Vec<u32>,
+    ) {
+        let m = y.len();
+        let words = m.div_ceil(64);
+        // Masks only for classes on both sides: a class no x row asks for
+        // needs no mask, and an x row whose class the slice lacks leaves
+        // the row as it is (M = 0 gives V' = V) and is skipped outright.
+        for c in x.clone() {
+            self.slot[c as usize] = WANTED;
+        }
+        self.masks.clear();
+        for (t, c) in y.enumerate() {
+            let slot = &mut self.slot[c as usize];
+            if *slot == NONE {
+                continue;
+            }
+            if *slot == WANTED {
+                *slot = (self.masks.len() / words) as u32;
+                self.masks.resize(self.masks.len() + words, 0);
+            }
+            self.masks[*slot as usize * words + t / 64] |= 1 << (t % 64);
+        }
+        self.v.clear();
+        self.v.resize(words, !0);
+        for c in x.clone() {
+            let slot = self.slot[c as usize] as usize;
+            if slot >= WANTED as usize {
+                continue;
+            }
+            // U = V & M; V' = (V + U) | (V & !M), the carry crossing words.
+            let mut carry = false;
+            for (v, &m) in self.v.iter_mut().zip(&self.masks[slot * words..]) {
+                let (sum, c1) = v.overflowing_add(*v & m);
+                let (sum, c2) = sum.overflowing_add(carry as u64);
+                carry = c1 | c2;
+                *v = sum | (*v & !m);
             }
         }
-        return;
-    }
-
-    let mid = x0 + n / 2;
-    // f[t] = LCS(x[x0..mid], y[y0..y0+t]); b[t] = LCS(x[mid..x1], y[y0+t..y1]).
-    let f = lcs_row_forward(x, y, hx, hy, (x0, mid), (y0, y1), met);
-    let b = lcs_row_backward(x, y, hx, hy, (mid, x1), (y0, y1), met);
-    // Smallest cut maximizing the combined score: where the leftmost
-    // optimal path enters the split row.
-    let mut best_t = 0;
-    let mut best = 0u32;
-    for (t, s) in f.iter().zip(b.iter()).map(|(a, b)| a + b).enumerate() {
-        if s > best {
-            best = s;
-            best_t = t;
+        for c in x {
+            self.slot[c as usize] = NONE;
+        }
+        out.clear();
+        out.push(0);
+        let mut score = 0;
+        for t in 0..m {
+            score += (!self.v[t / 64] >> (t % 64)) as u32 & 1;
+            out.push(score);
         }
     }
-    let ymid = y0 + best_t;
-    hirschberg(x, y, hx, hy, (x0, mid), (y0, ymid), steps, met);
-    hirschberg(x, y, hx, hy, (mid, x1), (ymid, y1), steps, met);
 }
 
-/// Rolling forward LCS row: returns f with f\[t\] = LCS(x\[x0..x1\],
-/// y\[y0..y0+t\]).
-#[allow(clippy::too_many_arguments)]
-fn lcs_row_forward(
-    x: &[TraceNode],
-    y: &[TraceNode],
-    hx: &[u64],
-    hy: &[u64],
-    (x0, x1): (usize, usize),
-    (y0, y1): (usize, usize),
-    met: &mut MergeMetrics,
-) -> Vec<u32> {
-    let m = y1 - y0;
-    let mut prev = vec![0u32; m + 1];
-    let mut cur = vec![0u32; m + 1];
-    for i in x0..x1 {
-        cur[0] = 0;
-        for t in 1..=m {
-            let j = y0 + t - 1;
-            cur[t] = if hx[i] == hy[j] && x[i].matches(&y[j]) {
-                prev[t - 1] + 1
-            } else {
-                prev[t].max(cur[t - 1])
-            };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    met.dp_cells += ((x1 - x0) as u64) * (m as u64);
-    met.peak_dp_alloc = met.peak_dp_alloc.max(m + 1);
-    prev
+/// Canonical alignment of the middles in O(min(n, m)) DP cells at a time:
+/// Hirschberg's divide-and-conquer over interned class ids, with the split
+/// column chosen as the *smallest* maximizer, which reproduces the
+/// reference walk's leftmost path exactly. Lives for one merge; nothing
+/// outlasts it.
+struct Aligner<'a> {
+    /// Class ids of the two middles.
+    xs: Vec<u32>,
+    ys: Vec<u32>,
+    /// Where both middles start in their streams.
+    off: usize,
+    rows: RowScratch,
+    /// The decoded forward and backward rows of the current split.
+    f: Vec<u32>,
+    b: Vec<u32>,
+    steps: &'a mut Vec<Step>,
+    met: &'a mut MergeMetrics,
 }
 
-/// Rolling backward LCS row: returns b with b\[t\] = LCS(x\[x0..x1\],
-/// y\[y0+t..y1\]).
-#[allow(clippy::too_many_arguments)]
-fn lcs_row_backward(
-    x: &[TraceNode],
-    y: &[TraceNode],
-    hx: &[u64],
-    hy: &[u64],
-    (x0, x1): (usize, usize),
-    (y0, y1): (usize, usize),
-    met: &mut MergeMetrics,
-) -> Vec<u32> {
-    let m = y1 - y0;
-    let mut prev = vec![0u32; m + 1];
-    let mut cur = vec![0u32; m + 1];
-    for i in (x0..x1).rev() {
-        cur[m] = 0;
-        for t in (0..m).rev() {
-            let j = y0 + t;
-            cur[t] = if hx[i] == hy[j] && x[i].matches(&y[j]) {
-                prev[t + 1] + 1
-            } else {
-                prev[t].max(cur[t + 1])
-            };
+impl<'a> Aligner<'a> {
+    fn new(
+        x: &[TraceNode],
+        y: &[TraceNode],
+        off: usize,
+        steps: &'a mut Vec<Step>,
+        met: &'a mut MergeMetrics,
+    ) -> Self {
+        let (xs, ys, classes) = intern(x, y, TraceNode::structural_hash);
+        Aligner {
+            xs,
+            ys,
+            off,
+            rows: RowScratch {
+                slot: vec![NONE; classes],
+                masks: Vec::new(),
+                v: Vec::new(),
+            },
+            f: Vec::new(),
+            b: Vec::new(),
+            steps,
+            met,
         }
-        std::mem::swap(&mut prev, &mut cur);
     }
-    met.dp_cells += ((x1 - x0) as u64) * (m as u64);
-    met.peak_dp_alloc = met.peak_dp_alloc.max(m + 1);
-    prev
+
+    /// Align x\[x0..x1\] against y\[y0..y1\] (indices into the middles).
+    fn hirschberg(&mut self, (x0, x1): (usize, usize), (y0, y1): (usize, usize)) {
+        let off = self.off;
+        let n = x1 - x0;
+        let m = y1 - y0;
+        if n == 0 {
+            self.steps.extend((y0..y1).map(|j| Step::TakeY(off + j)));
+            return;
+        }
+        if m == 0 {
+            self.steps.extend((x0..x1).map(|i| Step::TakeX(off + i)));
+            return;
+        }
+        if n == 1 {
+            // Single x node: the canonical walk folds it into the *first*
+            // structural match in y, or emits it before all of y if none.
+            let hit = (y0..y1).find(|&j| self.ys[j] == self.xs[x0]);
+            if hit.is_none() {
+                self.steps.push(Step::TakeX(off + x0));
+            }
+            self.steps.extend((y0..y1).map(|j| match hit {
+                Some(p) if p == j => Step::Fold(off + x0, off + j),
+                _ => Step::TakeY(off + j),
+            }));
+            return;
+        }
+
+        let mid = x0 + n / 2;
+        // f[t] = LCS(x[x0..mid], y[y0..y0+t]); b[t] = LCS(x[mid..x1],
+        // y[y0+t..y1]), held reversed: b[t] is self.b[m - t].
+        let (xs, ys) = (&self.xs, &self.ys[y0..y1]);
+        self.rows
+            .lcs_row(xs[x0..mid].iter().copied(), ys.iter().copied(), &mut self.f);
+        self.rows.lcs_row(
+            xs[mid..x1].iter().rev().copied(),
+            ys.iter().rev().copied(),
+            &mut self.b,
+        );
+        // dp_cells counts the LCS cells a row pass *covers* — what the
+        // cost model charges and the journals record — however many of
+        // them one word-op settles.
+        self.met.dp_cells += (n as u64) * (m as u64);
+        self.met.peak_dp_alloc = self.met.peak_dp_alloc.max(m + 1);
+        // Smallest cut maximizing the combined score: where the leftmost
+        // optimal path enters the split row.
+        let mut best_t = 0;
+        let mut best = 0u32;
+        for (t, (f, b)) in self.f.iter().zip(self.b.iter().rev()).enumerate() {
+            if f + b > best {
+                best = f + b;
+                best_t = t;
+            }
+        }
+        let ymid = y0 + best_t;
+        self.hirschberg((x0, mid), (y0, ymid));
+        self.hirschberg((mid, x1), (ymid, y1));
+    }
 }
 
 /// Execute a plan, cloning from both (borrowed) inputs.
@@ -694,6 +758,36 @@ mod tests {
                 merge_traces_reference(&a, &b),
                 "fast/reference diverge on {xs:?} vs {ys:?}"
             );
+        }
+    }
+
+    #[test]
+    fn intern_keeps_colliding_classes_apart() {
+        // Every node is forced into one hash bucket: only the exact
+        // comparison against the class representatives can tell them
+        // apart, and it must.
+        let x = trace_of(0, &[1, 2, 2, 2, 1, 7, 3, 3, 9]);
+        let y = trace_of(1, &[2, 2, 2, 9, 9, 9, 9, 1, 4]);
+        assert!(x
+            .nodes()
+            .iter()
+            .any(|n| matches!(n, TraceNode::Loop { .. })));
+        for hash in [|_: &TraceNode| 7u64, TraceNode::structural_hash] {
+            let (xs, ys, classes) = intern(x.nodes(), y.nodes(), hash);
+            let all: Vec<(&TraceNode, u32)> = x
+                .nodes()
+                .iter()
+                .zip(xs)
+                .chain(y.nodes().iter().zip(ys))
+                .collect();
+            for (p, cp) in &all {
+                assert!((*cp as usize) < classes);
+                for (q, cq) in &all {
+                    assert_eq!(cp == cq, p.matches(q), "{p:?} vs {q:?}");
+                }
+            }
+            let distinct: std::collections::BTreeSet<u32> = all.iter().map(|&(_, c)| c).collect();
+            assert_eq!(distinct.len(), classes);
         }
     }
 

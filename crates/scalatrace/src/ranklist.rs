@@ -57,12 +57,20 @@ impl RankList {
     }
 
     /// Reassemble a section from its serialized parts. Used by the trace
-    /// file parser; validates that no member is negative.
+    /// file parser; validates that no member is negative and that no
+    /// dimension repeats a member (`stride == 0` over several iterations).
     pub fn from_parts(start: Rank, dims: Vec<(usize, i64)>) -> Result<Self, String> {
         let mut min = start as i64;
         for &(iters, stride) in &dims {
             if iters == 0 {
                 return Err("ranklist dimension with zero iterations".into());
+            }
+            if stride == 0 && iters > 1 {
+                // Every iteration would name the same rank: `len()` would
+                // count members that `iter()` then dedups away.
+                return Err(format!(
+                    "ranklist dimension repeats a rank ({iters} x stride 0)"
+                ));
             }
             if stride < 0 {
                 min += (iters as i64 - 1) * stride;
@@ -116,19 +124,112 @@ impl RankList {
         })
     }
 
-    /// Membership test.
+    /// Membership test. Outer dimensions are walked; the innermost one —
+    /// the only one a 1-D section has — is solved arithmetically, so replay's
+    /// per-event `contains(me)` does not scale with the section's length.
     pub fn contains(&self, rank: Rank) -> bool {
-        // Sections are small-dimensional; solve by recursive descent over
-        // dimensions rather than enumerating all members.
         fn rec(target: i64, base: i64, dims: &[(usize, i64)]) -> bool {
             match dims.split_first() {
                 None => target == base,
+                Some((&(n, stride), [])) => {
+                    let d = target - base;
+                    if stride == 0 {
+                        d == 0
+                    } else {
+                        // Sign-aware: a quotient below zero means `target`
+                        // lies on the far side of `base`.
+                        d % stride == 0 && (0..n as i64).contains(&(d / stride))
+                    }
+                }
                 Some((&(n, stride), rest)) => {
                     (0..n as i64).any(|i| rec(target, base + i * stride, rest))
                 }
             }
         }
         rec(rank as i64, self.start as i64, &self.dims)
+    }
+
+    /// Smallest member: `start` pulled down by every negative-stride
+    /// dimension run to its last iteration.
+    pub fn min_member(&self) -> Rank {
+        let below: i64 = self
+            .dims
+            .iter()
+            .filter(|&&(_, stride)| stride < 0)
+            .map(|&(n, stride)| (n as i64 - 1) * stride)
+            .sum();
+        (self.start as i64 + below) as Rank
+    }
+}
+
+/// A set that is one arithmetic progression: `stride > 0`, or `len == 1`
+/// with `stride == 0` for a single rank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Progression {
+    start: i64,
+    len: i64,
+    stride: i64,
+}
+
+impl Progression {
+    fn last(self) -> i64 {
+        self.start + (self.len - 1) * self.stride
+    }
+
+    fn contains(self, r: i64) -> bool {
+        self.start <= r && r <= self.last() && (r - self.start) % self.stride.max(1) == 0
+    }
+
+    /// `other ⊆ self`: its ends are members and its steps stay on the
+    /// lattice.
+    fn covers(self, other: Progression) -> bool {
+        self.contains(other.start)
+            && (other.len == 1
+                || (other.stride % self.stride.max(1) == 0 && self.contains(other.last())))
+    }
+
+    /// `a ∪ b` when that is again one progression: one operand inside the
+    /// other, two runs of one lattice that touch or overlap (append,
+    /// prepend, adjacent blocks), or two equal-stride runs that interleave
+    /// exactly. `None` says nothing about the union except that it needs
+    /// the general path.
+    fn union(a: Progression, b: Progression) -> Option<Progression> {
+        if a.covers(b) {
+            return Some(a);
+        }
+        if b.covers(a) {
+            return Some(b);
+        }
+        let (lo, hi) = if a.start <= b.start { (a, b) } else { (b, a) };
+        let gap = hi.start - lo.start;
+        // A single rank takes the other side's stride; two of them make
+        // their own.
+        let stride = match (a.len, b.len) {
+            (1, 1) => gap,
+            (1, _) => b.stride,
+            (_, 1) => a.stride,
+            _ if a.stride == b.stride => a.stride,
+            _ => return None,
+        };
+        if gap % stride == 0 {
+            // One lattice: a single run unless a lattice point between the
+            // two is left out.
+            (hi.start <= lo.last() + stride).then(|| Progression {
+                start: lo.start,
+                len: (lo.last().max(hi.last()) - lo.start) / stride + 1,
+                stride,
+            })
+        } else if 2 * gap == stride && (lo.len == hi.len || lo.len == hi.len + 1) {
+            // `hi` sits exactly between `lo`'s members and neither outruns
+            // the other: the two phases of one half-stride run.
+            Some(Progression {
+                start: lo.start,
+                len: lo.len + hi.len,
+                stride: gap,
+            })
+        } else {
+            None
+        }
     }
 }
 
@@ -237,27 +338,98 @@ impl RankSet {
         out
     }
 
-    /// Set union, renormalized to canonical form.
+    /// Set union in canonical form: `a.union(&b) ==
+    /// RankSet::from_ranks(a.expand() ∪ b.expand())` for canonical operands
+    /// (everything but [`RankSet::from_sections`] builds those).
     ///
-    /// Like ScalaTrace's ranklist merge this costs O(|a| + |b|) in member
-    /// count — acceptable because it runs on tool-side merge paths, not in
-    /// the application's critical path — and re-compresses structured
-    /// results back to a handful of sections.
+    /// See [`RankSet::union_with`] for the cost.
     pub fn union(&self, other: &RankSet) -> RankSet {
-        if self.is_empty() {
-            return other.clone();
+        let mut out = self.clone();
+        out.union_with(other);
+        out
+    }
+
+    /// In-place [`RankSet::union`]: what every `absorb` runs.
+    ///
+    /// Works on the `<start, iters, stride>` sections, not on members.
+    /// Equal sets, a single rank already present, and a progression inside
+    /// a progression leave `self` untouched without allocating; two
+    /// progressions whose union is one progression — a rank or block
+    /// appended or prepended, overlapping or adjacent blocks, interleaved
+    /// strides: what a left fold and loop folding produce on SPMD ranks —
+    /// combine arithmetically in O(1). So a fold over P SPMD traces pays
+    /// O(1) per absorbed event, O(P·n) in all. Any other shape (irregular
+    /// cluster member sets, radix-tree subtrees) falls through to
+    /// expand-and-normalize, O((|a| + |b|) log) in member count, which is
+    /// also what defines the canonical form the arithmetic paths reproduce.
+    pub fn union_with(&mut self, other: &RankSet) {
+        if other.is_empty() || self.sections == other.sections {
+            return;
         }
-        if other.is_empty() {
-            return self.clone();
+        if self.is_empty() {
+            self.sections.clone_from(&other.sections);
+            return;
+        }
+        if let [one] = &other.sections[..] {
+            if one.dims.is_empty() && self.contains(one.start) {
+                return;
+            }
+        }
+        if let (Some(a), Some(b)) = (self.as_progression(), other.as_progression()) {
+            if let Some(u) = Progression::union(a, b) {
+                if u != a {
+                    self.set_progression(u);
+                }
+                return;
+            }
         }
         let mut all = self.expand();
         all.extend(other.expand());
-        Self::from_ranks(all)
+        *self = Self::from_ranks(all);
+    }
+
+    /// The set as one progression, if its sections are the canonical
+    /// spelling of one: a single rank, one 1-D section (a stride-k pair is
+    /// not one: `from_ranks` spells it as two single ranks), or that pair.
+    fn as_progression(&self) -> Option<Progression> {
+        let (start, len, stride) = match &self.sections[..] {
+            [s] => match s.dims[..] {
+                [] => (s.start, 1, 0),
+                [(n, stride)] if stride > 0 && (n >= 3 || (n == 2 && stride == 1)) => {
+                    (s.start, n, stride)
+                }
+                _ => return None,
+            },
+            [a, b] if a.dims.is_empty() && b.dims.is_empty() && b.start > a.start + 1 => {
+                (a.start, 2, (b.start - a.start) as i64)
+            }
+            _ => return None,
+        };
+        Some(Progression {
+            start: start as i64,
+            len: len as i64,
+            stride,
+        })
+    }
+
+    /// Overwrite a non-empty set with the canonical sections of a
+    /// progression of two or more ranks, reusing the buffers at hand.
+    fn set_progression(&mut self, p: Progression) {
+        debug_assert!(p.len >= 2 && p.stride > 0);
+        self.sections.truncate(1);
+        let first = &mut self.sections[0];
+        first.start = p.start as Rank;
+        first.dims.clear();
+        if p.len == 2 && p.stride > 1 {
+            self.sections.push(RankList::singleton(p.last() as Rank));
+        } else {
+            first.dims.push((p.len as usize, p.stride));
+        }
     }
 
     /// Smallest member, if any.
     pub fn min(&self) -> Option<Rank> {
-        self.sections.iter().map(|s| s.iter().min().unwrap()).min()
+        self.sections.iter().map(RankList::min_member).min()
     }
 
     /// Approximate serialized size in bytes, for the memory accounting of
@@ -462,6 +634,45 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_rejects_sections_that_miscount() {
+        assert!(RankList::from_parts(4, vec![(3, 2)]).is_ok());
+        assert!(
+            RankList::from_parts(4, vec![(1, 0)]).is_ok(),
+            "one iteration"
+        );
+        assert!(RankList::from_parts(4, vec![(0, 1)]).is_err());
+        assert!(RankList::from_parts(4, vec![(3, -3)]).is_err());
+        // stride 0 over several iterations: len() 3, one distinct member.
+        assert!(RankList::from_parts(4, vec![(3, 0)]).is_err());
+        assert!(RankList::from_parts(4, vec![(2, 8), (3, 0)]).is_err());
+    }
+
+    #[test]
+    fn union_grows_a_progression_in_place() {
+        // The shapes a left fold, adjacent blocks and interleaved strides
+        // produce, each landing on the canonical single section.
+        let mut acc = RankSet::singleton(0);
+        for r in 1..100 {
+            acc.union_with(&RankSet::singleton(r));
+            assert_eq!(acc, RankSet::from_ranks(0..=r));
+        }
+        let evens = RankSet::from_ranks((0..50).map(|i| 2 * i));
+        let odds = RankSet::from_ranks((0..50).map(|i| 2 * i + 1));
+        assert_eq!(evens.union(&odds), RankSet::from_ranks(0..100));
+        assert_eq!(odds.union(&evens), RankSet::from_ranks(0..100));
+        // A stride-k pair is two single ranks in canonical form; a third
+        // member on the lattice turns it into one section.
+        let pair = RankSet::singleton(3).union(&RankSet::singleton(11));
+        assert_eq!(pair.sections().len(), 2);
+        let triple = pair.union(&RankSet::singleton(19));
+        assert_eq!(triple.sections(), [RankList::strided(3, 3, 8)]);
+        assert_eq!(
+            pair.union(&RankSet::singleton(7)).sections(),
+            [RankList::strided(3, 3, 4)]
+        );
+    }
+
+    #[test]
     fn display_ebnf() {
         let s = RankList::strided(1, 4, 2);
         assert_eq!(format!("{s}"), "<1 1 (4,2)>");
@@ -530,6 +741,92 @@ mod props {
             let sb = RankSet::from_ranks(b.iter().cloned());
             let expect: Vec<Rank> = a.union(&b).cloned().collect();
             assert_eq!(sa.union(&sb).expand(), expect);
+        }
+    }
+
+    /// One operand of a union case: the shapes folds, grids and clusters
+    /// hand to `union`, positioned relative to `anchor` so that pairs drawn
+    /// with the same anchor touch, overlap, interleave or nest.
+    fn union_operand(rng: &mut Xoshiro256, anchor: usize) -> Vec<Rank> {
+        let n = rng.range_usize(1, 12);
+        let stride = rng.range_usize(1, 7);
+        match rng.below(7) {
+            0 => vec![anchor + rng.usize_below(4)],
+            // Blocks that abut or overlap the anchor block.
+            1 => (anchor..anchor + n).collect(),
+            2 => (anchor + n..anchor + n + rng.range_usize(1, 12)).collect(),
+            // Equal-stride runs in either phase, n or n - 1 long.
+            3 => (0..n).map(|i| anchor + 2 * stride * i).collect(),
+            4 => (0..n - rng.usize_below(2).min(n - 1))
+                .map(|i| anchor + stride + 2 * stride * i)
+                .collect(),
+            // A 2-D grid: rows of a 16-wide mesh.
+            5 => (0..rng.range_usize(2, 5))
+                .flat_map(|row| (0..n).map(move |col| anchor + 16 * row + col))
+                .collect(),
+            _ => random_set(rng, anchor + 80, 20).into_iter().collect(),
+        }
+    }
+
+    /// `union` agrees with the definitional form — normalize the member
+    /// union — on every shape with an arithmetic path, on subsets, and on
+    /// sets that fall through, in both argument orders.
+    #[test]
+    fn union_equals_definitional_form() {
+        let mut rng = Xoshiro256::seed_from_u64(0x0_0410_5EC7);
+        let mut arithmetic = 0;
+        for case in 0..2400 {
+            let anchor = rng.usize_below(40);
+            let a = union_operand(&mut rng, anchor);
+            let b = match case % 6 {
+                // A subset of a, and a itself.
+                0 => a.iter().copied().filter(|_| rng.gen_bool(0.5)).collect(),
+                1 => a.clone(),
+                _ => union_operand(&mut rng, anchor),
+            };
+            let (sa, sb) = (
+                RankSet::from_ranks(a.clone()),
+                RankSet::from_ranks(b.clone()),
+            );
+            let expect = RankSet::from_ranks(a.into_iter().chain(b));
+            assert_eq!(sa.union(&sb), expect, "case {case}: {sa} ∪ {sb}");
+            assert_eq!(sb.union(&sa), expect, "case {case}: {sb} ∪ {sa}");
+            if let (Some(p), Some(q)) = (sa.as_progression(), sb.as_progression()) {
+                arithmetic += Progression::union(p, q).is_some() as usize;
+            }
+        }
+        assert!(
+            arithmetic > 600,
+            "only {arithmetic} cases took the arithmetic path"
+        );
+    }
+
+    /// A random section as the trace-file parser may hand it over:
+    /// negative strides, overlapping dimensions, repeated members.
+    fn random_section(rng: &mut Xoshiro256) -> RankList {
+        loop {
+            let dims = (0..rng.usize_below(4))
+                .map(|_| (rng.range_usize(1, 6), rng.range_u64(0, 25) as i64 - 12))
+                .collect();
+            if let Ok(s) = RankList::from_parts(rng.usize_below(60), dims) {
+                return s;
+            }
+        }
+    }
+
+    /// Closed-form `contains` and `min` agree with enumeration.
+    #[test]
+    fn contains_and_min_agree_with_iter() {
+        let mut rng = Xoshiro256::seed_from_u64(0xC105ED);
+        for _case in 0..2000 {
+            let s = random_section(&mut rng);
+            let members: BTreeSet<Rank> = s.iter().collect();
+            for probe in 0..150 {
+                assert_eq!(s.contains(probe), members.contains(&probe), "{s} ∋ {probe}");
+            }
+            assert_eq!(s.min_member(), *members.first().unwrap(), "min of {s}");
+            let set = RankSet::from_sections(vec![s.clone(), random_section(&mut rng)]);
+            assert_eq!(set.min(), set.expand().first().copied());
         }
     }
 

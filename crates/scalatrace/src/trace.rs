@@ -148,9 +148,10 @@ impl TraceNode {
     /// hash equal (events: call site + operation; loops: trip count plus
     /// the body's recursive hashes). Payload — ranklists, time statistics —
     /// is deliberately excluded, so the hash is stable across `absorb`.
-    /// The merge precomputes one hash per top-level node and uses equality
-    /// of hashes as an O(1) prefilter before the full (recursive)
-    /// structural comparison.
+    /// The merge hashes each top-level node its trim leaves over once, to
+    /// pick the bucket in which the node is interned; the reference oracle
+    /// uses equality of hashes as an O(1) prefilter before the full
+    /// (recursive) structural comparison.
     pub fn structural_hash(&self) -> u64 {
         use std::hash::Hasher;
         // DefaultHasher::new() uses fixed keys, so hashes are deterministic
