@@ -4,7 +4,7 @@ use std::path::PathBuf;
 
 use workloads::Class;
 
-/// Shared flags of every harness binary.
+/// The flags of the `run_all` harness binary.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Largest world size used in P sweeps.
@@ -30,9 +30,11 @@ impl Default for HarnessConfig {
 
 impl HarnessConfig {
     /// Parse from an explicit argument list (first element is NOT the
-    /// program name).
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// program name). Arguments that are not flags are experiment names,
+    /// returned in order next to the configuration.
+    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut cfg = HarnessConfig::default();
+        let mut names = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -69,23 +71,26 @@ impl HarnessConfig {
                     cfg.scale = 1;
                     cfg.max_p = 1024;
                 }
-                other => return Err(format!("unknown flag {other:?}")),
+                other if other.starts_with('-') => return Err(format!("unknown flag {other:?}")),
+                name => names.push(name.to_string()),
             }
         }
-        Ok(cfg)
+        Ok((cfg, names))
     }
 
     /// Parse from the process arguments, exiting with usage on error.
-    pub fn from_env() -> Self {
+    pub fn from_env() -> (Self, Vec<String>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse(&args) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("usage: [--max-p N] [--scale N] [--class A|B|C|D] [--out DIR] [--full]");
-                std::process::exit(2);
-            }
-        }
+        Self::parse(&args).unwrap_or_else(|e| Self::exit_usage(&e))
+    }
+
+    /// Report a command-line error with the usage line and exit 2.
+    pub fn exit_usage(error: &str) -> ! {
+        eprintln!("error: {error}");
+        eprintln!(
+            "usage: [EXPERIMENT ...] [--max-p N] [--scale N] [--class A|B|C|D] [--out DIR] [--full]"
+        );
+        std::process::exit(2);
     }
 
     /// The paper's strong-scaling P sweep, truncated at `max_p`. Falls
@@ -115,8 +120,12 @@ impl HarnessConfig {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<HarnessConfig, String> {
+    fn parse_all(args: &[&str]) -> Result<(HarnessConfig, Vec<String>), String> {
         HarnessConfig::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    fn parse(args: &[&str]) -> Result<HarnessConfig, String> {
+        parse_all(args).map(|(cfg, _)| cfg)
     }
 
     #[test]
@@ -138,6 +147,10 @@ mod tests {
         assert_eq!(cfg.scale, 2);
         assert_eq!(cfg.class, Class::B);
         assert_eq!(cfg.out_dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
+        // Experiment names may sit anywhere among the flags.
+        let (cfg, names) = parse_all(&["fig4", "--max-p", "8", "table1", "--full"]).unwrap();
+        assert_eq!(names, ["fig4", "table1"]);
+        assert_eq!((cfg.max_p, cfg.scale), (1024, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! The experiment implementations behind every harness binary.
+//! The experiment implementations behind the `run_all` binary.
 //!
 //! Each function reproduces one table or figure of the paper and returns a
-//! [`Table`] ready to print/emit. `run_all` composes them. DESIGN.md's
+//! [`Table`] ready to print/emit. [`run_all`] runs any subset by name. DESIGN.md's
 //! experiment index maps each function to the paper artifact it
 //! regenerates; EXPERIMENTS.md records paper-vs-measured outcomes.
 
@@ -760,7 +760,6 @@ pub fn ablation_radix(cfg: &HarnessConfig) -> Table {
     t
 }
 
-/// Run everything (the `run_all` binary).
 /// Flight-recorder digest: one Chameleon run with the recorder armed,
 /// reported as per-event-kind totals from the run journal plus the
 /// rank-aggregated overhead split ([`chameleon::AggregatedStats`]) and a
@@ -832,34 +831,56 @@ pub fn observability(cfg: &HarnessConfig) -> Table {
     t
 }
 
-pub fn run_all(cfg: &HarnessConfig) -> Vec<(String, Table)> {
-    type Experiment = fn(&HarnessConfig) -> Table;
-    let experiments: Vec<(&str, Experiment)> = vec![
-        ("table1", table1),
-        ("table2", table2),
-        ("table3", table3),
-        ("table4", table4),
-        ("fig4", fig4),
-        ("fig5", fig5),
-        ("fig6", fig6),
-        ("fig7", fig7),
-        ("fig8", fig8),
-        ("fig9", fig9),
-        ("fig10", fig10),
-        ("fig11", fig11),
-        ("ablation_cluster", ablation_cluster),
-        ("ablation_k", ablation_k),
-        ("ablation_radix", ablation_radix),
-        ("energy", energy),
-        ("observability", observability),
-    ];
-    experiments
+/// One experiment: regenerate a table or figure under a configuration.
+pub type Experiment = fn(&HarnessConfig) -> Table;
+
+/// Every experiment by slug — the artifact name `run_all` emits it under
+/// and the name it is selected by on the command line.
+pub const EXPERIMENTS: [(&str, Experiment); 17] = [
+    ("table1", table1),
+    ("table2", table2),
+    ("table3", table3),
+    ("table4", table4),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("ablation_cluster", ablation_cluster),
+    ("ablation_k", ablation_k),
+    ("ablation_radix", ablation_radix),
+    ("energy", energy),
+    ("observability", observability),
+];
+
+/// Run the experiments named in `names`, in the order given — or all of
+/// [`EXPERIMENTS`] when `names` is empty. An unknown name runs nothing
+/// and returns an error listing the valid ones.
+pub fn run_all(cfg: &HarnessConfig, names: &[String]) -> Result<Vec<(String, Table)>, String> {
+    let lookup = |name: &String| {
+        EXPERIMENTS
+            .iter()
+            .find(|(slug, _)| slug == name)
+            .ok_or_else(|| {
+                let valid: Vec<&str> = EXPERIMENTS.iter().map(|(slug, _)| *slug).collect();
+                format!("unknown experiment {name:?}; valid: {}", valid.join(" "))
+            })
+    };
+    let selected: Vec<&(&str, Experiment)> = if names.is_empty() {
+        EXPERIMENTS.iter().collect()
+    } else {
+        names.iter().map(lookup).collect::<Result<_, _>>()?
+    };
+    Ok(selected
         .into_iter()
         .map(|(slug, f)| {
             eprintln!("[run_all] {slug} ...");
             (slug.to_string(), f(cfg))
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -879,6 +900,18 @@ mod tests {
     fn table1_produces_rows() {
         let t = table1(&tiny());
         assert_eq!(t.len(), TABLE2_SET.len());
+    }
+
+    #[test]
+    fn run_all_selects_by_name_and_rejects_unknown_names() {
+        let picked = run_all(&tiny(), &["table1".to_string()]).unwrap();
+        assert_eq!(picked.len(), 1);
+        assert_eq!(picked[0].0, "table1");
+        let err = run_all(&tiny(), &["table1".to_string(), "fig99".to_string()]).unwrap_err();
+        assert!(
+            err.contains("\"fig99\"") && err.contains("observability"),
+            "{err}"
+        );
     }
 
     #[test]

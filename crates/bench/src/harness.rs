@@ -17,6 +17,8 @@ use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
+use obs::query::json_escape;
+
 /// Target minimum duration of one timed batch.
 const MIN_BATCH: std::time::Duration = std::time::Duration::from_millis(5);
 /// Timed batches per benchmark.
@@ -141,10 +143,10 @@ impl Harness {
             };
             let _ = writeln!(
                 out,
-                "    {{\"group\": {}, \"label\": {}, \"iters_per_batch\": {}, \
+                "    {{\"group\": \"{}\", \"label\": \"{}\", \"iters_per_batch\": {}, \
                  \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}}}{}",
-                json_str(&s.group),
-                json_str(&s.label),
+                json_escape(&s.group),
+                json_escape(&s.label),
                 s.iters,
                 s.median_ns,
                 s.mean_ns,
@@ -155,7 +157,7 @@ impl Harness {
         out.push_str("  ],\n  \"derived\": {");
         for (idx, (key, value)) in derived.iter().enumerate() {
             let comma = if idx + 1 < derived.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}: {:.4}{}", json_str(key), value, comma);
+            let _ = write!(out, "\n    \"{}\": {:.4}{}", json_escape(key), value, comma);
         }
         if !derived.is_empty() {
             out.push('\n');
@@ -184,24 +186,6 @@ fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{ns:.0} ns")
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

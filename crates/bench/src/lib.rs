@@ -1,13 +1,13 @@
 //! # chameleon-bench — the per-table / per-figure reproduction harness
 //!
-//! One binary per table and figure of the paper (see DESIGN.md's
-//! experiment index): `table1` … `table4`, `fig4` … `fig11`, plus the
-//! ablation binaries and `run_all`, which executes the full suite and
-//! writes results under `experiments_out/`.
-//!
-//! All binaries accept the same flags:
+//! One experiment per table and figure of the paper (see DESIGN.md's
+//! experiment index) — `table1` … `table4`, `fig4` … `fig11`, the
+//! ablations, `energy`, `observability` — all behind the one `run_all`
+//! binary: name the experiments to run, or none for the full suite, and
+//! `--out` writes the results under `experiments_out/`.
 //!
 //! ```text
+//! EXPERIMENT...  run only these (default: all)
 //! --max-p <N>    largest world size in sweeps        (default 64)
 //! --scale <N>    iteration shrink factor             (default 10; 1 = paper-faithful)
 //! --class <A-D>  input class where applicable        (default D)

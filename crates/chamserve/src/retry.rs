@@ -22,14 +22,15 @@
 
 use std::time::Duration;
 
+use obs::wire::backoff_factor;
+
 use crate::http;
 use crate::util::{crc32, splitmix64};
 
-/// Seeded-jitter exponential backoff for push retries. Mirrors
-/// `mpisim::Proc::retransmit_backoff`: delay `base * 2^min(attempt-1,
-/// cap)` scaled by a jitter factor in `[0.5, 1.5)` hashed from the seed
-/// and the attempt coordinates — but on *wall* time, since the client is
-/// a real process talking to a real socket.
+/// Seeded-jitter exponential backoff for push retries: `base` times
+/// [`obs::wire::backoff_factor`], the same curve
+/// `mpisim::Proc::retransmit_backoff` follows — but on *wall* time, since
+/// the client is a real process talking to a real socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts (>= 1); `attempts = 1` disables retrying.
@@ -67,15 +68,7 @@ impl RetryPolicy {
     /// identity (e.g. a hash of the run ID) into the jitter so concurrent
     /// pushers under one seed do not thundering-herd in lock step.
     pub fn backoff(&self, attempt: u32, coord: u64) -> Duration {
-        const EXP_CAP: u32 = 10;
-        let exp = attempt.saturating_sub(1).min(EXP_CAP);
-        let mut h = self.seed;
-        for v in [coord, attempt as u64] {
-            h = splitmix64(h ^ v);
-        }
-        // Top 53 bits → uniform in [0, 1); shifted to [0.5, 1.5).
-        let jitter = 0.5 + (h >> 11) as f64 / (1u64 << 53) as f64;
-        let delay = self.base.as_secs_f64() * f64::from(1u32 << exp) * jitter;
+        let delay = self.base.as_secs_f64() * backoff_factor(self.seed, &[coord], attempt);
         Duration::from_secs_f64(delay).min(self.cap)
     }
 }

@@ -1,57 +1,11 @@
-//! Small shared primitives for the durability layer: CRC-32, SplitMix64,
-//! and crash-atomic file writes.
-//!
-//! Hand-rolled for the same reason `mpisim` inlines its frame CRC and
-//! fault coins: the workspace is hermetic, so every crate carries the few
-//! primitives it needs instead of a registry dependency.
+//! Crash-atomic file writes for the durability layer, plus the paths the
+//! service has always exported its checksum and coin under (the
+//! definitions are the stack-wide ones in [`obs::wire`]).
 
 use std::io::Write;
 use std::path::Path;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven —
-/// the same polynomial the reliable wire protocol and CKPT1 blobs use, so
-/// one `crc32` value means the same thing at every layer of the system.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 of `bytes` (full init/finalize — matches every common
-/// `crc32(...)` implementation, e.g. `python3 -c 'import zlib, ...'`).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-/// SplitMix64 mixing step — the fault-coin hash `mpisim::FaultPlan` uses,
-/// inlined so the service fault plan flips coins the exact same way.
-#[inline]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use obs::wire::{crc32, splitmix64};
 
 /// The `.tmp` suffix every in-flight spill write carries. Rehydration
 /// treats any leftover `*.tmp` file as a torn write and quarantines it.
@@ -111,15 +65,6 @@ mod tests {
         // "123456789" is the canonical CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn splitmix_matches_mpisim_constants() {
-        // Pin the mixer so the service plane's coins stay aligned with
-        // mpisim::fault's (same constants, same output).
-        assert_ne!(splitmix64(0), 0);
-        assert_eq!(splitmix64(1), splitmix64(1));
-        assert_ne!(splitmix64(1), splitmix64(2));
     }
 
     #[test]

@@ -18,17 +18,9 @@
 
 use std::fmt;
 
-use crate::proc::Rank;
+use obs::wire::splitmix64;
 
-/// SplitMix64 mixing step: a high-quality 64-bit hash used for fault
-/// coins. Inlined here so `mpisim` keeps an empty `[dependencies]` table.
-#[inline]
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::proc::Rank;
 
 /// Crash a rank at its `at_op`-th simulated operation (sends, completed
 /// receives, and barrier entries all count, including collective-internal

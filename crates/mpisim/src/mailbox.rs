@@ -3,11 +3,14 @@
 //! MPI receives match on `(communicator, tag, source)`, where tag and
 //! source may be wildcards, and messages from the same sender on the same
 //! communicator are non-overtaking. A mailbox is an unbounded queue of
-//! envelopes protected by a mutex; a receive scans for the first match and
-//! blocks on a condvar until one arrives.
+//! envelopes protected by a mutex. It never blocks a receiver by itself:
+//! [`Mailbox::take`] is the one non-blocking dequeue, and
+//! [`Mailbox::wait_delivery`] is the one timed wait the thread-oracle
+//! scheduler sleeps on between probes (see `Proc::block_on`).
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::proc::{Rank, SrcSel, Tag, TagSel};
 use crate::time::VirtualTime;
@@ -30,9 +33,29 @@ pub struct Envelope {
     pub arrival: VirtualTime,
 }
 
+impl Envelope {
+    /// MPI matching: same communicator, and source/tag equal unless the
+    /// selector is a wildcard.
+    pub fn matches(&self, src: SrcSel, tag: TagSel, comm: Comm) -> bool {
+        self.comm == comm
+            && match src {
+                SrcSel::Any => true,
+                SrcSel::Rank(r) => self.src == r,
+            }
+            && match tag {
+                TagSel::Any => true,
+                TagSel::Tag(t) => self.tag == t,
+            }
+    }
+}
+
 #[derive(Default)]
 struct Inner {
     queue: VecDeque<Envelope>,
+    /// Messages ever deposited. A waiter reads it *before* probing and
+    /// hands it to [`Mailbox::wait_delivery`], which returns at once if it
+    /// moved — so a delivery between probe and wait is never slept through.
+    delivered: u64,
 }
 
 /// One rank's incoming-message queue.
@@ -59,123 +82,41 @@ impl Mailbox {
     pub fn deliver(&self, env: Envelope) {
         let mut inner = self.lock();
         inner.queue.push_back(env);
+        inner.delivered += 1;
         drop(inner);
         // Wake all waiters: with wildcard receives, any waiter might match.
         self.available.notify_all();
     }
 
-    /// Blocking matched receive. Returns the first queued envelope matching
-    /// the selectors, preserving MPI's non-overtaking order (FIFO per
-    /// sender within a communicator — guaranteed here because the queue is
-    /// globally FIFO and we always take the *first* match).
-    pub fn recv(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Envelope {
+    /// Non-blocking receive: remove and return the first queued envelope
+    /// `pred` accepts, or `None` without waiting. Taking the *first* match
+    /// of a globally FIFO queue preserves MPI's non-overtaking order (FIFO
+    /// per sender within a communicator) for any predicate — exact,
+    /// wildcard, or "any of these sources" (the pipelined reduction, which
+    /// must not steal a non-child's message on the same tag).
+    pub fn take(&self, pred: impl Fn(&Envelope) -> bool) -> Option<Envelope> {
         let mut inner = self.lock();
-        loop {
-            if let Some(pos) = inner
-                .queue
-                .iter()
-                .position(|e| Self::matches(e, src, tag, comm))
-            {
-                return inner.queue.remove(pos).expect("position just found");
-            }
-            inner = self
-                .available
-                .wait(inner)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        let pos = inner.queue.iter().position(pred)?;
+        inner.queue.remove(pos)
     }
 
-    /// Bounded-wait matched receive: like [`Mailbox::recv`] but gives up
-    /// after `timeout_ms` milliseconds without a match, returning `None`.
-    /// Used by the runtime to poll a poison flag so one rank's panic does
-    /// not deadlock the others.
-    pub fn recv_timeout(
-        &self,
-        src: SrcSel,
-        tag: TagSel,
-        comm: Comm,
-        timeout_ms: u64,
-    ) -> Option<Envelope> {
-        self.recv_timeout_where(timeout_ms, |e| Self::matches(e, src, tag, comm))
+    /// The delivery counter: how many messages were ever deposited here.
+    pub fn deliveries(&self) -> u64 {
+        self.lock().delivered
     }
 
-    /// Bounded-wait receive matching any of `srcs` on a fixed tag/comm.
-    /// FIFO among the matches, so per-sender order is still non-overtaking.
-    ///
-    /// This is the primitive behind pipelined reductions: an interior tree
-    /// rank takes child traces in *arrival* order, but only from its own
-    /// children — a plain wildcard receive could steal a message a child
-    /// already sent for the *next* reduction on the same tag.
-    pub fn recv_timeout_from_set(
-        &self,
-        srcs: &[Rank],
-        tag: TagSel,
-        comm: Comm,
-        timeout_ms: u64,
-    ) -> Option<Envelope> {
-        self.recv_timeout_where(timeout_ms, |e| {
-            srcs.contains(&e.src) && Self::matches(e, SrcSel::Any, tag, comm)
-        })
+    /// Sleep until the delivery counter differs from `seen` or `timeout`
+    /// elapses, whichever is first. The counter is compared under the same
+    /// lock [`Mailbox::deliver`] bumps it under, so there is no window in
+    /// which a delivery can be missed.
+    pub fn wait_delivery(&self, seen: u64, timeout: Duration) {
+        // Poisoning is shrugged off as in `lock`: the guard is dropped.
+        let _ = self
+            .available
+            .wait_timeout_while(self.lock(), timeout, |inner| inner.delivered == seen);
     }
 
-    fn recv_timeout_where(
-        &self,
-        timeout_ms: u64,
-        pred: impl Fn(&Envelope) -> bool,
-    ) -> Option<Envelope> {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        let mut inner = self.lock();
-        loop {
-            if let Some(pos) = inner.queue.iter().position(&pred) {
-                return inner.queue.remove(pos);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            let (guard, timed_out) = self
-                .available
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if timed_out.timed_out() {
-                // One final scan: a message may have landed between the
-                // last check and the timeout.
-                return inner
-                    .queue
-                    .iter()
-                    .position(&pred)
-                    .and_then(|pos| inner.queue.remove(pos));
-            }
-        }
-    }
-
-    /// Non-blocking matched receive: take the first queued envelope
-    /// matching the selectors, or return `None` without waiting. The
-    /// event scheduler's block points are built on this — check, park,
-    /// re-check on wake — instead of the timed poll loops thread mode
-    /// uses.
-    pub fn try_recv(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Option<Envelope> {
-        let mut inner = self.lock();
-        inner
-            .queue
-            .iter()
-            .position(|e| Self::matches(e, src, tag, comm))
-            .and_then(|pos| inner.queue.remove(pos))
-    }
-
-    /// Non-blocking counterpart of [`Mailbox::recv_timeout_from_set`]:
-    /// first arrival among `srcs` on the tag/comm, or `None`.
-    pub fn try_recv_from_set(&self, srcs: &[Rank], tag: TagSel, comm: Comm) -> Option<Envelope> {
-        let mut inner = self.lock();
-        inner
-            .queue
-            .iter()
-            .position(|e| srcs.contains(&e.src) && Self::matches(e, SrcSel::Any, tag, comm))
-            .and_then(|pos| inner.queue.remove(pos))
-    }
-
-    /// Non-blocking probe: would `recv` with these selectors complete
+    /// Non-blocking probe: would a receive with these selectors complete
     /// immediately? Returns the matched envelope's metadata without
     /// consuming it.
     pub fn probe(&self, src: SrcSel, tag: TagSel, comm: Comm) -> Option<(Rank, Tag, usize)> {
@@ -183,7 +124,7 @@ impl Mailbox {
         inner
             .queue
             .iter()
-            .find(|e| Self::matches(e, src, tag, comm))
+            .find(|e| e.matches(src, tag, comm))
             .map(|e| (e.src, e.tag, e.payload.len()))
     }
 
@@ -192,29 +133,28 @@ impl Mailbox {
     pub fn backlog(&self) -> usize {
         self.lock().queue.len()
     }
-
-    fn matches(e: &Envelope, src: SrcSel, tag: TagSel, comm: Comm) -> bool {
-        if e.comm != comm {
-            return false;
-        }
-        if let SrcSel::Rank(r) = src {
-            if e.src != r {
-                return false;
-            }
-        }
-        if let TagSel::Tag(t) = tag {
-            if e.tag != t {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// A blocking receive assembled the way `Proc::block_on` assembles one
+    /// in thread mode: read the counter, probe, sleep on the counter.
+    fn recv(mb: &Mailbox, src: SrcSel, tag: TagSel, comm: Comm) -> Envelope {
+        loop {
+            let seen = mb.deliveries();
+            if let Some(env) = mb.take(|e| e.matches(src, tag, comm)) {
+                return env;
+            }
+            mb.wait_delivery(seen, Duration::from_secs(10));
+        }
+    }
+
+    fn take_from_set(mb: &Mailbox, srcs: &[Rank], tag: Tag) -> Option<Envelope> {
+        mb.take(|e| srcs.contains(&e.src) && e.matches(SrcSel::Any, TagSel::Tag(tag), Comm::WORLD))
+    }
 
     fn env(src: Rank, tag: Tag, comm: Comm, byte: u8) -> Envelope {
         Envelope {
@@ -230,7 +170,7 @@ mod tests {
     fn exact_match_delivery() {
         let mb = Mailbox::new();
         mb.deliver(env(3, 7, Comm::WORLD, 0xaa));
-        let got = mb.recv(SrcSel::Rank(3), TagSel::Tag(7), Comm::WORLD);
+        let got = recv(&mb, SrcSel::Rank(3), TagSel::Tag(7), Comm::WORLD);
         assert_eq!(got.payload, vec![0xaa]);
         assert_eq!(mb.backlog(), 0);
     }
@@ -240,7 +180,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(1, 1, Comm::WORLD, 1));
         mb.deliver(env(2, 2, Comm::WORLD, 2));
-        let got = mb.recv(SrcSel::Rank(2), TagSel::Tag(2), Comm::WORLD);
+        let got = recv(&mb, SrcSel::Rank(2), TagSel::Tag(2), Comm::WORLD);
         assert_eq!(got.payload, vec![2]);
         assert_eq!(mb.backlog(), 1, "non-matching message must stay queued");
     }
@@ -250,7 +190,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(5, 9, Comm::WORLD, 5));
         mb.deliver(env(6, 9, Comm::WORLD, 6));
-        let got = mb.recv(SrcSel::Any, TagSel::Tag(9), Comm::WORLD);
+        let got = recv(&mb, SrcSel::Any, TagSel::Tag(9), Comm::WORLD);
         assert_eq!(got.src, 5, "FIFO among matches");
     }
 
@@ -258,7 +198,7 @@ mod tests {
     fn wildcard_tag() {
         let mb = Mailbox::new();
         mb.deliver(env(1, 42, Comm::WORLD, 1));
-        let got = mb.recv(SrcSel::Rank(1), TagSel::Any, Comm::WORLD);
+        let got = recv(&mb, SrcSel::Rank(1), TagSel::Any, Comm::WORLD);
         assert_eq!(got.tag, 42);
     }
 
@@ -267,7 +207,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(1, 1, Comm(9), 9));
         mb.deliver(env(1, 1, Comm::WORLD, 0));
-        let got = mb.recv(SrcSel::Rank(1), TagSel::Tag(1), Comm::WORLD);
+        let got = recv(&mb, SrcSel::Rank(1), TagSel::Tag(1), Comm::WORLD);
         assert_eq!(got.payload, vec![0], "must not cross communicators");
     }
 
@@ -278,7 +218,7 @@ mod tests {
             mb.deliver(env(4, 1, Comm::WORLD, i));
         }
         for i in 0..10u8 {
-            let got = mb.recv(SrcSel::Rank(4), TagSel::Tag(1), Comm::WORLD);
+            let got = recv(&mb, SrcSel::Rank(4), TagSel::Tag(1), Comm::WORLD);
             assert_eq!(got.payload, vec![i]);
         }
     }
@@ -300,7 +240,7 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
         let handle =
-            std::thread::spawn(move || mb2.recv(SrcSel::Rank(0), TagSel::Tag(0), Comm::WORLD));
+            std::thread::spawn(move || recv(&mb2, SrcSel::Rank(0), TagSel::Tag(0), Comm::WORLD));
         // Give the receiver a moment to block, then deliver.
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.deliver(env(0, 0, Comm::WORLD, 0x5a));
@@ -313,11 +253,11 @@ mod tests {
         let mb = Arc::new(Mailbox::new());
         let a = {
             let mb = Arc::clone(&mb);
-            std::thread::spawn(move || mb.recv(SrcSel::Rank(1), TagSel::Any, Comm::WORLD))
+            std::thread::spawn(move || recv(&mb, SrcSel::Rank(1), TagSel::Any, Comm::WORLD))
         };
         let b = {
             let mb = Arc::clone(&mb);
-            std::thread::spawn(move || mb.recv(SrcSel::Rank(2), TagSel::Any, Comm::WORLD))
+            std::thread::spawn(move || recv(&mb, SrcSel::Rank(2), TagSel::Any, Comm::WORLD))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.deliver(env(2, 0, Comm::WORLD, 2));
@@ -332,13 +272,9 @@ mod tests {
         mb.deliver(env(9, 5, Comm::WORLD, 9)); // not in set
         mb.deliver(env(4, 5, Comm::WORLD, 4));
         mb.deliver(env(2, 5, Comm::WORLD, 2));
-        let got = mb
-            .recv_timeout_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD, 10)
-            .expect("match available");
+        let got = take_from_set(&mb, &[2, 4], 5).expect("match available");
         assert_eq!(got.src, 4, "first arrival among the set wins");
-        let got2 = mb
-            .recv_timeout_from_set(&[2, 4], TagSel::Tag(5), Comm::WORLD, 10)
-            .expect("second match");
+        let got2 = take_from_set(&mb, &[2, 4], 5).expect("second match");
         assert_eq!(got2.src, 2);
         assert_eq!(mb.backlog(), 1, "out-of-set message stays queued");
     }
@@ -347,9 +283,10 @@ mod tests {
     fn set_receive_times_out_when_only_foreign_sources() {
         let mb = Mailbox::new();
         mb.deliver(env(7, 5, Comm::WORLD, 7));
-        assert!(mb
-            .recv_timeout_from_set(&[1, 2], TagSel::Tag(5), Comm::WORLD, 20)
-            .is_none());
+        let seen = mb.deliveries();
+        assert!(take_from_set(&mb, &[1, 2], 5).is_none());
+        mb.wait_delivery(seen, Duration::from_millis(20));
+        assert!(take_from_set(&mb, &[1, 2], 5).is_none());
         assert_eq!(mb.backlog(), 1);
     }
 }

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
 use crate::mailbox::{Envelope, Mailbox};
+use crate::sched::Waiter;
 use crate::time::{CostModel, VirtualClock, VirtualTime};
 use crate::Comm;
 
@@ -90,31 +91,9 @@ pub(crate) struct Shared {
     /// time the flag is observable — which is what makes death detection
     /// deterministic (see [`Proc::recv_or_dead`]).
     pub(crate) dead: Vec<AtomicBool>,
-    /// The cooperative event scheduler ([`crate::SchedMode::Events`], the
-    /// default), or `None` in [`crate::SchedMode::Threads`] oracle mode
-    /// where every rank free-runs and blocked receives poll.
-    pub(crate) sched: Option<crate::sched::Sched>,
-}
-
-impl Shared {
-    /// Wake `rank`'s task if it is parked — called after every mailbox
-    /// delivery so event-mode blocks resolve on the event, not a poll.
-    /// One branch in thread mode.
-    #[inline]
-    pub(crate) fn wake(&self, rank: Rank) {
-        if let Some(s) = &self.sched {
-            s.notify(rank);
-        }
-    }
-
-    /// Wake every parked task — for global conditions (a death flag, the
-    /// world poison flag) that any waiter might be blocked on.
-    #[inline]
-    pub(crate) fn wake_all(&self) {
-        if let Some(s) = &self.sched {
-            s.notify_all();
-        }
-    }
+    /// How a blocked rank waits and how it is woken: the event scheduler
+    /// or the thread oracle. The only place the two engines differ.
+    pub(crate) waiter: Waiter,
 }
 
 /// Handle through which one rank's program talks to the simulated MPI.
@@ -183,6 +162,15 @@ pub struct Proc {
 /// Base of the reserved tag space used by collective-internal messages.
 /// Application tags must stay below this.
 pub const COLLECTIVE_TAG_BASE: Tag = 1 << 30;
+
+/// Thread-oracle poll slice of an ordinary block: how long a blocked rank
+/// sleeps before it re-reads the poison flag (and re-probes). Event mode
+/// never polls.
+const POLL_SLICE: Duration = Duration::from_millis(50);
+
+/// Poll slice of a block that also watches a peer's death flag — shorter,
+/// because in thread mode nothing signals the flag.
+const DEAD_PEER_SLICE: Duration = Duration::from_millis(5);
 
 /// Tag of the metrics plane's snapshot reduction on [`Comm::OBS`].
 /// Snapshot reductions run in lockstep (every participant folds the same
@@ -322,21 +310,7 @@ impl Proc {
             self.shared.size
         );
         self.tick_op();
-        // Tool-internal traffic (PMPI-wrapper side channels: clustering
-        // votes, trace shipping, marker sync) is free in *virtual* time:
-        // the virtual clock models the application alone, while tool cost
-        // is measured in real wall-clock. Without this split, instrumented
-        // and uninstrumented runs would disagree on application time.
-        let tool = comm == Comm::TOOL || comm == Comm::MARKER;
-        let mut arrival = if tool {
-            self.tool_clock.advance(self.shared.cost.overhead);
-            self.tool_clock.now() + self.shared.cost.transfer(payload.len())
-        } else {
-            self.clock.advance(self.shared.cost.overhead);
-            self.clock.now() + self.shared.cost.transfer(payload.len())
-        };
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += payload.len();
+        let mut arrival = self.stamp_send(comm, payload.len());
 
         let mut body = None;
         let mut duplicate = false;
@@ -382,23 +356,49 @@ impl Proc {
         }
         let body = body.unwrap_or_else(|| payload.to_vec());
         if duplicate {
-            self.shared.mailboxes[dest].deliver(Envelope {
-                src: self.rank,
-                tag,
-                comm,
-                payload: body.clone(),
-                arrival,
-            });
+            self.deposit(dest, tag, comm, body.clone(), arrival);
         }
+        self.deposit(dest, tag, comm, body, arrival);
+        true
+    }
+
+    /// Sender-side clock and stats accounting for one message; returns its
+    /// modeled arrival time in the sender's clock domain.
+    ///
+    /// Tool-internal traffic (PMPI-wrapper side channels: clustering
+    /// votes, trace shipping, marker sync) is free in *virtual* time: the
+    /// virtual clock models the application alone, while tool cost is
+    /// measured in real wall-clock. Without this split, instrumented and
+    /// uninstrumented runs would disagree on application time.
+    fn stamp_send(&mut self, comm: Comm, len: usize) -> f64 {
+        let cost = self.shared.cost;
+        let clock = self.clock_for(comm);
+        clock.advance(cost.overhead);
+        let arrival = clock.now() + cost.transfer(len);
+        self.stats.msgs_sent += 1;
+        self.stats.bytes_sent += len;
+        arrival
+    }
+
+    /// The clock a message on `comm` is stamped with and synchronizes.
+    fn clock_for(&mut self, comm: Comm) -> &mut VirtualClock {
+        if comm == Comm::TOOL || comm == Comm::MARKER {
+            &mut self.tool_clock
+        } else {
+            &mut self.clock
+        }
+    }
+
+    /// Put a message in `dest`'s mailbox and wake it.
+    fn deposit(&self, dest: Rank, tag: Tag, comm: Comm, payload: Vec<u8>, arrival: f64) {
         self.shared.mailboxes[dest].deliver(Envelope {
             src: self.rank,
             tag,
             comm,
-            payload: body,
+            payload,
             arrival,
         });
-        self.shared.wake(dest);
-        true
+        self.shared.waiter.notify(dest);
     }
 
     /// [`Proc::send`] without the op tick: clock movement, stats, and
@@ -417,30 +417,14 @@ impl Proc {
             "send to rank {dest} in world of {}",
             self.shared.size
         );
-        let tool = comm == Comm::TOOL || comm == Comm::MARKER;
-        let arrival = if tool {
-            self.tool_clock.advance(self.shared.cost.overhead);
-            self.tool_clock.now() + self.shared.cost.transfer(payload.len())
-        } else {
-            self.clock.advance(self.shared.cost.overhead);
-            self.clock.now() + self.shared.cost.transfer(payload.len())
-        };
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += payload.len();
-        self.shared.mailboxes[dest].deliver(Envelope {
-            src: self.rank,
-            tag,
-            comm,
-            payload: payload.to_vec(),
-            arrival,
-        });
-        self.shared.wake(dest);
+        let arrival = self.stamp_send(comm, payload.len());
+        self.deposit(dest, tag, comm, payload.to_vec(), arrival);
     }
 
     /// Seeded exponential backoff before a reliable-layer retransmission:
-    /// advances the *tool* clock by `base * 2^min(attempt-1, cap)` scaled
-    /// by a jitter factor in `[0.5, 1.5)` hashed from the fault-plan seed
-    /// and the transfer coordinates. Virtual time only — retransmission
+    /// advances the *tool* clock by the base delay times
+    /// [`obs::wire::backoff_factor`] of the fault-plan seed and the
+    /// transfer coordinates. Virtual time only — retransmission
     /// storms back off in the model without costing wall time, and the
     /// delays are a pure function of `(seed, ranks, tag, attempt)` so
     /// armed runs stay bit-reproducible.
@@ -449,16 +433,9 @@ impl Proc {
             return;
         };
         const BASE_S: f64 = 2e-6;
-        const EXP_CAP: u32 = 10;
-        let exp = attempt.saturating_sub(1).min(EXP_CAP);
-        let mut h = plan.seed;
-        for v in [self.rank as u64, dest as u64, tag as u64, attempt as u64] {
-            h = crate::fault::splitmix64(h ^ v);
-        }
-        // Top 53 bits → uniform in [0, 1); shifted to [0.5, 1.5).
-        let jitter = 0.5 + (h >> 11) as f64 / (1u64 << 53) as f64;
-        self.tool_clock
-            .advance(BASE_S * f64::from(1u32 << exp) * jitter);
+        let coords = [self.rank as u64, dest as u64, tag as u64];
+        let factor = obs::wire::backoff_factor(plan.seed, &coords, attempt);
+        self.tool_clock.advance(BASE_S * factor);
     }
 
     /// Advance the operation counter and fire the plan's crash fault if
@@ -483,7 +460,7 @@ impl Proc {
                 // before dying is already in the peer's mailbox.
                 self.shared.dead[self.rank].store(true, Ordering::SeqCst);
                 // Any parked peer might be blocked on this rank.
-                self.shared.wake_all();
+                self.shared.waiter.notify_all();
                 std::panic::panic_any(InjectedCrash {
                     rank: self.rank,
                     op,
@@ -498,7 +475,20 @@ impl Proc {
     /// If another rank panicked, this aborts (panics) instead of blocking
     /// forever.
     pub fn recv(&mut self, src: SrcSel, tag: TagSel, comm: Comm) -> RecvInfo {
-        let env = self.recv_envelope(src, tag, comm);
+        // Hang-diagnostic labels for wildcard selectors.
+        let peer = match src {
+            SrcSel::Rank(r) => r,
+            SrcSel::Any => usize::MAX,
+        };
+        let tag_label = match tag {
+            TagSel::Tag(t) => t,
+            TagSel::Any => 0,
+        };
+        let env = self
+            .block_on(POLL_SLICE, peer, tag_label, None, |p| {
+                p.take(|e| e.matches(src, tag, comm))
+            })
+            .expect("an unbounded block returns only with a value");
         self.finish_recv(env, comm)
     }
 
@@ -517,38 +507,12 @@ impl Proc {
     /// per message, in a deterministic order of its choosing. If another
     /// rank panicked, this aborts (panics) instead of blocking forever.
     pub fn recv_from_set(&mut self, srcs: &[Rank], tag: Tag, comm: Comm) -> PendingRecv {
-        let deadline = self.hang_deadline();
-        let env = if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) =
-                    self.shared.mailboxes[self.rank].try_recv_from_set(srcs, TagSel::Tag(tag), comm)
-                {
-                    break env;
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, srcs.first().copied().unwrap_or(0), tag);
-                self.sched_park(epoch, deadline);
-            }
-        } else {
-            loop {
-                if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout_from_set(
-                    srcs,
-                    TagSel::Tag(tag),
-                    comm,
-                    50,
-                ) {
-                    break env;
-                }
-                if self.shared.poisoned.load(Ordering::SeqCst) {
-                    panic!(
-                        "world poisoned: another rank panicked while rank {} was receiving",
-                        self.rank
-                    );
-                }
-                self.check_hang(deadline, srcs.first().copied().unwrap_or(0), tag);
-            }
-        };
+        let peer = srcs.first().copied().unwrap_or(0);
+        let env = self
+            .block_on(POLL_SLICE, peer, tag, None, |p| {
+                p.take(|e| srcs.contains(&e.src) && e.matches(SrcSel::Any, TagSel::Tag(tag), comm))
+            })
+            .expect("an unbounded block returns only with a value");
         PendingRecv {
             src: env.src,
             payload: env.payload,
@@ -562,38 +526,12 @@ impl Proc {
     /// reduction), which makes the modeled clocks independent of the
     /// host's actual message timing.
     pub fn complete_recv(&mut self, msg: &PendingRecv, comm: Comm) {
-        self.tick_op();
-        let tool = comm == Comm::TOOL || comm == Comm::MARKER;
-        self.observe_recv_wait(tool, msg.arrival);
-        if tool {
-            self.tool_clock.sync_to(msg.arrival);
-            self.tool_clock.advance(self.shared.cost.overhead);
-        } else {
-            self.clock.sync_to(msg.arrival);
-            self.clock.advance(self.shared.cost.overhead);
-        }
-        self.stats.msgs_recvd += 1;
-        self.stats.bytes_recvd += msg.payload.len();
+        self.account_recv(msg.arrival, msg.payload.len(), comm);
     }
 
-    /// Clock synchronization and accounting for a completed receive.
+    /// [`Proc::account_recv`] for a message received in program order.
     fn finish_recv(&mut self, env: Envelope, comm: Comm) -> RecvInfo {
-        self.tick_op();
-        let tool = comm == Comm::TOOL || comm == Comm::MARKER;
-        self.observe_recv_wait(tool, env.arrival);
-        if tool {
-            // Arrival is in the tool-clock domain: waiting for a late
-            // sender (e.g. a merge partner still computing) shows up as
-            // tool time, which is exactly the semantics of a blocked
-            // PMPI-wrapper collective.
-            self.tool_clock.sync_to(env.arrival);
-            self.tool_clock.advance(self.shared.cost.overhead);
-        } else {
-            self.clock.sync_to(env.arrival);
-            self.clock.advance(self.shared.cost.overhead);
-        }
-        self.stats.msgs_recvd += 1;
-        self.stats.bytes_recvd += env.payload.len();
+        self.account_recv(env.arrival, env.payload.len(), comm);
         RecvInfo {
             src: env.src,
             tag: env.tag,
@@ -601,17 +539,30 @@ impl Proc {
         }
     }
 
+    /// Clock synchronization and accounting for a completed receive.
+    ///
+    /// A tool-plane arrival is in the tool-clock domain: waiting for a
+    /// late sender (e.g. a merge partner still computing) shows up as tool
+    /// time, which is exactly the semantics of a blocked PMPI-wrapper
+    /// collective.
+    fn account_recv(&mut self, arrival: f64, bytes: usize, comm: Comm) {
+        self.tick_op();
+        self.observe_recv_wait(comm, arrival);
+        let overhead = self.shared.cost.overhead;
+        let clock = self.clock_for(comm);
+        clock.sync_to(arrival);
+        clock.advance(overhead);
+        self.stats.msgs_recvd += 1;
+        self.stats.bytes_recvd += bytes;
+    }
+
     /// Record the modeled queue wait of a receive — how far ahead of this
     /// rank's clock the message's arrival stamp sits (0 when the message
     /// was already waiting). Read-only on the clocks; quantized to ns.
     #[inline]
-    fn observe_recv_wait(&mut self, tool: bool, arrival: f64) {
+    fn observe_recv_wait(&mut self, comm: Comm, arrival: f64) {
         if self.metrics.is_some() {
-            let now = if tool {
-                self.tool_clock.now()
-            } else {
-                self.clock.now()
-            };
+            let now = self.clock_for(comm).now();
             self.metric_observe(
                 obs::HistId::RecvWaitNs,
                 obs::metrics::ns_from_seconds(arrival - now),
@@ -632,54 +583,20 @@ impl Proc {
         comm: Comm,
         timeout_ms: u64,
     ) -> Option<RecvInfo> {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(timeout_ms);
-        if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(src, tag, comm) {
-                    self.clock.sync_to(env.arrival);
-                    self.clock.advance(self.shared.cost.overhead);
-                    self.stats.msgs_recvd += 1;
-                    self.stats.bytes_recvd += env.payload.len();
-                    return Some(RecvInfo {
-                        src: env.src,
-                        tag: env.tag,
-                        payload: env.payload,
-                    });
-                }
-                self.abort_if_poisoned_or_stalled();
-                if std::time::Instant::now() >= deadline {
-                    return None;
-                }
-                // A timed park never stalls the world: the scheduler
-                // counts this task as self-waking.
-                self.sched_park(epoch, Some(deadline));
-            }
-        }
-        loop {
-            let slice = 50.min(timeout_ms.max(1));
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(src, tag, comm, slice)
-            {
-                self.clock.sync_to(env.arrival);
-                self.clock.advance(self.shared.cost.overhead);
-                self.stats.msgs_recvd += 1;
-                self.stats.bytes_recvd += env.payload.len();
-                return Some(RecvInfo {
-                    src: env.src,
-                    tag: env.tag,
-                    payload: env.payload,
-                });
-            }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            if std::time::Instant::now() >= deadline {
-                return None;
-            }
-        }
+        let until = Instant::now() + Duration::from_millis(timeout_ms);
+        let env = self.block_on(POLL_SLICE, 0, 0, Some(until), |p| {
+            p.take(|e| e.matches(src, tag, comm))
+        })?;
+        // Unlike `recv`: no op tick, no wait metric, always the app clock.
+        self.clock.sync_to(env.arrival);
+        self.clock.advance(self.shared.cost.overhead);
+        self.stats.msgs_recvd += 1;
+        self.stats.bytes_recvd += env.payload.len();
+        Some(RecvInfo {
+            src: env.src,
+            tag: env.tag,
+            payload: env.payload,
+        })
     }
 
     /// Combined exchange: buffered send then blocking receive. Safe against
@@ -861,68 +778,16 @@ impl Proc {
     /// no fault coin). The arrival stamp is 0 — nothing on this channel
     /// ever synchronizes a clock to it.
     fn obs_send(&mut self, dest: Rank, tag: Tag, payload: Vec<u8>) {
-        self.shared.mailboxes[dest].deliver(Envelope {
-            src: self.rank,
-            tag,
-            comm: Comm::OBS,
-            payload,
-            arrival: 0.0,
-        });
-        self.shared.wake(dest);
+        self.deposit(dest, tag, Comm::OBS, payload, 0.0);
     }
 
-    /// Out-of-band receive on [`Comm::OBS`] with dead-peer detection.
-    /// Mirrors [`Proc::recv_or_dead`]'s loop but performs no accounting
-    /// and records no events (peer death is *witnessed* by the regular
-    /// planes; the metrics plane merely degrades).
+    /// Out-of-band receive on [`Comm::OBS`] with dead-peer detection:
+    /// [`Proc::recv_or_dead`]'s block without the accounting or the event
+    /// (peer death is *witnessed* by the regular planes; the metrics plane
+    /// merely degrades).
     fn obs_recv_or_dead(&mut self, src: Rank, tag: Tag) -> Option<Vec<u8>> {
-        let deadline = self.hang_deadline();
-        if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(
-                    SrcSel::Rank(src),
-                    TagSel::Tag(tag),
-                    Comm::OBS,
-                ) {
-                    return Some(env.payload);
-                }
-                if self.shared.dead[src].load(Ordering::SeqCst) {
-                    // Final recheck, same as recv_or_dead: flag-then-message
-                    // races resolve deterministically because sends are eager.
-                    return self.shared.mailboxes[self.rank]
-                        .try_recv(SrcSel::Rank(src), TagSel::Tag(tag), Comm::OBS)
-                        .map(|env| env.payload);
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, src, tag);
-                self.sched_park(epoch, deadline);
-            }
-        }
-        loop {
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(
-                SrcSel::Rank(src),
-                TagSel::Tag(tag),
-                Comm::OBS,
-                5,
-            ) {
-                return Some(env.payload);
-            }
-            if self.shared.dead[src].load(Ordering::SeqCst) {
-                // Final recheck, same as recv_or_dead: flag-then-message
-                // races resolve deterministically because sends are eager.
-                return self.shared.mailboxes[self.rank]
-                    .recv_timeout(SrcSel::Rank(src), TagSel::Tag(tag), Comm::OBS, 0)
-                    .map(|env| env.payload);
-            }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            self.check_hang(deadline, src, tag);
-        }
+        self.block_on_peer(src, tag, Comm::OBS)
+            .map(|env| env.payload)
     }
 
     /// Ship an opaque blob to `dest` over the out-of-band observability
@@ -961,67 +826,103 @@ impl Proc {
     /// flag therefore decides message-vs-death purely by whether the dead
     /// rank *reached* the send before its crash op, never by scheduling.
     pub fn recv_or_dead(&mut self, src: Rank, tag: Tag, comm: Comm) -> Option<RecvInfo> {
-        let deadline = self.hang_deadline();
-        if self.shared.sched.is_some() {
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(
-                    SrcSel::Rank(src),
-                    TagSel::Tag(tag),
-                    comm,
-                ) {
-                    return Some(self.finish_recv(env, comm));
-                }
-                if self.shared.dead[src].load(Ordering::SeqCst) {
-                    // Final recheck: the flag may have been set between our
-                    // last scan and now, with a message already delivered.
-                    if let Some(env) = self.shared.mailboxes[self.rank].try_recv(
-                        SrcSel::Rank(src),
-                        TagSel::Tag(tag),
-                        comm,
-                    ) {
-                        return Some(self.finish_recv(env, comm));
-                    }
-                    self.fstats.peer_deaths_seen += 1;
-                    self.record(|| obs::EventKind::PeerDead { peer: src as u64 });
-                    return None;
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, src, tag);
-                self.sched_park(epoch, deadline);
-            }
-        }
-        loop {
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(
-                SrcSel::Rank(src),
-                TagSel::Tag(tag),
-                comm,
-                5,
-            ) {
-                return Some(self.finish_recv(env, comm));
-            }
-            if self.shared.dead[src].load(Ordering::SeqCst) {
-                // Final recheck: the flag may have been set between our
-                // last scan and now, with a message already delivered.
-                if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(
-                    SrcSel::Rank(src),
-                    TagSel::Tag(tag),
-                    comm,
-                    0,
-                ) {
-                    return Some(self.finish_recv(env, comm));
-                }
+        match self.block_on_peer(src, tag, comm) {
+            Some(env) => Some(self.finish_recv(env, comm)),
+            None => {
                 self.fstats.peer_deaths_seen += 1;
                 self.record(|| obs::EventKind::PeerDead { peer: src as u64 });
-                return None;
+                None
             }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
+        }
+    }
+
+    /// Block for a message from `src`, or `None` once `src` is dead with
+    /// nothing pending — the message-vs-death decision of
+    /// [`Proc::recv_or_dead`], stated once for every plane that needs it.
+    fn block_on_peer(&mut self, src: Rank, tag: Tag, comm: Comm) -> Option<Envelope> {
+        let wanted = |e: &Envelope| e.matches(SrcSel::Rank(src), TagSel::Tag(tag), comm);
+        self.block_on(DEAD_PEER_SLICE, src, tag, None, |p| {
+            if let Some(env) = p.take(wanted) {
+                return Some(Some(env));
+            }
+            // Final recheck after seeing the flag: it may have been set
+            // between the scan above and now, with a message already
+            // delivered (sends are eager).
+            p.is_dead(src).then(|| p.take(wanted))
+        })
+        .expect("an unbounded block returns only with a value")
+    }
+
+    /// Non-blocking dequeue from this rank's own mailbox.
+    fn take(&self, pred: impl Fn(&Envelope) -> bool) -> Option<Envelope> {
+        self.shared.mailboxes[self.rank].take(pred)
+    }
+
+    /// The one blocking loop: every block point in the simulator is a
+    /// `probe` run under it. Returns the probe's first `Some`, or `None`
+    /// when the caller's own bound `until` expires first (with no bound it
+    /// never returns `None`).
+    ///
+    /// Each turn: take a wait ticket, probe, abort if the world is
+    /// poisoned or provably deadlocked, honour `until` and the armed
+    /// plan's hang backstop (`peer`/`tag` only label its diagnostic), then
+    /// wait — the single step that depends on the engine (see
+    /// [`Waiter`]). The ticket is taken *before* the probe, so a delivery
+    /// landing between probe and wait makes the wait return at once; a
+    /// wake for anything else just costs one more probe. Flags no wake
+    /// announces in thread mode (death, poison) are seen within one
+    /// `slice`.
+    fn block_on<T>(
+        &mut self,
+        slice: Duration,
+        peer: Rank,
+        tag: Tag,
+        until: Option<Instant>,
+        probe: impl Fn(&Self) -> Option<T>,
+    ) -> Option<T> {
+        // A caller-bounded wait gives up by itself; only unbounded ones
+        // need the backstop.
+        let hang = if until.is_none() {
+            self.hang_deadline()
+        } else {
+            None
+        };
+        loop {
+            let shared = &self.shared;
+            let ticket = shared
+                .waiter
+                .ticket(self.rank, &shared.mailboxes[self.rank]);
+            if let Some(v) = probe(self) {
+                return Some(v);
+            }
+            if shared.poisoned.load(Ordering::SeqCst) {
                 panic!(
                     "world poisoned: another rank panicked while rank {} was receiving",
                     self.rank
                 );
             }
-            self.check_hang(deadline, src, tag);
+            if shared.waiter.stalled() {
+                panic!(
+                    "deadlock detected: rank {} is blocked with no running peers, \
+                     no pending messages, and no timers — the world can never make progress",
+                    self.rank
+                );
+            }
+            if until.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            self.check_hang(hang, peer, tag);
+            // Wake keyed by the later of the two clocks: the task's next
+            // simulation-visible action cannot predate either one.
+            let vtime = self.clock.now().max(self.tool_clock.now());
+            self.shared.waiter.wait(
+                self.rank,
+                &self.shared.mailboxes[self.rank],
+                ticket,
+                vtime,
+                slice,
+                until.or(hang),
+            );
         }
     }
 
@@ -1093,90 +994,6 @@ impl Proc {
     pub(crate) fn coll_tag(seq: u64, round: u32) -> Tag {
         debug_assert!(round < 64, "collective with more than 64 rounds");
         COLLECTIVE_TAG_BASE + ((seq % 0xFFFF) as Tag) * 64 + round
-    }
-
-    fn recv_envelope(&mut self, src: SrcSel, tag: TagSel, comm: Comm) -> Envelope {
-        let src_hint = match src {
-            SrcSel::Rank(r) => r,
-            SrcSel::Any => usize::MAX,
-        };
-        let tag_hint = match tag {
-            TagSel::Tag(t) => t,
-            TagSel::Any => 0,
-        };
-        if self.shared.sched.is_some() {
-            // Event mode: check, park, re-check on wake. No polling — a
-            // message delivery to this rank wakes the task directly.
-            let deadline = self.hang_deadline();
-            loop {
-                let epoch = self.sched_pre_wait();
-                if let Some(env) = self.shared.mailboxes[self.rank].try_recv(src, tag, comm) {
-                    return env;
-                }
-                self.abort_if_poisoned_or_stalled();
-                self.check_hang(deadline, src_hint, tag_hint);
-                self.sched_park(epoch, deadline);
-            }
-        }
-        // Thread mode (oracle): poll with a timeout so that a panic on any
-        // rank unblocks everyone instead of deadlocking the whole world.
-        let deadline = self.hang_deadline();
-        loop {
-            if let Some(env) = self.shared.mailboxes[self.rank].recv_timeout(src, tag, comm, 50) {
-                return env;
-            }
-            if self.shared.poisoned.load(Ordering::SeqCst) {
-                panic!(
-                    "world poisoned: another rank panicked while rank {} was receiving",
-                    self.rank
-                );
-            }
-            self.check_hang(deadline, src_hint, tag_hint);
-        }
-    }
-
-    /// Snapshot this rank's wake epoch ahead of a mailbox/flag re-check
-    /// (see [`crate::sched::Sched::pre_wait`]). Thread mode never calls
-    /// this.
-    #[inline]
-    fn sched_pre_wait(&self) -> u64 {
-        self.shared
-            .sched
-            .as_ref()
-            .expect("event scheduler armed")
-            .pre_wait(self.rank)
-    }
-
-    /// Park this rank's task until a wake event (or `deadline`). The
-    /// caller re-checks its wait condition on return; a timed-out park is
-    /// surfaced by the caller's own deadline check on the next iteration.
-    fn sched_park(&self, epoch: u64, deadline: Option<Instant>) {
-        let s = self.shared.sched.as_ref().expect("event scheduler armed");
-        // Park keyed by the later of the two clocks: the task's next
-        // simulation-visible action cannot predate either one.
-        let vtime = self.clock.now().max(self.tool_clock.now());
-        s.park(self.rank, epoch, vtime, deadline);
-    }
-
-    /// Abort (panic) if the world is poisoned or the scheduler has proven
-    /// it deadlocked. Event-mode blocks call this between the mailbox
-    /// re-check and the park.
-    fn abort_if_poisoned_or_stalled(&self) {
-        if self.shared.poisoned.load(Ordering::SeqCst) {
-            panic!(
-                "world poisoned: another rank panicked while rank {} was receiving",
-                self.rank
-            );
-        }
-        if let Some(s) = &self.shared.sched {
-            if s.stalled() {
-                panic!(
-                    "deadlock detected: rank {} is blocked with no running peers, \
-                     no pending messages, and no timers — the world can never make progress",
-                    self.rank
-                );
-            }
-        }
     }
 }
 

@@ -46,15 +46,18 @@
 //!
 //! The pre-refactor model is preserved behind
 //! [`SchedMode::Threads`](crate::SchedMode) as the differential-testing
-//! oracle: `tests/sched_differential.rs` runs both schedulers over the
+//! oracle. The two engines share every block point and differ only in how
+//! a blocked rank waits (`Waiter`, at the bottom of this module):
+//! `tests/sched_differential.rs` runs both schedulers over the
 //! same seed × workload × fault grid and asserts byte-identical
 //! journals, traces, stats, and survivor sets.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+use crate::mailbox::Mailbox;
 use crate::proc::Rank;
 use crate::time::VirtualTime;
 
@@ -381,6 +384,113 @@ impl Sched {
         g.active -= 1;
         self.dispatch(&mut g);
         self.check_stall(&mut g);
+    }
+}
+
+/// The one mode-dependent step of a blocked rank: *wait for something to
+/// change*. `Proc::block_on` owns everything else about blocking (probe
+/// order, poison/stall/hang checks, the recheck after a peer's death), so
+/// the two engines differ only in the arms below and the thread oracle
+/// stays an independent waiting mechanism to diff the scheduler against.
+///
+/// Both arms close the probe-then-wait race the same way: the waiter
+/// takes a [`Waiter::ticket`] *before* probing and hands it back to
+/// [`Waiter::wait`], which returns at once if the ticket went stale — the
+/// scheduler's per-rank wake epoch in event mode, the mailbox's delivery
+/// counter in thread mode.
+pub(crate) enum Waiter {
+    /// [`SchedMode::Events`]: park on the scheduler until woken.
+    Events(Sched),
+    /// [`SchedMode::Threads`]: every rank free-runs; a blocked rank sleeps
+    /// on its mailbox condvar one poll slice at a time. Nothing signals a
+    /// death or poison flag here — the slice bounds how stale they get.
+    Threads,
+}
+
+impl Waiter {
+    /// The engine for `mode` over `ranks` tasks (`workers` permits in
+    /// event mode; thread mode has no pool).
+    pub(crate) fn new(mode: SchedMode, ranks: usize, workers: usize) -> Self {
+        match mode {
+            SchedMode::Events => Waiter::Events(Sched::new(ranks, workers)),
+            SchedMode::Threads => Waiter::Threads,
+        }
+    }
+
+    /// Called once per rank thread before any rank code: event mode waits
+    /// for the task's first run permit.
+    pub(crate) fn start(&self, rank: Rank) {
+        if let Waiter::Events(s) = self {
+            s.start(rank);
+        }
+    }
+
+    /// The rank's program returned or unwound.
+    pub(crate) fn exit(&self, rank: Rank) {
+        if let Waiter::Events(s) = self {
+            s.exit(rank);
+        }
+    }
+
+    /// A message was delivered to `rank`'s mailbox. (Thread mode needs
+    /// nothing: the delivery itself signalled the mailbox condvar.)
+    #[inline]
+    pub(crate) fn notify(&self, rank: Rank) {
+        if let Waiter::Events(s) = self {
+            s.notify(rank);
+        }
+    }
+
+    /// A global condition changed (a death flag, the world poison flag)
+    /// that any waiter might be blocked on.
+    pub(crate) fn notify_all(&self) {
+        if let Waiter::Events(s) = self {
+            s.notify_all();
+        }
+    }
+
+    /// Whether the world is provably deadlocked. Only the event scheduler
+    /// can prove it; the thread oracle polls forever.
+    pub(crate) fn stalled(&self) -> bool {
+        matches!(self, Waiter::Events(s) if s.stalled())
+    }
+
+    /// Snapshot "nothing has changed yet" ahead of a probe.
+    #[inline]
+    pub(crate) fn ticket(&self, rank: Rank, mailbox: &Mailbox) -> u64 {
+        match self {
+            Waiter::Events(s) => s.pre_wait(rank),
+            Waiter::Threads => mailbox.deliveries(),
+        }
+    }
+
+    /// Wait until `ticket` goes stale, `deadline` passes, or — thread mode
+    /// only — `slice` elapses. The caller re-probes on return whatever the
+    /// reason. `vtime` is the rank's virtual time at the block point (the
+    /// ready-heap key it is re-dispatched under in event mode).
+    pub(crate) fn wait(
+        &self,
+        rank: Rank,
+        mailbox: &Mailbox,
+        ticket: u64,
+        vtime: VirtualTime,
+        slice: Duration,
+        deadline: Option<Instant>,
+    ) {
+        match self {
+            // A timed park never stalls the world: the scheduler counts
+            // the task as self-waking.
+            Waiter::Events(s) => {
+                s.park(rank, ticket, vtime, deadline);
+            }
+            Waiter::Threads => {
+                let slice = match deadline {
+                    Some(d) => slice.min(d.saturating_duration_since(Instant::now())),
+                    None => slice,
+                };
+                mailbox.wait_delivery(ticket, slice);
+            }
+        }
     }
 }
 

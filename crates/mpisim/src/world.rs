@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
 use crate::mailbox::Mailbox;
 use crate::proc::{Proc, Rank, Shared};
-use crate::sched::{Sched, SchedMode};
+use crate::sched::{SchedMode, Waiter};
 use crate::time::{CostModel, VirtualTime};
 
 /// Configuration of a simulated MPI world.
@@ -25,9 +25,8 @@ pub struct WorldConfig {
     /// *reservation* backing a parked task's continuation — mostly
     /// untouched virtual memory, so even P=16384 worlds fit comfortably.
     /// It is meaningful as a per-thread stack only in
-    /// [`SchedMode::Threads`] oracle mode. Prefer tuning
-    /// [`WorldConfig::workers`] instead; see
-    /// [`WorldConfig::with_stack_bytes`] for the deprecation note.
+    /// [`SchedMode::Threads`] oracle mode; capacity is tuned with
+    /// [`WorldConfig::workers`].
     pub stack_bytes: usize,
     /// Optional deterministic fault plan. `None` (the default) keeps every
     /// fault hook on its zero-cost path — fault-free runs are bit-identical
@@ -77,30 +76,6 @@ impl WorldConfig {
     /// Override the cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
-        self
-    }
-
-    /// Override the per-rank stack reservation.
-    ///
-    /// Deprecated: under the event scheduler the per-rank stack is a
-    /// parked continuation's (mostly untouched) reservation, not a
-    /// capacity knob — tune [`WorldConfig::with_workers`] instead. Kept
-    /// for configuration compatibility; warns once per process.
-    #[deprecated(
-        since = "0.8.0",
-        note = "stack_bytes is a continuation reservation under the event scheduler; \
-                tune the worker pool with `with_workers` instead"
-    )]
-    pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
-        static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-        WARN_ONCE.call_once(|| {
-            eprintln!(
-                "mpisim: WorldConfig::with_stack_bytes is deprecated — the event scheduler \
-                 parks rank continuations, so stacks are reservations, not capacity; \
-                 tune the worker pool with with_workers instead"
-            );
-        });
-        self.stack_bytes = bytes.max(64 * 1024);
         self
     }
 
@@ -329,10 +304,7 @@ impl World {
         let p = self.config.ranks;
         let record = self.config.record;
         let armed = self.config.faults.is_some();
-        let sched = match self.config.sched {
-            SchedMode::Events => Some(Sched::new(p, self.config.effective_workers())),
-            SchedMode::Threads => None,
-        };
+        let waiter = Waiter::new(self.config.sched, p, self.config.effective_workers());
         let shared = Arc::new(Shared {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             cost: self.config.cost,
@@ -340,7 +312,7 @@ impl World {
             poisoned: AtomicBool::new(false),
             faults: self.config.faults,
             dead: (0..p).map(|_| AtomicBool::new(false)).collect(),
-            sched,
+            waiter,
         });
         let program = Arc::new(program);
         let started = Instant::now();
@@ -362,9 +334,7 @@ impl World {
                     let mut proc = Proc::new(rank, Arc::clone(&shared), recorder);
                     // Event mode: wait for this task's first run permit, so
                     // at most `workers` rank programs execute at once.
-                    if let Some(s) = &shared.sched {
-                        s.start(rank);
-                    }
+                    shared.waiter.start(rank);
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
                     // Read clock, fault tallies, and the flight log after
                     // the unwind: all three stay meaningful for a crashed
@@ -378,21 +348,19 @@ impl World {
                             Ok(crash) if tolerant => RankExit::Crashed(*crash),
                             Ok(crash) => {
                                 shared.poisoned.store(true, Ordering::SeqCst);
-                                shared.wake_all();
+                                shared.waiter.notify_all();
                                 RankExit::Crashed(*crash)
                             }
                             Err(payload) => {
                                 shared.poisoned.store(true, Ordering::SeqCst);
-                                shared.wake_all();
+                                shared.waiter.notify_all();
                                 RankExit::Panicked(panic_message(payload))
                             }
                         },
                     };
                     // Release the run permit for good (the remaining work
                     // above is local bookkeeping, not simulation).
-                    if let Some(s) = &shared.sched {
-                        s.exit(rank);
-                    }
+                    shared.waiter.exit(rank);
                     (exit, vtime, fstats, obs_log)
                 })
                 .expect("failed to spawn rank thread");

@@ -27,6 +27,7 @@ pub mod journal;
 pub mod metrics;
 pub mod query;
 pub mod recorder;
+pub mod wire;
 
 pub use detect::{DetectorConfig, Flag, HealthSample, SustainTracker};
 pub use event::{AnomalyKind, Event, EventKind, FaultKind};

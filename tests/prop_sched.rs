@@ -15,7 +15,15 @@
 //!   permutation shifts, collectives, rank-skewed compute jitter) every
 //!   rank reaches its final state: the world's run() returns a result
 //!   for all P ranks and all virtual clocks advanced.
+//!
+//! One more row pins the thread oracle's side of the wait seam: a
+//! delivery that lands between a block's probe and its wait must end the
+//! wait at once instead of costing a poll slice.
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use chameleon_repro::mpisim::mailbox::{Envelope, Mailbox};
 use chameleon_repro::mpisim::sched::ReadyQueue;
 use chameleon_repro::mpisim::{Comm, SrcSel, TagSel, World, WorldConfig};
 use chameleon_repro::workloads::driver::{run, Mode, Overrides};
@@ -235,5 +243,53 @@ fn every_rank_reaches_final_state_under_random_patterns() {
             report.rank_vtimes.iter().all(|&t| t > 0.0),
             "p={p} workers={workers}: a rank's virtual clock never advanced"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Thread-oracle wait seam
+// ---------------------------------------------------------------------------
+
+#[test]
+fn delivery_between_probe_and_wait_is_never_slept_through() {
+    // A thread-mode block is: read the delivery counter, probe, wait on
+    // the counter. Force the one interleaving that could lose a wakeup —
+    // the senders deposit after the probe missed and are joined before
+    // the wait starts, so their condvar signal is long gone — under 1, 2
+    // and 8 concurrent senders. Only the counter can end the wait early;
+    // the slice is a stand-in long enough that sleeping through it is
+    // unmistakable on any host.
+    let slice = Duration::from_secs(5);
+    let wanted = |e: &Envelope| e.matches(SrcSel::Any, TagSel::Tag(7), Comm::WORLD);
+    for senders in [1usize, 2, 8] {
+        let mb = Arc::new(Mailbox::new());
+        let seen = mb.deliveries();
+        assert!(mb.take(wanted).is_none(), "probe must miss: nothing sent");
+        let threads: Vec<_> = (0..senders)
+            .map(|src| {
+                let mb = Arc::clone(&mb);
+                std::thread::spawn(move || {
+                    mb.deliver(Envelope {
+                        src,
+                        tag: 7,
+                        comm: Comm::WORLD,
+                        payload: vec![src as u8],
+                        arrival: 0.0,
+                    })
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let started = Instant::now();
+        mb.wait_delivery(seen, slice);
+        assert!(
+            started.elapsed() < slice / 10,
+            "senders={senders}: the wait slept through a delivery it had a ticket for"
+        );
+        for _ in 0..senders {
+            assert!(mb.take(wanted).is_some(), "senders={senders}: message lost");
+        }
     }
 }
