@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 
 use chameleon::Checkpoint;
 use obs::metrics::{Counter, HistId, MetricSet, HIST_DIGEST_STRIDE};
-use obs::query::journal_digest;
+use obs::query::fnv64;
 use obs::{EventKind, RunJournal};
 
 use crate::fault::SvcFaultPlan;
@@ -302,11 +302,14 @@ impl Session {
     }
 
     /// Fold one parsed journal into the session's journal-side state.
-    fn install_journal(&mut self, journal: &RunJournal, body: (u32, u64)) {
+    /// `canonical` is the journal's canonical JSONL (the bytes spilled),
+    /// `body` their `(crc32, len)`; the digest is taken over those bytes
+    /// as they stand, which is what [`obs::query::journal_digest`] hashes.
+    fn install_journal(&mut self, journal: &RunJournal, canonical: &[u8], body: (u32, u64)) {
         self.ranks = journal.ranks;
         self.armed = journal.armed;
         self.events = journal.events().count() as u64;
-        self.journal_digest = Some(journal_digest(journal));
+        self.journal_digest = Some(fnv64(canonical));
         self.journal_body = Some(body);
         let mut ctrs = [0u64; Counter::COUNT];
         let mut hist_peaks = [0u64; HistId::COUNT * HIST_DIGEST_STRIDE];
@@ -355,10 +358,8 @@ impl Session {
 
 /// A session slot: hot state resident, or demoted to a cold stub whose
 /// state lives entirely in the manifest-backed spill.
-#[derive(Default)]
 enum Slot {
     Hot(Box<Session>),
-    #[default]
     Cold,
 }
 
@@ -625,7 +626,7 @@ impl SessionStore {
     // -----------------------------------------------------------------
 
     fn shard_of(&self, id: &str) -> &Mutex<Shard> {
-        &self.shards[(obs::query::fnv64(id.as_bytes()) as usize) % SHARDS]
+        &self.shards[(fnv64(id.as_bytes()) as usize) % SHARDS]
     }
 
     fn run_dir(&self, id: &str) -> PathBuf {
@@ -741,7 +742,7 @@ impl SessionStore {
                     .map_err(|_| StoreError::io("spilled journal is not UTF-8".to_string()))?;
                 let journal = RunJournal::from_jsonl(text)
                     .map_err(|e| StoreError::io(format!("spilled journal corrupt: {e}")))?;
-                session.install_journal(&journal, (crc, len));
+                session.install_journal(&journal, &bytes, (crc, len));
             } else if name.starts_with("ckpt-") && name.ends_with(".bin") {
                 let ckpt = Checkpoint::decode(&bytes)
                     .map_err(|e| StoreError::io(format!("spilled {name} corrupt: {e}")))?;
@@ -776,6 +777,27 @@ impl SessionStore {
             Some(Slot::Hot(s)) => Ok(Some(s)),
             _ => unreachable!("slot just made hot"),
         }
+    }
+
+    /// The hot session an ingest folds its just-committed artifact into,
+    /// under the shard lock it spilled under. A run with no slot has
+    /// nothing committed besides that artifact (`open` registers every run
+    /// that has, and so does every ingest that succeeds), so it starts
+    /// from the empty session instead of reading its own spill back. An
+    /// occupied slot found cold — evicted since this ingest's dedupe
+    /// check — rehydrates like any demand access and is counted as one.
+    fn hot_or_new<'a>(
+        &self,
+        shard: &'a mut Shard,
+        id: &str,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<&'a mut Session, StoreError> {
+        if !shard.runs.contains_key(id) {
+            shard.runs.insert(id.to_string(), Slot::Hot(Box::default()));
+        }
+        Ok(self
+            .hot_entry(shard, id, telemetry)?
+            .expect("slot just ensured"))
     }
 
     /// Mark `id` most-recently-used and demote the least-recently-used
@@ -872,7 +894,13 @@ impl SessionStore {
 
         let journal = RunJournal::from_jsonl(text).map_err(|e| StoreError::bad(format!("{e}")))?;
         let canonical = journal.to_jsonl();
-        let canonical_body = (crc32(canonical.as_bytes()), canonical.len() as u64);
+        // A canonical upload (what every recorder emits) is spilled as it
+        // arrived, so its content digest is the one already taken.
+        let canonical_body = if canonical == text {
+            body
+        } else {
+            (crc32(canonical.as_bytes()), canonical.len() as u64)
+        };
 
         let dir = self.run_dir(id);
         std::fs::create_dir_all(&dir)
@@ -885,19 +913,8 @@ impl SessionStore {
             self.spill(&dir.join("journal.jsonl"), canonical.as_bytes())?;
             self.maybe_stall(nonce);
             self.commit_artifact(&dir, "journal.jsonl", canonical_body.0, canonical_body.1)?;
-            let session = match shard.runs.entry(id.to_string()).or_default() {
-                Slot::Hot(s) => s,
-                slot @ Slot::Cold => {
-                    // A cold slot here means hot_entry above rehydrated it
-                    // and an eviction raced in between; rebuild fresh.
-                    *slot = Slot::Hot(Box::new(self.load_session_from_disk(id)?));
-                    match slot {
-                        Slot::Hot(s) => s,
-                        Slot::Cold => unreachable!(),
-                    }
-                }
-            };
-            session.install_journal(&journal, canonical_body);
+            let session = self.hot_or_new(&mut shard, id, telemetry)?;
+            session.install_journal(&journal, canonical.as_bytes(), canonical_body);
             receipt = JournalReceipt {
                 ranks: session.ranks,
                 events: session.events,
@@ -974,16 +991,7 @@ impl SessionStore {
                 self.spill(&dir.join(&name), bytes)?;
                 self.maybe_stall(nonce);
                 self.commit_artifact(&dir, &name, body.0, body.1)?;
-                let session = match shard.runs.entry(id.to_string()).or_default() {
-                    Slot::Hot(s) => s,
-                    slot @ Slot::Cold => {
-                        *slot = Slot::Hot(Box::new(self.load_session_from_disk(id)?));
-                        match slot {
-                            Slot::Hot(s) => s,
-                            Slot::Cold => unreachable!(),
-                        }
-                    }
-                };
+                let session = self.hot_or_new(&mut shard, id, telemetry)?;
                 session.install_ckpt(&ckpt, body)?;
                 receipt = CkptReceipt {
                     marker: ckpt.marker,

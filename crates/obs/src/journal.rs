@@ -23,12 +23,16 @@
 //! on parse — but make `grep | wc -l`-style triage trivial.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 use crate::event::{intern, AnomalyKind, Event, EventKind, FaultKind, DECISIONS, STATES};
 use crate::recorder::RankLog;
 
 /// Format-version magic in the header line.
 pub const MAGIC: &str = "chameleon-obs-v1";
+
+/// Why the encoder's `fmt::Result`s are unwrapped.
+const STRING_WRITE: &str = "formatting integers, floats and labels into a String cannot fail";
 
 /// A malformed journal: the line (1-based) and what went wrong there.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,22 +104,30 @@ impl RunJournal {
     /// Canonical JSONL serialization (see the module docs for the schema).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"journal\":\"{MAGIC}\",\"ranks\":{},\"armed\":{}}}\n",
+        self.write_jsonl(&mut out).expect(STRING_WRITE);
+        out
+    }
+
+    fn write_jsonl(&self, out: &mut String) -> fmt::Result {
+        writeln!(
+            out,
+            "{{\"journal\":\"{MAGIC}\",\"ranks\":{},\"armed\":{}}}",
             self.ranks, self.armed
-        ));
+        )?;
         for log in &self.logs {
             for e in &log.events {
-                write_event(&mut out, log.rank, e);
+                write_event(out, log.rank, e)?;
+                out.push('\n');
             }
             for (label, n) in log.counters() {
-                out.push_str(&format!(
-                    "{{\"rank\":{},\"ctr\":\"{label}\",\"n\":{n}}}\n",
+                writeln!(
+                    out,
+                    "{{\"rank\":{},\"ctr\":\"{label}\",\"n\":{n}}}",
                     log.rank
-                ));
+                )?;
             }
         }
-        out
+        Ok(())
     }
 
     /// Read and strictly parse a journal file — the one loading helper
@@ -138,7 +150,7 @@ impl RunJournal {
         let (ranks, armed) = parse_header(header).map_err(|w| err(1, w))?;
 
         let mut logs: Vec<RankLog> = Vec::new();
-        let mut counters_seen: BTreeMap<usize, BTreeMap<String, u64>> = BTreeMap::new();
+        let mut counters_seen: BTreeMap<usize, BTreeMap<&str, u64>> = BTreeMap::new();
         for (i, line) in lines {
             let lineno = i + 1;
             match parse_line(line).map_err(|w| err(lineno, w))? {
@@ -181,11 +193,7 @@ impl RunJournal {
         }
         let journal = RunJournal::gather(ranks, armed, logs);
         for log in &journal.logs {
-            let derived: BTreeMap<String, u64> = log
-                .counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
+            let derived = log.counters();
             let seen = counters_seen.remove(&log.rank).unwrap_or_default();
             if derived != seen {
                 return Err(err(
@@ -235,27 +243,40 @@ impl RunJournal {
     }
 }
 
-fn write_event(out: &mut String, rank: usize, e: &Event) {
-    out.push_str(&event_json(rank, e));
-    out.push('\n');
-}
-
 /// One event as its canonical JSON object — exactly the bytes the
 /// journal line for it carries, minus the trailing newline. Exposed so
 /// the query engine's JSON renderers embed events verbatim.
 pub fn event_json(rank: usize, e: &Event) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
+    write_event(&mut out, rank, e).expect(STRING_WRITE);
+    out
+}
+
+/// Append `vals` as a JSON array body (no brackets): `1,2,3`.
+fn write_u64_list(out: &mut String, vals: &[u64]) -> fmt::Result {
+    for (i, v) in vals.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "{v}")?;
+    }
+    Ok(())
+}
+
+/// Append [`event_json`]'s object to `out`.
+fn write_event(out: &mut String, rank: usize, e: &Event) -> fmt::Result {
+    write!(
+        out,
         "{{\"rank\":{rank},\"seq\":{},\"vt\":{:?},\"tt\":{:?},\"ev\":\"{}\"",
         e.seq,
         e.vt,
         e.tt,
         e.kind.label()
-    ));
+    )?;
     match &e.kind {
-        EventKind::Marker { n } => out.push_str(&format!(",\"n\":{n}")),
+        EventKind::Marker { n } => write!(out, ",\"n\":{n}")?,
         EventKind::Signature { events, call_path } => {
-            out.push_str(&format!(",\"events\":{events},\"cp\":\"{call_path:#x}\""))
+            write!(out, ",\"events\":{events},\"cp\":\"{call_path:#x}\"")?
         }
         EventKind::ClusterSel {
             marker,
@@ -263,27 +284,27 @@ pub fn event_json(rank: usize, e: &Event) -> String {
             lead,
             leads,
         } => {
-            let list: Vec<String> = leads.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                ",\"marker\":{marker},\"k\":{effective_k},\"lead\":{lead},\"leads\":[{}]",
-                list.join(",")
-            ));
+            write!(
+                out,
+                ",\"marker\":{marker},\"k\":{effective_k},\"lead\":{lead},\"leads\":["
+            )?;
+            write_u64_list(out, leads)?;
+            out.push(']');
         }
         EventKind::State {
             marker,
             state,
             decision,
-        } => out.push_str(&format!(
+        } => write!(
+            out,
             ",\"marker\":{marker},\"state\":\"{state}\",\"decision\":\"{decision}\""
-        )),
-        EventKind::Degraded { marker } => out.push_str(&format!(",\"marker\":{marker}")),
+        )?,
+        EventKind::Degraded { marker } => write!(out, ",\"marker\":{marker}")?,
         EventKind::Reelect {
             call_path,
             old,
             new,
-        } => out.push_str(&format!(
-            ",\"cp\":\"{call_path:#x}\",\"old\":{old},\"new\":{new}"
-        )),
+        } => write!(out, ",\"cp\":\"{call_path:#x}\",\"old\":{old},\"new\":{new}")?,
         EventKind::MergeLevel {
             level,
             merges,
@@ -291,78 +312,77 @@ pub fn event_json(rank: usize, e: &Event) -> String {
             fast_path,
             t0,
             t1,
-        } => out.push_str(&format!(
+        } => write!(
+            out,
             ",\"level\":{level},\"merges\":{merges},\"dp_cells\":{dp_cells},\"fast_path\":{fast_path},\"t0\":{t0:?},\"t1\":{t1:?}"
-        )),
+        )?,
         EventKind::Retry { peer, tag }
         | EventKind::Nack { peer, tag }
-        | EventKind::GiveUp { peer, tag } => {
-            out.push_str(&format!(",\"peer\":{peer},\"tag\":{tag}"))
-        }
-        EventKind::Fault { kind, dest, tag } => out.push_str(&format!(
+        | EventKind::GiveUp { peer, tag } => write!(out, ",\"peer\":{peer},\"tag\":{tag}")?,
+        EventKind::Fault { kind, dest, tag } => write!(
+            out,
             ",\"kind\":\"{}\",\"dest\":{dest},\"tag\":{tag}",
             kind.label()
-        )),
+        )?,
         EventKind::Snapshot {
             marker,
             ranks,
             ctrs,
             hists,
         } => {
-            let c: Vec<String> = ctrs.iter().map(u64::to_string).collect();
-            let h: Vec<String> = hists.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                ",\"marker\":{marker},\"ranks\":{ranks},\"ctrs\":[{}],\"hists\":[{}]",
-                c.join(","),
-                h.join(",")
-            ));
+            write!(out, ",\"marker\":{marker},\"ranks\":{ranks},\"ctrs\":[")?;
+            write_u64_list(out, ctrs)?;
+            out.push_str("],\"hists\":[");
+            write_u64_list(out, hists)?;
+            out.push(']');
         }
-        EventKind::Crash { op } => out.push_str(&format!(",\"op\":{op}")),
-        EventKind::PeerDead { peer } => out.push_str(&format!(",\"peer\":{peer}")),
+        EventKind::Crash { op } => write!(out, ",\"op\":{op}")?,
+        EventKind::PeerDead { peer } => write!(out, ",\"peer\":{peer}")?,
         EventKind::Timeout { peer, tag, waited } => {
-            out.push_str(&format!(",\"peer\":{peer},\"tag\":{tag},\"waited\":{waited}"))
+            write!(out, ",\"peer\":{peer},\"tag\":{tag},\"waited\":{waited}")?
         }
         EventKind::Checkpoint {
             marker,
             bytes,
             deputy,
-        } => out.push_str(&format!(
+        } => write!(
+            out,
             ",\"marker\":{marker},\"bytes\":{bytes},\"deputy\":{deputy}"
-        )),
+        )?,
         EventKind::Promote {
             marker,
             old_root,
             restored,
-        } => out.push_str(&format!(
+        } => write!(
+            out,
             ",\"marker\":{marker},\"old_root\":{old_root},\"restored\":{restored}"
-        )),
+        )?,
         EventKind::Anomaly {
             rank: flagged,
             marker,
             kind,
             score,
             cluster,
-        } => out.push_str(&format!(
+        } => write!(
+            out,
             ",\"flagged\":{flagged},\"marker\":{marker},\"kind\":\"{}\",\"score\":{score:?},\"cluster\":{cluster}",
             kind.label()
-        )),
-        EventKind::Resume { marker, hwm } => {
-            out.push_str(&format!(",\"marker\":{marker},\"hwm\":{hwm}"))
-        }
+        )?,
+        EventKind::Resume { marker, hwm } => write!(out, ",\"marker\":{marker},\"hwm\":{hwm}")?,
     }
     out.push('}');
-    out
+    Ok(())
 }
 
-enum Line {
+enum Line<'a> {
     Event { rank: usize, event: Event },
-    Counter { rank: usize, label: String, n: u64 },
+    Counter { rank: usize, label: &'a str, n: u64 },
 }
 
 fn parse_header(line: &str) -> Result<(usize, bool), String> {
     let mut sc = Scan::new(line);
     sc.eat("{\"journal\":\"")?;
-    let magic = sc.take_until('"')?;
+    let magic = sc.take_until(b'"')?;
     if magic != MAGIC {
         return Err(format!("unknown journal magic {magic:?}"));
     }
@@ -375,12 +395,12 @@ fn parse_header(line: &str) -> Result<(usize, bool), String> {
     Ok((ranks, armed))
 }
 
-fn parse_line(line: &str) -> Result<Line, String> {
+fn parse_line(line: &str) -> Result<Line<'_>, String> {
     let mut sc = Scan::new(line);
     sc.eat("{\"rank\":")?;
     let rank = sc.number()?.parse::<usize>().map_err(|e| e.to_string())?;
     if sc.peek_eat(",\"ctr\":\"") {
-        let label = sc.take_until('"')?.to_string();
+        let label = sc.take_until(b'"')?;
         sc.eat("\",\"n\":")?;
         let n = sc.u64()?;
         sc.eat("}")?;
@@ -394,9 +414,9 @@ fn parse_line(line: &str) -> Result<Line, String> {
     sc.eat(",\"tt\":")?;
     let tt = sc.f64()?;
     sc.eat(",\"ev\":\"")?;
-    let label = sc.take_until('"')?.to_string();
+    let label = sc.take_until(b'"')?;
     sc.eat("\"")?;
-    let kind = parse_kind(&mut sc, &label)?;
+    let kind = parse_kind(&mut sc, label)?;
     sc.eat("}")?;
     sc.done()?;
     Ok(Line::Event {
@@ -422,9 +442,9 @@ fn parse_kind(sc: &mut Scan<'_>, label: &str) -> Result<EventKind, String> {
         },
         "state" => EventKind::State {
             marker: sc.field_u64("marker")?,
-            state: intern(&sc.field_str("state")?, &STATES)
+            state: intern(sc.field_str("state")?, &STATES)
                 .ok_or_else(|| "unknown state label".to_string())?,
-            decision: intern(&sc.field_str("decision")?, &DECISIONS)
+            decision: intern(sc.field_str("decision")?, &DECISIONS)
                 .ok_or_else(|| "unknown decision label".to_string())?,
         },
         "degraded" => EventKind::Degraded {
@@ -456,7 +476,7 @@ fn parse_kind(sc: &mut Scan<'_>, label: &str) -> Result<EventKind, String> {
             tag: sc.field_u64("tag")?,
         },
         "fault" => EventKind::Fault {
-            kind: FaultKind::from_label(&sc.field_str("kind")?)
+            kind: FaultKind::from_label(sc.field_str("kind")?)
                 .ok_or_else(|| "unknown fault kind".to_string())?,
             dest: sc.field_u64("dest")?,
             tag: sc.field_u64("tag")?,
@@ -491,7 +511,7 @@ fn parse_kind(sc: &mut Scan<'_>, label: &str) -> Result<EventKind, String> {
         "anomaly" => EventKind::Anomaly {
             rank: sc.field_u64("flagged")?,
             marker: sc.field_u64("marker")?,
-            kind: AnomalyKind::from_label(&sc.field_str("kind")?)
+            kind: AnomalyKind::from_label(sc.field_str("kind")?)
                 .ok_or_else(|| "unknown anomaly kind".to_string())?,
             score: sc.field_f64("score")?,
             cluster: sc.field_u64("cluster")?,
@@ -521,6 +541,10 @@ impl<'a> Scan<'a> {
         &self.s[self.pos..]
     }
 
+    // The three literal matchers are inlined so that each call site's
+    // constant compiles to integer compares instead of a `bcmp` call;
+    // a journal line is a dozen of these between its scalars.
+    #[inline(always)]
     fn eat(&mut self, lit: &str) -> Result<(), String> {
         if self.rest().starts_with(lit) {
             self.pos += lit.len();
@@ -530,6 +554,7 @@ impl<'a> Scan<'a> {
         }
     }
 
+    #[inline(always)]
     fn peek_eat(&mut self, lit: &str) -> bool {
         if self.rest().starts_with(lit) {
             self.pos += lit.len();
@@ -547,10 +572,13 @@ impl<'a> Scan<'a> {
         }
     }
 
-    fn take_until(&mut self, stop: char) -> Result<&'a str, String> {
+    /// The text up to the next `stop`, an ASCII byte — so wherever it is
+    /// found is a character boundary, whatever precedes it.
+    fn take_until(&mut self, stop: u8) -> Result<&'a str, String> {
         let rest = self.rest();
         let end = rest
-            .find(stop)
+            .bytes()
+            .position(|b| b == stop)
             .ok_or_else(|| format!("unterminated token at byte {}", self.pos))?;
         self.pos += end;
         Ok(&rest[..end])
@@ -560,7 +588,8 @@ impl<'a> Scan<'a> {
     fn number(&mut self) -> Result<&'a str, String> {
         let rest = self.rest();
         let end = rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
+            .bytes()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
             .unwrap_or(rest.len());
         if end == 0 {
             return Err(format!("expected number at byte {}", self.pos));
@@ -592,33 +621,56 @@ impl<'a> Scan<'a> {
         }
     }
 
+    /// Consume `,"name":` and then `open` (the value's opening bytes, if
+    /// it has any). Fails with the same message [`Scan::eat`] gives for
+    /// the whole literal.
+    #[inline(always)]
+    fn key(&mut self, name: &str, open: &str) -> Result<(), String> {
+        let after = self
+            .rest()
+            .strip_prefix(",\"")
+            .and_then(|r| r.strip_prefix(name))
+            .and_then(|r| r.strip_prefix("\":"))
+            .and_then(|r| r.strip_prefix(open));
+        match after {
+            Some(r) => {
+                self.pos = self.s.len() - r.len();
+                Ok(())
+            }
+            None => {
+                let lit = format!(",\"{name}\":{open}");
+                Err(format!("expected {lit:?} at byte {}", self.pos))
+            }
+        }
+    }
+
     fn field_u64(&mut self, name: &str) -> Result<u64, String> {
-        self.eat(&format!(",\"{name}\":"))?;
+        self.key(name, "")?;
         self.u64()
     }
 
     fn field_f64(&mut self, name: &str) -> Result<f64, String> {
-        self.eat(&format!(",\"{name}\":"))?;
+        self.key(name, "")?;
         self.f64()
     }
 
-    fn field_str(&mut self, name: &str) -> Result<String, String> {
-        self.eat(&format!(",\"{name}\":\""))?;
-        let v = self.take_until('"')?.to_string();
+    fn field_str(&mut self, name: &str) -> Result<&'a str, String> {
+        self.key(name, "\"")?;
+        let v = self.take_until(b'"')?;
         self.eat("\"")?;
         Ok(v)
     }
 
     fn field_hex(&mut self, name: &str) -> Result<u64, String> {
-        self.eat(&format!(",\"{name}\":\"0x"))?;
-        let digits = self.take_until('"')?;
+        self.key(name, "\"0x")?;
+        let digits = self.take_until(b'"')?;
         let v = u64::from_str_radix(digits, 16).map_err(|e| e.to_string())?;
         self.eat("\"")?;
         Ok(v)
     }
 
     fn field_u64_array(&mut self, name: &str) -> Result<Vec<u64>, String> {
-        self.eat(&format!(",\"{name}\":["))?;
+        self.key(name, "[")?;
         let mut out = Vec::new();
         if self.peek_eat("]") {
             return Ok(out);
@@ -836,6 +888,157 @@ mod tests {
                 assert_ne!(j, original, "truncation to {cut} lines round-tripped");
             }
         }
+    }
+
+    /// [`specimen`]'s canonical bytes, as the encoder has always written
+    /// them: one line per event kind, both float shapes, hex signatures.
+    const SPECIMEN_JSONL: &str = r#"{"journal":"chameleon-obs-v1","ranks":4,"armed":true}
+{"rank":0,"seq":0,"vt":0.0,"tt":0.0,"ev":"marker","n":1}
+{"rank":0,"seq":1,"vt":1.25e-5,"tt":3e-7,"ev":"signature","events":42,"cp":"0xdeadbeef"}
+{"rank":0,"seq":2,"vt":1.25e-5,"tt":4e-7,"ev":"cluster","marker":1,"k":2,"lead":0,"leads":[0,3]}
+{"rank":0,"seq":3,"vt":1.25e-5,"tt":5e-7,"ev":"state","marker":1,"state":"C","decision":"cluster"}
+{"rank":0,"seq":4,"vt":2e-5,"tt":6e-7,"ev":"merge_level","level":0,"merges":3,"dp_cells":120,"fast_path":1,"t0":5e-7,"t1":6e-7}
+{"rank":0,"seq":5,"vt":2e-5,"tt":7e-7,"ev":"retry","peer":3,"tag":9}
+{"rank":0,"seq":6,"vt":2e-5,"tt":8e-7,"ev":"nack","peer":3,"tag":9}
+{"rank":0,"seq":7,"vt":2e-5,"tt":9e-7,"ev":"giveup","peer":3,"tag":9}
+{"rank":0,"seq":8,"vt":2e-5,"tt":1e-6,"ev":"reelect","cp":"0x7","old":3,"new":1}
+{"rank":0,"seq":9,"vt":3e-5,"tt":1e-6,"ev":"degraded","marker":2}
+{"rank":0,"seq":10,"vt":3e-5,"tt":1e-6,"ev":"peer_dead","peer":3}
+{"rank":0,"seq":11,"vt":3e-5,"tt":2e-6,"ev":"snapshot","marker":2,"ranks":3,"ctrs":[1,0,3,120,1,1,1,1,1,1],"hists":[2,100,104,105]}
+{"rank":0,"seq":12,"vt":3e-5,"tt":2e-6,"ev":"checkpoint","marker":2,"bytes":512,"deputy":1}
+{"rank":0,"seq":13,"vt":3e-5,"tt":2e-6,"ev":"anomaly","flagged":3,"marker":2,"kind":"flaky","score":6.25,"cluster":1}
+{"rank":0,"seq":14,"vt":3e-5,"tt":2e-6,"ev":"resume","marker":2,"hwm":12}
+{"rank":0,"ctr":"anomaly","n":1}
+{"rank":0,"ctr":"checkpoint","n":1}
+{"rank":0,"ctr":"cluster","n":1}
+{"rank":0,"ctr":"degraded","n":1}
+{"rank":0,"ctr":"giveup","n":1}
+{"rank":0,"ctr":"marker","n":1}
+{"rank":0,"ctr":"merge_level","n":1}
+{"rank":0,"ctr":"nack","n":1}
+{"rank":0,"ctr":"peer_dead","n":1}
+{"rank":0,"ctr":"reelect","n":1}
+{"rank":0,"ctr":"resume","n":1}
+{"rank":0,"ctr":"retry","n":1}
+{"rank":0,"ctr":"signature","n":1}
+{"rank":0,"ctr":"snapshot","n":1}
+{"rank":0,"ctr":"state","n":1}
+{"rank":3,"seq":0,"vt":1e-5,"tt":0.0,"ev":"fault","kind":"corrupt","dest":0,"tag":9}
+{"rank":3,"seq":1,"vt":1.5e-5,"tt":0.0,"ev":"crash","op":40}
+{"rank":3,"seq":2,"vt":1.5e-5,"tt":0.0,"ev":"timeout","peer":0,"tag":9,"waited":30000}
+{"rank":3,"seq":3,"vt":1.5e-5,"tt":0.0,"ev":"promote","marker":2,"old_root":0,"restored":1}
+{"rank":3,"ctr":"crash","n":1}
+{"rank":3,"ctr":"fault","n":1}
+{"rank":3,"ctr":"promote","n":1}
+{"rank":3,"ctr":"timeout","n":1}
+"#;
+
+    /// `(find, replace, message)`: one garbling per field reader.
+    const PINNED_ERRORS: &[(&str, &str, &str)] = &[
+        (
+            r#","n":1}"#,
+            r#","m":1}"#,
+            r#"journal line 2: expected ",\"n\":" at byte 49"#,
+        ),
+        (
+            r#""cp":"0xdeadbeef""#,
+            r#""cp":"deadbeef""#,
+            r#"journal line 3: expected ",\"cp\":\"0x" at byte 69"#,
+        ),
+        (
+            r#""state":"C""#,
+            r#""state":C"#,
+            r#"journal line 5: expected ",\"state\":\"" at byte 64"#,
+        ),
+        (
+            r#""leads":[0,3]"#,
+            r#""leads":0"#,
+            r#"journal line 4: expected ",\"leads\":[" at byte 81"#,
+        ),
+        (
+            r#""t0":5e-7"#,
+            r#""t_0":5e-7"#,
+            r#"journal line 6: expected ",\"t0\":" at byte 106"#,
+        ),
+        (
+            r#""hists":[2,"#,
+            r#""hists":[x,"#,
+            "journal line 13: expected number at byte 116",
+        ),
+        (
+            r#""kind":"corrupt""#,
+            r#""kind":"melt""#,
+            "journal line 32: unknown fault kind",
+        ),
+        // Multi-byte text where a scalar or a label belongs: the byte
+        // scans must stop on a character boundary, not inside one.
+        (
+            r#""ev":"marker","n":1}"#,
+            r#""ev":"markér","n":1}"#,
+            r#"journal line 2: unknown event label "markér""#,
+        ),
+        (
+            r#""seq":2,"#,
+            r#""seq":2é,"#,
+            r#"journal line 4: expected ",\"vt\":" at byte 17"#,
+        ),
+        (
+            r#"{"rank":3,"ctr":"crash","n":1}"#,
+            r#"{"rank":3,"ctr":"crash","n":3}"#,
+            r#"journal line 0: rank 3: counter lines disagree with events (derived {"crash": 1, "fault": 1, "promote": 1, "timeout": 1}, read {"crash": 3, "fault": 1, "promote": 1, "timeout": 1})"#,
+        ),
+    ];
+
+    /// `text` → journal → `text` is the identity, and every event line is
+    /// exactly [`event_json`] of its event.
+    fn assert_codec_identity(text: &str) {
+        let j = RunJournal::from_jsonl(text).expect("canonical journal parses");
+        assert_eq!(j.to_jsonl(), text);
+        let mut event_lines = text.lines().skip(1).filter(|l| !l.contains("\"ctr\":"));
+        for (rank, e) in j.events() {
+            assert_eq!(Some(event_json(rank, e).as_str()), event_lines.next());
+        }
+        assert_eq!(event_lines.next(), None, "a line per event, no more");
+    }
+
+    #[test]
+    fn codec_bytes_are_pinned_for_every_event_kind_and_the_committed_journals() {
+        let text = specimen().to_jsonl();
+        assert_eq!(text, SPECIMEN_JSONL, "encoder output moved");
+        assert_codec_identity(SPECIMEN_JSONL);
+        assert_codec_identity(include_str!(
+            "../../../tests/fixtures/bt4_chameleon.journal.jsonl"
+        ));
+        assert_codec_identity(include_str!(
+            "../../../tests/fixtures/bt4_chameleon_nosnap.journal.jsonl"
+        ));
+    }
+
+    #[test]
+    fn parse_errors_keep_their_exact_messages() {
+        // `chamtrace journal *` and the daemon's 400 bodies relay these
+        // verbatim; the field readers must word a mismatch exactly as a
+        // literal `eat` of `,"name":<open>` would.
+        let garbled = |from: &str, to: &str| {
+            assert!(SPECIMEN_JSONL.contains(from), "{from}");
+            RunJournal::from_jsonl(&SPECIMEN_JSONL.replacen(from, to, 1))
+                .expect_err("garbled journal")
+                .to_string()
+        };
+        for (from, to, want) in PINNED_ERRORS {
+            assert_eq!(garbled(from, to), *want, "{from} -> {to}");
+        }
+        let cut = &SPECIMEN_JSONL[..SPECIMEN_JSONL.len() / 2];
+        assert_eq!(
+            RunJournal::from_jsonl(cut).unwrap_err().to_string(),
+            r#"journal line 14: expected ",\"deputy\":" at byte 79"#
+        );
+        assert_eq!(
+            RunJournal::from_jsonl("not a journal")
+                .unwrap_err()
+                .to_string(),
+            r#"journal line 1: expected "{\"journal\":\"" at byte 0"#
+        );
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! serves committed sessions byte-identical to the goldens; a seeded
 //! [`SvcFaultPlan`] storm the idempotent retrying push must converge
 //! through; and the degraded modes — ENOSPC → read-only 503, slow-loris
-//! → 408, full backlog → 429 — each visible in `/metrics`.
+//! → 408, full backlog → 429 — each visible in `/metrics`. Section 14
+//! pins the one-pass ingest path: first pushes never rehydrate, a
+//! loosely spelled body is committed in canonical form, and the session
+//! folded at ingest equals the one rebuilt from its spill.
 //!
 //! Regenerate endpoint goldens with:
 //!
@@ -36,7 +39,7 @@ use std::path::PathBuf;
 use chameleon::Checkpoint;
 use chamserve::{
     http, push_checkpoint, push_checkpoint_with, push_journal, push_journal_with, PushError,
-    RetryPolicy, ServeConfig, Server, SvcFaultPlan,
+    RetryPolicy, ServeConfig, Server, SessionStore, SvcCounter, SvcFaultPlan, Telemetry,
 };
 use obs::metrics::{Counter, HistId, MetricSet};
 use obs::{query, Event, EventKind, RankLog, RunJournal};
@@ -864,4 +867,137 @@ fn full_backlog_sheds_with_429() {
     let (_, m) = get(&addr, "/metrics");
     assert!(json_u64(&m, "load_shed_429") >= 1, "{m}");
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// 14. The ingest path touches a body once per concern
+// ---------------------------------------------------------------------
+
+#[test]
+fn first_pushes_never_rehydrate_and_an_evicted_run_rehydrates_once() {
+    // A first push must not read its own spill back: with room for one
+    // hot session, four fresh runs leave the rehydration counter at 0
+    // (each evicts its predecessor). Only the checkpoint pushed at the
+    // long-evicted run0 is a demand rehydration, and it is exactly one.
+    let store = SessionStore::open_with(&scratch("onepass"), 8, 1, None).unwrap();
+    let t = Telemetry::new();
+    for tag in 0..4u64 {
+        let receipt = store
+            .ingest_journal(
+                &format!("run{tag}"),
+                &mini_journal(tag).to_jsonl(),
+                Some(&t),
+            )
+            .unwrap();
+        assert!(!receipt.deduped);
+    }
+    assert_eq!(t.get(SvcCounter::SessionRehydrations), 0);
+    assert_eq!(t.get(SvcCounter::SessionEvictions), 3);
+    assert_eq!(store.hot_sessions(), 1);
+
+    let receipt = store
+        .ingest_checkpoint("run0", &mini_ckpt(3).encode(), Some(&t))
+        .unwrap();
+    assert_eq!((receipt.marker, receipt.deduped), (3, false));
+    assert_eq!(t.get(SvcCounter::SessionRehydrations), 1);
+    // The rehydrated session is the journal it spilled plus the new blob.
+    let run0 = store.session("run0").unwrap();
+    assert_eq!(
+        run0.journal_digest,
+        Some(query::journal_digest(&mini_journal(0)))
+    );
+    assert_eq!(run0.ckpt_markers, vec![3]);
+    // A checkpoint-first run starts from the empty session too.
+    store
+        .ingest_checkpoint("ckpt-first", &mini_ckpt(5).encode(), Some(&t))
+        .unwrap();
+    assert_eq!(t.get(SvcCounter::SessionRehydrations), 1);
+    let fresh = store.session("ckpt-first").unwrap();
+    assert!(!fresh.has_journal());
+    assert_eq!(fresh.ckpt_markers, vec![5]);
+}
+
+#[test]
+fn non_canonical_upload_is_committed_in_canonical_form() {
+    // Valid floats in a spelling the encoder never writes: the body is
+    // accepted, but everything durable — spill, manifest stamp, digest,
+    // dedupe key — is taken from the canonical re-encoding.
+    let journal = mini_journal(7);
+    let canonical = journal.to_jsonl();
+    let upload = canonical
+        .replace("\"vt\":0.0,", "\"vt\":0.00,")
+        .replace("\"tt\":1e-7,", "\"tt\":1.0e-7,");
+    assert_ne!(upload, canonical);
+    assert_eq!(RunJournal::from_jsonl(&upload).unwrap(), journal);
+
+    let data = scratch("noncanon");
+    let cfg = ServeConfig {
+        data_dir: data.clone(),
+        cache_entries: 4,
+        threads: 2,
+        ..ServeConfig::default()
+    };
+    let first = Server::start("127.0.0.1:0", cfg.clone()).unwrap();
+    let addr = first.addr().to_string();
+    let receipt = push_journal(&addr, "loose", upload.as_bytes()).unwrap();
+
+    let spilled = std::fs::read(data.join("runs/loose/journal.jsonl")).unwrap();
+    assert_eq!(spilled, canonical.as_bytes());
+    let manifest = std::fs::read_to_string(data.join("runs/loose/MANIFEST")).unwrap();
+    let stamp = format!(
+        "journal.jsonl crc32={:08x} len={}\n",
+        chamserve::util::crc32(canonical.as_bytes()),
+        canonical.len()
+    );
+    assert!(manifest.ends_with(&stamp), "{manifest}");
+    let (_, listing) = get(&addr, "/runs");
+    let digest = format!(
+        "\"journal_digest\":\"{:#x}\"",
+        query::journal_digest(&journal)
+    );
+    assert!(listing.contains(&digest), "{listing}");
+    // The canonical body now dedupes; the loose spelling is a new body.
+    let again = push_journal(&addr, "loose", canonical.as_bytes()).unwrap();
+    assert_eq!(again, receipt);
+    let (_, m) = get(&addr, "/metrics");
+    assert_eq!(json_u64(&m, "journals_ingested"), 1, "{m}");
+    assert_eq!(json_u64(&m, "ingest_deduped"), 1, "{m}");
+    first.shutdown();
+
+    let second = Server::start("127.0.0.1:0", cfg).unwrap();
+    let (status, after) = get(&second.addr().to_string(), "/runs");
+    assert_eq!(status, 200);
+    assert_eq!(after, listing, "restart rehydrates the same session");
+    second.shutdown();
+}
+
+#[test]
+fn ingested_session_equals_the_one_rebuilt_from_its_spill() {
+    // Hot state folded at ingest (no read-back) against hot state rebuilt
+    // from disk by a fresh store: every field, journal and checkpoint
+    // side, via the derived Debug form.
+    let data = scratch("samesession");
+    let text = bt4_text();
+    let ingested = {
+        let store = SessionStore::open(&data, 4).unwrap();
+        store.ingest_journal("bt4", &text, None).unwrap();
+        store
+            .ingest_checkpoint("bt4", &mini_ckpt(3).encode(), None)
+            .unwrap();
+        store.session("bt4").unwrap()
+    };
+    let journal = RunJournal::from_jsonl(&text).unwrap();
+    assert_eq!(
+        ingested.journal_digest,
+        Some(query::journal_digest(&journal))
+    );
+    assert_eq!(
+        ingested.journal_body,
+        Some((chamserve::util::crc32(text.as_bytes()), text.len() as u64))
+    );
+    let rebuilt = SessionStore::open(&data, 4)
+        .unwrap()
+        .session("bt4")
+        .unwrap();
+    assert_eq!(format!("{ingested:?}"), format!("{rebuilt:?}"));
 }
