@@ -40,7 +40,6 @@
 //! ```
 
 pub mod collectives;
-pub mod cputime;
 pub mod fault;
 pub mod mailbox;
 pub mod proc;
@@ -50,7 +49,6 @@ pub mod time;
 pub mod topology;
 pub mod world;
 
-pub use cputime::CpuTimer;
 pub use fault::{CrashFault, FaultPlan, FaultStats, InjectedCrash, LinkRamp};
 pub use proc::{PendingRecv, Proc, Rank, RecvInfo, SrcSel, Tag, TagSel};
 pub use reliable::{ProtocolError, RetryPolicy};

@@ -78,13 +78,20 @@ impl Mailbox {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Deposit a message (called by the *sender's* thread).
+    /// Deposit a message (called by the *sender*). Signals nobody: the
+    /// sender's `Waiter::notify` wakes the receiver the way its engine
+    /// needs — only the thread oracle sleeps on this mailbox
+    /// ([`Mailbox::wake_waiters`]), and a condvar signal is a syscall per
+    /// message even with nobody waiting.
     pub fn deliver(&self, env: Envelope) {
         let mut inner = self.lock();
         inner.queue.push_back(env);
         inner.delivered += 1;
-        drop(inner);
-        // Wake all waiters: with wildcard receives, any waiter might match.
+    }
+
+    /// Wake every thread sleeping in [`Mailbox::wait_delivery`] — all of
+    /// them: with wildcard receives, any waiter might match.
+    pub(crate) fn wake_waiters(&self) {
         self.available.notify_all();
     }
 
@@ -244,6 +251,7 @@ mod tests {
         // Give the receiver a moment to block, then deliver.
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.deliver(env(0, 0, Comm::WORLD, 0x5a));
+        mb.wake_waiters();
         let got = handle.join().unwrap();
         assert_eq!(got.payload, vec![0x5a]);
     }
@@ -262,6 +270,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         mb.deliver(env(2, 0, Comm::WORLD, 2));
         mb.deliver(env(1, 0, Comm::WORLD, 1));
+        mb.wake_waiters();
         assert_eq!(a.join().unwrap().payload, vec![1]);
         assert_eq!(b.join().unwrap().payload, vec![2]);
     }

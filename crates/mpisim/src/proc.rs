@@ -391,14 +391,15 @@ impl Proc {
 
     /// Put a message in `dest`'s mailbox and wake it.
     fn deposit(&self, dest: Rank, tag: Tag, comm: Comm, payload: Vec<u8>, arrival: f64) {
-        self.shared.mailboxes[dest].deliver(Envelope {
+        let mailbox = &self.shared.mailboxes[dest];
+        mailbox.deliver(Envelope {
             src: self.rank,
             tag,
             comm,
             payload,
             arrival,
         });
-        self.shared.waiter.notify(dest);
+        self.shared.waiter.notify(dest, mailbox);
     }
 
     /// [`Proc::send`] without the op tick: clock movement, stats, and

@@ -10,37 +10,40 @@
 //! This module replaces it with a cooperative scheduler driven by the
 //! simulation's own virtual-clock model:
 //!
-//! * **Task = rank, continuation = parked thread.** Each rank still owns
-//!   a (small-stack) OS thread, but the thread is just the storage for
-//!   the task's continuation: rank programs keep their natural blocking
-//!   style, and a blocked task costs nothing — it parks on its own
-//!   condvar with **no polling** until the scheduler wakes it for an
-//!   event that can actually unblock it.
-//! * **Bounded worker pool.** At most `workers` tasks hold a *run
-//!   permit* at any instant. A task runs until it blocks (recv,
-//!   collective round, reliable-protocol wait, OBS collect), releases
-//!   its permit at the block point, and the freed permit goes to the
-//!   next runnable task. `workers = 1` yields fully sequential,
-//!   deterministic dispatch; results are invariant under the pool size
-//!   by construction (see the determinism notes below).
-//! * **Virtual-clock ready heap.** Runnable tasks are dispatched in
-//!   ascending order of their virtual timestamp at the moment they
-//!   became runnable, ties broken by rank ([`ReadyQueue`]). The heap is
-//!   a dispatch-order heuristic (run the event that is earliest in
-//!   simulated time first), *not* a correctness requirement: every
-//!   simulation-visible quantity — virtual clocks, traces, journals,
-//!   fault coins, survivor sets — is already scheduler-invariant
-//!   (arrival-stamped messages, deferred clock accounting, eager sends
-//!   with death flags published before unwinding), which is what makes
-//!   thread-vs-event byte-identity testable at all.
-//! * **Event wakeups, not polls.** Message delivery wakes exactly the
-//!   destination task; crash-death and world-poison flags wake every
+//! * **Task = rank, continuation = switched stack.** A rank program runs
+//!   on its own `mmap`ed stack (a private `stack::Fiber`) and keeps its
+//!   natural blocking style: at a block point it saves six registers and
+//!   its stack pointer and the worker's loop continues on the worker's
+//!   stack. No OS thread belongs to a rank, and a blocked rank costs a
+//!   register swap, not a futex hand-off.
+//! * **Bounded worker pool, home workers.** `workers` OS threads run
+//!   [`Sched::run_worker`]. Rank `r` is only ever resumed by worker
+//!   `r % workers` — its *home* — so nothing on a rank's stack ever
+//!   changes OS thread (`stack`'s rule 1). `workers = 1` yields fully
+//!   sequential, deterministic dispatch; results are invariant under the
+//!   pool size by construction (see the determinism notes below).
+//! * **Virtual-clock ready heaps.** Each worker dispatches its runnable
+//!   tasks in ascending order of their virtual timestamp at the moment
+//!   they became runnable, ties broken by rank ([`ReadyQueue`]), one heap
+//!   per worker under the one scheduler lock. The order is a heuristic
+//!   (run the event that is earliest in simulated time first), *not* a
+//!   correctness requirement: every simulation-visible quantity — virtual
+//!   clocks, traces, journals, fault coins, survivor sets — is already
+//!   scheduler-invariant (arrival-stamped messages, deferred clock
+//!   accounting, eager sends with death flags published before
+//!   unwinding), which is what makes thread-vs-event byte-identity
+//!   testable at all.
+//! * **Event wakeups, not polls.** Message delivery readies exactly the
+//!   destination task; crash-death and world-poison flags ready every
 //!   parked task. A per-rank wake *epoch* closes the classic check-then-
 //!   park race: a waiter records the epoch, re-checks its mailbox, and
-//!   parks only if no wake arrived in between.
+//!   parks only if no wake arrived in between. A worker sleeps only when
+//!   its heap is empty — until a wake from another worker, or the
+//!   earliest real-time deadline (`recv_timeout`, the armed hang
+//!   backstop) among the tasks parked on it.
 //! * **Stall detection.** If no task is running, none is ready, and no
 //!   parked task holds a real-time deadline, the world can never make
-//!   progress again. The scheduler flags the stall and wakes everyone;
+//!   progress again. The scheduler flags the stall and readies everyone;
 //!   each waiter panics with a diagnostic instead of hanging CI. (The
 //!   thread scheduler would spin on its poll loops forever.)
 //!
@@ -52,14 +55,18 @@
 //! same seed × workload × fault grid and asserts byte-identical
 //! journals, traces, stats, and survivor sets.
 
+mod stack;
+
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::mailbox::Mailbox;
 use crate::proc::Rank;
 use crate::time::VirtualTime;
+use stack::{Fiber, Stack};
 
 /// Which execution engine a [`crate::World`] runs its ranks on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,126 +133,178 @@ impl ReadyQueue {
 /// Lifecycle of one rank task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
-    /// Runnable, queued in the ready heap, waiting for a permit.
+    /// Runnable, queued in its home worker's ready heap.
     Ready,
-    /// Holding a run permit, executing rank code.
+    /// Executing rank code on its home worker.
     Running,
-    /// Parked at a block point with no permit; woken by `notify`.
+    /// Suspended at a block point; readied by `notify` or its deadline.
     Waiting,
-    /// Program returned or unwound; permit released for good.
+    /// Program returned or unwound.
     Done,
-}
-
-struct Inner {
-    /// Worker-pool size: the maximum number of `Running` tasks.
-    workers: usize,
-    /// Tasks currently holding a permit.
-    active: usize,
-    /// Runnable tasks awaiting a permit.
-    ready: ReadyQueue,
-    state: Vec<TaskState>,
-    /// Per-rank wake counter; bumped by every `notify` touching the
-    /// rank. A waiter snapshots it before re-checking its mailbox and
-    /// parks only if it is unchanged — the lost-wakeup guard.
-    epoch: Vec<u64>,
-    /// Virtual timestamp recorded when the rank parked; its ready-heap
-    /// key when it becomes runnable again.
-    parked_vtime: Vec<VirtualTime>,
-    /// Parked tasks holding a real-time deadline (hang backstop,
-    /// `recv_timeout`). They wake themselves, so their existence vetoes
-    /// stall detection.
-    timed: usize,
-    /// Tasks not yet `Done`.
-    live: usize,
-    /// Set when the scheduler proves no task can ever run again.
-    stalled: bool,
 }
 
 /// Outcome of one park: why the task got the CPU back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ParkOutcome {
-    /// A wake event (or a wake that raced the park) granted the task a
-    /// permit; re-check the wait condition.
+    /// A wake event (or a wake that raced the park) readied the task;
+    /// re-check the wait condition.
     Granted,
-    /// The real-time deadline expired first; the task holds a permit
-    /// again and should run its timeout handling.
+    /// The real-time deadline expired first; the task should run its
+    /// timeout handling.
     TimedOut,
+}
+
+struct Task {
+    state: TaskState,
+    /// Wake counter; bumped by every `notify` touching the rank. A waiter
+    /// snapshots it before re-checking its mailbox and parks only if it is
+    /// unchanged — the lost-wakeup guard.
+    epoch: u64,
+    /// Virtual timestamp recorded when the rank parked; its ready-heap
+    /// key when it becomes runnable again.
+    parked_vtime: VirtualTime,
+    /// Real-time deadline of a `Waiting` task (hang backstop,
+    /// `recv_timeout`); its home worker readies it when it expires.
+    deadline: Option<Instant>,
+    /// Why the task was last readied; what its `park` returns.
+    outcome: ParkOutcome,
+    /// The rank's stack, mapped by [`Sched::new`] so that running out of
+    /// mappings fails before any rank runs; taken by its home worker.
+    stack: Option<Stack>,
+}
+
+struct Inner {
+    tasks: Vec<Task>,
+    /// Runnable tasks, one heap per worker (index = home worker).
+    ready: Vec<ReadyQueue>,
+    /// Workers blocked on their `idle` condvar. A sleeping worker's heap
+    /// is empty: whoever pushes to it wakes it.
+    asleep: Vec<bool>,
+    /// Per worker: homed tasks not yet `Done`. The worker returns at zero.
+    homed_live: Vec<usize>,
+    /// Tasks `Running` right now (at most one per worker).
+    active: usize,
+    /// `Waiting` tasks holding a deadline. They wake by themselves, so
+    /// their existence vetoes stall detection.
+    timed: usize,
+    /// Set when the scheduler proves no task can ever run again.
+    stalled: bool,
 }
 
 /// The cooperative scheduler shared by all ranks of one world.
 pub(crate) struct Sched {
+    /// Number of rank tasks.
+    ranks: usize,
+    /// Worker-pool size; rank `r` is homed on worker `r % workers`.
+    workers: usize,
     inner: Mutex<Inner>,
-    /// One condvar per rank; all guard [`Sched::inner`].
-    parked: Vec<Condvar>,
+    /// One condvar per worker, guarding [`Sched::inner`]: where a worker
+    /// with nothing ready sleeps.
+    idle: Vec<Condvar>,
 }
 
 impl Sched {
-    /// Scheduler for `ranks` tasks over `workers` permits. All tasks
-    /// start ready at virtual time zero and the first `workers` of them
-    /// (by rank) are granted permits immediately.
-    pub(crate) fn new(ranks: usize, workers: usize) -> Self {
-        assert!(workers >= 1, "worker pool needs at least one permit");
-        let mut ready = ReadyQueue::new();
-        for rank in 0..ranks {
-            ready.push(0.0, rank);
-        }
-        let sched = Sched {
+    /// Scheduler for `ranks` tasks over at most `workers` workers, each
+    /// task on a stack of `stack_bytes`. All tasks start ready at virtual
+    /// time zero.
+    ///
+    /// Panics if a stack cannot be mapped — before anything runs.
+    pub(crate) fn new(ranks: usize, workers: usize, stack_bytes: usize) -> Self {
+        assert!(workers >= 1, "worker pool needs at least one worker");
+        let workers = workers.min(ranks.max(1));
+        let mut ready: Vec<ReadyQueue> = (0..workers).map(|_| ReadyQueue::new()).collect();
+        let mut homed_live = vec![0; workers];
+        let tasks = (0..ranks)
+            .map(|rank| {
+                ready[rank % workers].push(0.0, rank);
+                homed_live[rank % workers] += 1;
+                let stack = Stack::map(stack_bytes).unwrap_or_else(|e| {
+                    panic!(
+                        "failed to map the {stack_bytes}-byte stack of rank {rank} of {ranks} \
+                         (two mappings each; see vm.max_map_count): {e}"
+                    )
+                });
+                Task {
+                    state: TaskState::Ready,
+                    epoch: 0,
+                    parked_vtime: 0.0,
+                    deadline: None,
+                    outcome: ParkOutcome::Granted,
+                    stack: Some(stack),
+                }
+            })
+            .collect();
+        Sched {
+            ranks,
+            workers,
             inner: Mutex::new(Inner {
-                workers,
-                active: 0,
+                tasks,
                 ready,
-                state: vec![TaskState::Ready; ranks],
-                epoch: vec![0; ranks],
-                parked_vtime: vec![0.0; ranks],
+                asleep: vec![false; workers],
+                homed_live,
+                active: 0,
                 timed: 0,
-                live: ranks,
                 stalled: false,
             }),
-            parked: (0..ranks).map(|_| Condvar::new()).collect(),
-        };
-        {
-            let mut g = sched.lock();
-            sched.dispatch(&mut g);
+            idle: (0..workers).map(|_| Condvar::new()).collect(),
         }
-        sched
+    }
+
+    /// How many workers must each call [`Sched::run_worker`] once.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
+    }
+
+    /// The ranks homed on worker `w`, ascending.
+    pub(crate) fn homed(&self, w: usize) -> impl Iterator<Item = Rank> {
+        (w..self.ranks).step_by(self.workers)
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Grant permits to ready tasks while the pool has room.
-    fn dispatch(&self, g: &mut MutexGuard<'_, Inner>) {
-        while g.active < g.workers {
-            let Some(rank) = g.ready.pop() else { break };
-            debug_assert_eq!(
-                g.state[rank],
-                TaskState::Ready,
-                "heap holds only Ready tasks"
-            );
-            g.state[rank] = TaskState::Running;
-            g.active += 1;
-            self.parked[rank].notify_all();
+    /// Move a `Waiting` task to its home worker's heap, waking that worker
+    /// if it sleeps. `outcome` is what the task's `park` will return.
+    fn make_ready(&self, g: &mut Inner, rank: Rank, outcome: ParkOutcome) {
+        let task = &mut g.tasks[rank];
+        debug_assert_eq!(task.state, TaskState::Waiting);
+        task.state = TaskState::Ready;
+        task.outcome = outcome;
+        if task.deadline.take().is_some() {
+            g.timed -= 1;
+        }
+        let home = rank % self.workers;
+        g.ready[home].push(task.parked_vtime, rank);
+        if std::mem::take(&mut g.asleep[home]) {
+            self.idle[home].notify_one();
         }
     }
 
-    /// After a permit release: if nothing runs, nothing is ready, and no
-    /// parked task can wake itself, the world is deadlocked. Flag it and
-    /// wake everyone so they can fail loudly instead of hanging.
-    fn check_stall(&self, g: &mut MutexGuard<'_, Inner>) {
-        if g.stalled || g.active != 0 || !g.ready.is_empty() || g.timed != 0 || g.live == 0 {
+    /// After a task stopped running: if nothing runs, nothing is ready,
+    /// and no parked task can wake itself, the world is deadlocked. Flag
+    /// it and ready everyone so they can fail loudly instead of hanging.
+    fn check_stall(&self, g: &mut Inner) {
+        if g.stalled
+            || g.active != 0
+            || g.timed != 0
+            || g.ready.iter().any(|q| !q.is_empty())
+            || g.homed_live.iter().all(|&live| live == 0)
+        {
             return;
         }
         g.stalled = true;
-        for rank in 0..g.state.len() {
-            if g.state[rank] == TaskState::Waiting {
-                g.epoch[rank] += 1;
-                g.state[rank] = TaskState::Ready;
-                let vtime = g.parked_vtime[rank];
-                g.ready.push(vtime, rank);
+        self.ready_all(g);
+    }
+
+    /// Bump every epoch and ready every parked task.
+    fn ready_all(&self, g: &mut Inner) {
+        for rank in 0..g.tasks.len() {
+            g.tasks[rank].epoch += 1;
+            if g.tasks[rank].state == TaskState::Waiting {
+                self.make_ready(g, rank, ParkOutcome::Granted);
             }
         }
-        self.dispatch(g);
     }
 
     /// Whether the scheduler has proven the world deadlocked.
@@ -253,12 +312,84 @@ impl Sched {
         self.lock().stalled
     }
 
-    /// Block until this task's initial (or re-granted) permit arrives.
-    /// Called once per rank thread before it runs any rank code.
-    pub(crate) fn start(&self, rank: Rank) {
+    /// Worker `w`'s whole life: run `body(rank)` for every rank homed on
+    /// it, each on its own stack, switching to whichever is ready and
+    /// earliest in virtual time whenever the running one parks. Returns
+    /// the bodies' results in ascending rank order once all have finished.
+    ///
+    /// Each of the [`Sched::workers`] workers must be run exactly once,
+    /// each on its own thread (a rank parked on a worker that never runs
+    /// is a hang).
+    pub(crate) fn run_worker<T>(&self, w: usize, body: &dyn Fn(Rank) -> T) -> Vec<T> {
+        let stacks: Vec<Stack> = {
+            let mut g = self.lock();
+            self.homed(w)
+                .map(|rank| g.tasks[rank].stack.take().expect("a worker is run once"))
+                .collect()
+        };
+        let results: Vec<Cell<Option<T>>> = stacks.iter().map(|_| Cell::new(None)).collect();
+        let mut fibers: Vec<Fiber<'_>> = stacks
+            .into_iter()
+            .zip(self.homed(w))
+            .zip(&results)
+            .map(|((stack, rank), result)| {
+                Fiber::new(stack, move || {
+                    result.set(Some(body(rank)));
+                    self.exit(rank);
+                })
+            })
+            .collect();
+        while let Some(rank) = self.next_ready(w) {
+            fibers[rank / self.workers].resume();
+        }
+        drop(fibers);
+        results
+            .into_iter()
+            .map(|r| r.into_inner().expect("every homed rank ran to its end"))
+            .collect()
+    }
+
+    /// Block until a task homed on worker `w` is ready and mark it
+    /// running; `None` once every such task is done.
+    fn next_ready(&self, w: usize) -> Option<Rank> {
         let mut g = self.lock();
-        while g.state[rank] != TaskState::Running {
-            g = self.parked[rank].wait(g).unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(rank) = g.ready[w].pop() {
+                debug_assert_eq!(g.tasks[rank].state, TaskState::Ready);
+                g.tasks[rank].state = TaskState::Running;
+                g.active += 1;
+                return Some(rank);
+            }
+            if g.homed_live[w] == 0 {
+                return None;
+            }
+            // Nothing to run here: ready the parked tasks whose deadline
+            // has passed, else sleep until the earliest one or a wake.
+            let mut earliest: Option<Duration> = None;
+            if g.timed > 0 {
+                let now = Instant::now();
+                for rank in self.homed(w) {
+                    match g.tasks[rank].deadline {
+                        Some(d) if d <= now => self.make_ready(&mut g, rank, ParkOutcome::TimedOut),
+                        Some(d) => earliest = Some(earliest.map_or(d - now, |e| e.min(d - now))),
+                        None => {}
+                    }
+                }
+                if !g.ready[w].is_empty() {
+                    continue;
+                }
+            }
+            g.asleep[w] = true;
+            g = match earliest {
+                Some(timeout) => {
+                    let (g, _) = self.idle[w]
+                        .wait_timeout(g, timeout)
+                        .unwrap_or_else(|e| e.into_inner());
+                    g
+                }
+                None => self.idle[w].wait(g).unwrap_or_else(|e| e.into_inner()),
+            };
+            g.asleep[w] = false;
         }
     }
 
@@ -267,16 +398,17 @@ impl Sched {
     /// check-then-park sequence race-free: any wake in between bumps the
     /// epoch and the park returns immediately.
     pub(crate) fn pre_wait(&self, rank: Rank) -> u64 {
-        self.lock().epoch[rank]
+        self.lock().tasks[rank].epoch
     }
 
-    /// Park the running task at a block point: release its permit, hand
-    /// it to the next ready task, and sleep until a wake event grants a
-    /// permit back (or `deadline` passes — the task then reclaims a
-    /// permit by itself and gets [`ParkOutcome::TimedOut`]).
+    /// Park the running task at a block point: switch to its worker's
+    /// loop, and continue here once a wake event readies the task and the
+    /// worker picks it again (or `deadline` passes with nothing else to
+    /// run on the worker — [`ParkOutcome::TimedOut`]).
     ///
     /// `vtime` is the task's virtual timestamp at the block point; it
-    /// becomes the ready-heap key when the task is woken.
+    /// becomes the ready-heap key when the task is woken. Must be called
+    /// from the rank's own stack, i.e. from inside `run_worker`'s `body`.
     pub(crate) fn park(
         &self,
         rank: Rank,
@@ -284,105 +416,56 @@ impl Sched {
         vtime: VirtualTime,
         deadline: Option<Instant>,
     ) -> ParkOutcome {
-        let mut g = self.lock();
-        if g.epoch[rank] != epoch {
-            // A wake raced the re-check; keep the permit and re-check.
-            return ParkOutcome::Granted;
-        }
-        debug_assert_eq!(g.state[rank], TaskState::Running);
-        g.state[rank] = TaskState::Waiting;
-        g.parked_vtime[rank] = vtime;
-        let mut counted_timed = deadline.is_some();
-        if counted_timed {
-            g.timed += 1;
-        }
-        g.active -= 1;
-        self.dispatch(&mut g);
-        self.check_stall(&mut g);
-        let mut timed_out = false;
-        loop {
-            if g.state[rank] == TaskState::Running {
-                if counted_timed {
-                    g.timed -= 1;
-                }
-                return if timed_out {
-                    ParkOutcome::TimedOut
-                } else {
-                    ParkOutcome::Granted
-                };
+        {
+            let mut g = self.lock();
+            let task = &mut g.tasks[rank];
+            if task.epoch != epoch {
+                // A wake raced the re-check; keep running and re-check.
+                return ParkOutcome::Granted;
             }
-            match deadline {
-                Some(d) if !timed_out => {
-                    let now = Instant::now();
-                    if now >= d {
-                        // Deadline first: stop counting as self-waking,
-                        // queue up for a permit, and report the timeout
-                        // once granted.
-                        timed_out = true;
-                        g.timed -= 1;
-                        counted_timed = false;
-                        if g.state[rank] == TaskState::Waiting {
-                            g.state[rank] = TaskState::Ready;
-                            let vtime = g.parked_vtime[rank];
-                            g.ready.push(vtime, rank);
-                            self.dispatch(&mut g);
-                        }
-                        continue;
-                    }
-                    let (guard, _) = self.parked[rank]
-                        .wait_timeout(g, d - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    g = guard;
-                }
-                _ => {
-                    g = self.parked[rank].wait(g).unwrap_or_else(|e| e.into_inner());
-                }
+            debug_assert_eq!(task.state, TaskState::Running);
+            task.state = TaskState::Waiting;
+            task.parked_vtime = vtime;
+            task.deadline = deadline;
+            if deadline.is_some() {
+                g.timed += 1;
             }
+            g.active -= 1;
+            self.check_stall(&mut g);
+            // The guard ends here: the worker's loop takes this lock next,
+            // on this thread (`stack`'s rule 2).
         }
+        // Another worker may ready this task before the switch below; only
+        // this one — busy right here — can resume it, so it cannot start
+        // running twice.
+        stack::suspend();
+        self.lock().tasks[rank].outcome
     }
 
-    /// Wake `rank`: bump its epoch and, if it is parked, move it to the
-    /// ready heap (granting a permit immediately when the pool has
-    /// room). Called after every message delivery to the rank's mailbox.
+    /// Wake `rank`: bump its epoch and, if it is parked, move it to its
+    /// home worker's ready heap. Called after every message delivery to
+    /// the rank's mailbox.
     pub(crate) fn notify(&self, rank: Rank) {
         let mut g = self.lock();
-        g.epoch[rank] += 1;
-        if g.state[rank] == TaskState::Waiting {
-            g.state[rank] = TaskState::Ready;
-            let vtime = g.parked_vtime[rank];
-            g.ready.push(vtime, rank);
-            self.dispatch(&mut g);
+        g.tasks[rank].epoch += 1;
+        if g.tasks[rank].state == TaskState::Waiting {
+            self.make_ready(&mut g, rank, ParkOutcome::Granted);
         }
     }
 
     /// Wake every parked task — death flags and world poison are global
     /// conditions any waiter might be blocked on.
     pub(crate) fn notify_all(&self) {
-        let mut g = self.lock();
-        for rank in 0..g.state.len() {
-            g.epoch[rank] += 1;
-            if g.state[rank] == TaskState::Waiting {
-                g.state[rank] = TaskState::Ready;
-                let vtime = g.parked_vtime[rank];
-                g.ready.push(vtime, rank);
-            }
-        }
-        self.dispatch(&mut g);
+        self.ready_all(&mut self.lock());
     }
 
-    /// The task's program returned or unwound: release its permit for
-    /// good and hand it on.
-    pub(crate) fn exit(&self, rank: Rank) {
+    /// The task's program returned or unwound.
+    fn exit(&self, rank: Rank) {
         let mut g = self.lock();
-        debug_assert_eq!(
-            g.state[rank],
-            TaskState::Running,
-            "exit from a running task"
-        );
-        g.state[rank] = TaskState::Done;
-        g.live -= 1;
+        debug_assert_eq!(g.tasks[rank].state, TaskState::Running);
+        g.tasks[rank].state = TaskState::Done;
+        g.homed_live[rank % self.workers] -= 1;
         g.active -= 1;
-        self.dispatch(&mut g);
         self.check_stall(&mut g);
     }
 }
@@ -400,44 +483,35 @@ impl Sched {
 /// counter in thread mode.
 pub(crate) enum Waiter {
     /// [`SchedMode::Events`]: park on the scheduler until woken.
-    Events(Sched),
-    /// [`SchedMode::Threads`]: every rank free-runs; a blocked rank sleeps
-    /// on its mailbox condvar one poll slice at a time. Nothing signals a
-    /// death or poison flag here — the slice bounds how stale they get.
+    Events(Arc<Sched>),
+    /// [`SchedMode::Threads`]: every rank free-runs on its own OS thread;
+    /// a blocked rank sleeps on its mailbox condvar one poll slice at a
+    /// time. Nothing signals a death or poison flag here — the slice
+    /// bounds how stale they get.
     Threads,
 }
 
 impl Waiter {
-    /// The engine for `mode` over `ranks` tasks (`workers` permits in
-    /// event mode; thread mode has no pool).
-    pub(crate) fn new(mode: SchedMode, ranks: usize, workers: usize) -> Self {
+    /// The engine for `mode` over `ranks` tasks (`workers` workers and
+    /// `stack_bytes` per rank in event mode; thread mode has no pool and
+    /// sizes its threads' stacks itself). Where `stack` has no switch
+    /// routine — anywhere but x86-64 Linux — event mode runs on the thread
+    /// engine too.
+    pub(crate) fn new(mode: SchedMode, ranks: usize, workers: usize, stack_bytes: usize) -> Self {
         match mode {
-            SchedMode::Events => Waiter::Events(Sched::new(ranks, workers)),
-            SchedMode::Threads => Waiter::Threads,
+            SchedMode::Events if stack::SUPPORTED => {
+                Waiter::Events(Arc::new(Sched::new(ranks, workers, stack_bytes)))
+            }
+            _ => Waiter::Threads,
         }
     }
 
-    /// Called once per rank thread before any rank code: event mode waits
-    /// for the task's first run permit.
-    pub(crate) fn start(&self, rank: Rank) {
-        if let Waiter::Events(s) = self {
-            s.start(rank);
-        }
-    }
-
-    /// The rank's program returned or unwound.
-    pub(crate) fn exit(&self, rank: Rank) {
-        if let Waiter::Events(s) = self {
-            s.exit(rank);
-        }
-    }
-
-    /// A message was delivered to `rank`'s mailbox. (Thread mode needs
-    /// nothing: the delivery itself signalled the mailbox condvar.)
+    /// A message was delivered to `rank`'s mailbox `mailbox`.
     #[inline]
-    pub(crate) fn notify(&self, rank: Rank) {
-        if let Waiter::Events(s) = self {
-            s.notify(rank);
+    pub(crate) fn notify(&self, rank: Rank, mailbox: &Mailbox) {
+        match self {
+            Waiter::Events(s) => s.notify(rank),
+            Waiter::Threads => mailbox.wake_waiters(),
         }
     }
 
@@ -525,91 +599,179 @@ mod tests {
         }
     }
 
-    #[test]
-    fn initial_grants_respect_pool_size() {
-        let sched = Sched::new(8, 3);
-        let g = sched.lock();
-        assert_eq!(g.active, 3);
-        let running: Vec<usize> = (0..8)
-            .filter(|&r| g.state[r] == TaskState::Running)
-            .collect();
-        assert_eq!(running, vec![0, 1, 2], "lowest ranks granted first");
-    }
+    /// The engine itself, on real switched stacks.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    mod engine {
+        use super::*;
 
-    #[test]
-    fn stall_detection_fires_only_without_timed_waiters() {
-        let sched = Sched::new(1, 1);
-        // Simulate the single task parking untimed on an event that will
-        // never come: the scheduler must flag the stall and re-ready it.
-        let epoch = sched.pre_wait(0);
-        let outcome = sched.park(0, epoch, 0.0, None);
-        assert_eq!(outcome, ParkOutcome::Granted);
-        assert!(sched.stalled(), "untimed park with no peers is a deadlock");
-    }
+        const STACK: usize = 64 * 1024;
 
-    #[test]
-    fn timed_park_times_out_and_reclaims_permit() {
-        let sched = Sched::new(1, 1);
-        let epoch = sched.pre_wait(0);
-        let deadline = Instant::now() + std::time::Duration::from_millis(5);
-        let outcome = sched.park(0, epoch, 0.0, Some(deadline));
-        assert_eq!(outcome, ParkOutcome::TimedOut);
-        assert!(
-            !sched.stalled(),
-            "a timed waiter is self-waking, not a stall"
-        );
-        let g = sched.lock();
-        assert_eq!(g.state[0], TaskState::Running, "permit reclaimed");
-        assert_eq!(g.timed, 0, "timed counter restored");
-    }
-
-    #[test]
-    fn raced_wake_returns_immediately() {
-        let sched = Sched::new(2, 2);
-        let epoch = sched.pre_wait(0);
-        sched.notify(0); // wake lands between re-check and park
-        let outcome = sched.park(0, epoch, 1.0, None);
-        assert_eq!(outcome, ParkOutcome::Granted);
-        let g = sched.lock();
-        assert_eq!(g.state[0], TaskState::Running, "permit kept");
-    }
-
-    #[test]
-    fn notify_moves_waiter_through_ready_to_running() {
-        let sched = Sched::new(2, 1);
-        // Rank 1 starts Ready but unpermitted (pool of one, rank 0 got it).
-        {
-            let g = sched.lock();
-            assert_eq!(g.state[0], TaskState::Running);
-            assert_eq!(g.state[1], TaskState::Ready);
+        /// Run a whole `ranks`-task world on this thread (`workers = 1`) and
+        /// return each rank's result.
+        fn run_alone<T>(ranks: usize, body: impl Fn(&Sched, Rank) -> T) -> (Sched, Vec<T>) {
+            let sched = Sched::new(ranks, 1, STACK);
+            let results = sched.run_worker(0, &|rank| body(&sched, rank));
+            (sched, results)
         }
-        // Rank 0 parks untimed; the permit must flow to rank 1.
-        let t = std::thread::spawn({
-            let waker = std::sync::Arc::new(());
-            let _keep = waker;
-            move || {}
-        });
-        t.join().unwrap();
-        let epoch = sched.pre_wait(0);
-        // Park on a helper thread so this test thread can play rank 1.
-        let sched = std::sync::Arc::new(sched);
-        let s2 = std::sync::Arc::clone(&sched);
-        let parker = std::thread::spawn(move || s2.park(0, epoch, 5.0, None));
-        // Wait for the permit to flow to rank 1.
-        loop {
-            let g = sched.lock();
-            if g.state[1] == TaskState::Running {
-                break;
-            }
-            drop(g);
-            std::thread::yield_now();
+
+        #[test]
+        fn ranks_start_ready_on_their_home_workers() {
+            let sched = Sched::new(8, 3, STACK);
+            let mut g = sched.lock();
+            let homed: Vec<Vec<Rank>> = (0..3)
+                .map(|w| std::iter::from_fn(|| g.ready[w].pop()).collect())
+                .collect();
+            assert_eq!(homed, [vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
+            assert_eq!(g.homed_live, [3, 3, 2]);
+            assert_eq!(
+                Sched::new(2, 8, STACK).workers(),
+                2,
+                "no worker without a rank"
+            );
         }
-        // Rank 1 wakes rank 0 (message delivery) and exits.
-        sched.notify(0);
-        sched.exit(1);
-        assert_eq!(parker.join().unwrap(), ParkOutcome::Granted);
-        let g = sched.lock();
-        assert_eq!(g.state[0], TaskState::Running);
-        assert_eq!(g.state[1], TaskState::Done);
+
+        #[test]
+        fn untimed_parks_with_nothing_runnable_are_a_stall_not_a_hang() {
+            // Every live task parks on an event that will never come: the last
+            // one to park must flag the stall and ready them all.
+            let (sched, outcomes) = run_alone(3, |sched, rank| {
+                let epoch = sched.pre_wait(rank);
+                let outcome = sched.park(rank, epoch, rank as f64, None);
+                (outcome, sched.stalled())
+            });
+            assert_eq!(outcomes, [(ParkOutcome::Granted, true); 3]);
+            assert!(sched.stalled());
+        }
+
+        #[test]
+        fn timed_park_expires_with_one_worker_and_nothing_else_runnable() {
+            let started = Instant::now();
+            let (sched, outcomes) = run_alone(1, |sched, rank| {
+                let epoch = sched.pre_wait(rank);
+                let deadline = Instant::now() + Duration::from_millis(5);
+                sched.park(rank, epoch, 0.0, Some(deadline))
+            });
+            assert_eq!(outcomes, [ParkOutcome::TimedOut]);
+            assert!(started.elapsed() >= Duration::from_millis(5));
+            assert!(
+                !sched.stalled(),
+                "a timed waiter is self-waking, not a stall"
+            );
+            assert_eq!(sched.lock().timed, 0, "timed counter restored");
+        }
+
+        #[test]
+        fn timed_park_vetoes_the_stall_until_it_expires() {
+            // Rank 0 parks untimed for good, rank 1 for 5 ms: no stall while
+            // rank 1's deadline is pending; once it exits, rank 0 is stalled.
+            let (_, outcomes) = run_alone(2, |sched, rank| {
+                let epoch = sched.pre_wait(rank);
+                let deadline = (rank == 1).then(|| Instant::now() + Duration::from_millis(5));
+                let outcome = sched.park(rank, epoch, 0.0, deadline);
+                (outcome, sched.stalled())
+            });
+            assert_eq!(
+                outcomes,
+                [(ParkOutcome::Granted, true), (ParkOutcome::TimedOut, false)]
+            );
+        }
+
+        #[test]
+        fn raced_wake_keeps_the_task_running_without_a_switch() {
+            let order = Mutex::new(Vec::new());
+            run_alone(2, |sched, rank| {
+                if rank == 0 {
+                    let epoch = sched.pre_wait(0);
+                    sched.notify(0); // wake lands between re-check and park
+                    assert_eq!(sched.park(0, epoch, 1.0, None), ParkOutcome::Granted);
+                }
+                order.lock().unwrap().push(rank);
+            });
+            // Had rank 0 switched away, ready rank 1 would have run first.
+            assert_eq!(*order.lock().unwrap(), [0, 1]);
+        }
+
+        #[test]
+        fn notify_moves_a_waiter_through_ready_back_to_running() {
+            let order = Mutex::new(Vec::new());
+            let (sched, outcomes) = run_alone(2, |sched, rank| {
+                let log = |what| order.lock().unwrap().push((rank, what));
+                if rank == 0 {
+                    let epoch = sched.pre_wait(0);
+                    log("parks");
+                    let outcome = sched.park(0, epoch, 5.0, None);
+                    log("resumed");
+                    Some(outcome)
+                } else {
+                    assert_eq!(sched.lock().tasks[0].state, TaskState::Waiting);
+                    sched.notify(0); // message delivery
+                    assert_eq!(sched.lock().tasks[0].state, TaskState::Ready);
+                    log("notified");
+                    None
+                }
+            });
+            assert_eq!(outcomes, [Some(ParkOutcome::Granted), None]);
+            assert_eq!(
+                *order.lock().unwrap(),
+                [(0, "parks"), (1, "notified"), (0, "resumed")]
+            );
+            assert!(!sched.stalled());
+            let g = sched.lock();
+            assert!(g.tasks.iter().all(|t| t.state == TaskState::Done));
+            assert_eq!((g.active, g.timed, &g.homed_live[..]), (0, 0, &[0][..]));
+        }
+
+        #[test]
+        fn ready_tasks_resume_in_vtime_then_rank_order() {
+            // Ranks 1..=4 park at chosen virtual times; rank 0 readies them
+            // all at once. One worker must resume them by (vtime, rank).
+            let order = Mutex::new(Vec::new());
+            run_alone(5, |sched, rank| {
+                if rank == 0 {
+                    // Dispatched first (rank order at vtime 0): park once so
+                    // the others run up to their own parks, then wake them.
+                    let epoch = sched.pre_wait(0);
+                    sched.park(0, epoch, 0.0, Some(Instant::now()));
+                    sched.notify_all();
+                } else {
+                    let vtime = [0.0, 2.0, 1.0, 2.0, 1.0][rank];
+                    let epoch = sched.pre_wait(rank);
+                    sched.park(rank, epoch, vtime, None);
+                    order.lock().unwrap().push(rank);
+                }
+            });
+            assert_eq!(*order.lock().unwrap(), [2, 4, 1, 3]);
+        }
+
+        #[test]
+        fn a_cross_worker_notify_wakes_a_sleeping_worker() {
+            // Two workers, two ranks: rank 1 parks untimed (its worker then
+            // sleeps, heap empty); rank 0, on the other worker, waits until it
+            // is parked and notifies it.
+            let sched = Sched::new(2, 2, STACK);
+            let body = |rank: Rank| {
+                if rank == 1 {
+                    let epoch = sched.pre_wait(1);
+                    sched.park(1, epoch, 0.0, None)
+                } else {
+                    while !sched.lock().asleep[1] {
+                        std::thread::yield_now();
+                    }
+                    sched.notify(1);
+                    ParkOutcome::Granted
+                }
+            };
+            let results: Vec<Vec<ParkOutcome>> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..2)
+                    .map(|w| {
+                        let (sched, body) = (&sched, &body);
+                        s.spawn(move || sched.run_worker(w, body))
+                    })
+                    .collect();
+                workers.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert_eq!(results, [[ParkOutcome::Granted], [ParkOutcome::Granted]]);
+            assert!(!sched.stalled(), "rank 0 was running: no stall");
+        }
     }
 }

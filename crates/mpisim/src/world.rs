@@ -4,6 +4,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
@@ -19,14 +20,14 @@ pub struct WorldConfig {
     pub ranks: usize,
     /// Communication cost model for virtual time.
     pub cost: CostModel,
-    /// Stack size reserved per rank continuation.
+    /// Stack size of one rank program.
     ///
-    /// Under the event scheduler ([`SchedMode::Events`]) this is only the
-    /// *reservation* backing a parked task's continuation — mostly
-    /// untouched virtual memory, so even P=16384 worlds fit comfortably.
-    /// It is meaningful as a per-thread stack only in
-    /// [`SchedMode::Threads`] oracle mode; capacity is tuned with
-    /// [`WorldConfig::workers`].
+    /// Under the event scheduler ([`SchedMode::Events`]) every rank runs
+    /// on its own mapping of this size above a guard page — address space
+    /// that is backed only where the rank touches it, so even P=16384
+    /// worlds fit comfortably. A rank that outgrows it dies on the guard
+    /// page (the process gets `SIGSEGV`). Under [`SchedMode::Threads`] it
+    /// is the rank thread's stack size.
     pub stack_bytes: usize,
     /// Optional deterministic fault plan. `None` (the default) keeps every
     /// fault hook on its zero-cost path — fault-free runs are bit-identical
@@ -45,11 +46,12 @@ pub struct WorldConfig {
     /// simulation-visible output is byte-identical between the two
     /// (`tests/sched_differential.rs`).
     pub sched: SchedMode,
-    /// Worker-pool size for [`SchedMode::Events`]: the maximum number of
-    /// rank tasks running simultaneously. `0` (the default) resolves to
-    /// the host's available parallelism. Results are invariant under this
-    /// knob — it trades wall-clock parallelism only. Ignored in thread
-    /// mode.
+    /// Worker-pool size for [`SchedMode::Events`]: the number of OS
+    /// threads the ranks are spread over (rank `r` lives on worker
+    /// `r % workers`), hence the maximum number of ranks running
+    /// simultaneously. `0` (the default) resolves to
+    /// [`WorldConfig::effective_workers`]. Results are invariant under
+    /// this knob — it trades wall-clock only. Ignored in thread mode.
     pub workers: usize,
 }
 
@@ -82,9 +84,8 @@ impl WorldConfig {
     /// Set the event scheduler's worker-pool size (see
     /// [`WorldConfig::workers`]).
     ///
-    /// Panics if `n == 0`: a pool with no permits can never run anything.
-    /// Use the default (`0` in the field, meaning auto) for host
-    /// parallelism.
+    /// Panics if `n == 0`: a pool with no worker can never run anything.
+    /// Leave the field at its default (`0`, meaning auto) otherwise.
     pub fn with_workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "worker pool needs at least one worker");
         self.workers = n;
@@ -111,16 +112,18 @@ impl WorldConfig {
         self
     }
 
-    /// The effective worker-pool size: the configured value, or the
-    /// host's available parallelism when left at the `0` (auto) default.
+    /// The effective worker-pool size: the configured value, or one
+    /// worker when left at the `0` (auto) default.
+    ///
+    /// Auto is one worker, not the host's parallelism, because a rank does
+    /// microseconds of work between block points: a second worker spends
+    /// more on the shared scheduler lock and on waking its sleeping peer
+    /// than it gains. Measured on a 2-CPU host, `workers` 1 → 2 (ms per
+    /// run, median of 5; EXPERIMENTS.md "PR 24"): BT P=64 app-only
+    /// 32 → 47, Chameleon 48 → 98; SP P=256 Chameleon 177 → 551; LU P=1024
+    /// app-only 216 → 221, ScalaTrace 636 → 947 — never faster.
     pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        }
+        self.workers.max(1)
     }
 }
 
@@ -304,7 +307,13 @@ impl World {
         let p = self.config.ranks;
         let record = self.config.record;
         let armed = self.config.faults.is_some();
-        let waiter = Waiter::new(self.config.sched, p, self.config.effective_workers());
+        let stack_bytes = self.config.stack_bytes;
+        let waiter = Waiter::new(
+            self.config.sched,
+            p,
+            self.config.effective_workers(),
+            stack_bytes,
+        );
         let shared = Arc::new(Shared {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             cost: self.config.cost,
@@ -314,80 +323,113 @@ impl World {
             dead: (0..p).map(|_| AtomicBool::new(false)).collect(),
             waiter,
         });
-        let program = Arc::new(program);
         let started = Instant::now();
 
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
+        // One rank's whole life, on whatever stack its engine gives it.
+        // `catch_unwind` sits here, at the rank's entry, on both engines:
+        // crashes, timeouts and genuine panics all end as a `RankExit`.
+        let rank_main = Arc::new({
             let shared = Arc::clone(&shared);
-            let program = Arc::clone(&program);
-            let builder = std::thread::Builder::new()
-                .name(format!("mpisim-rank-{rank}"))
-                .stack_size(self.config.stack_bytes);
-            let handle = builder
-                .spawn(move || {
-                    let recorder = if record {
-                        obs::Recorder::enabled(rank)
-                    } else {
-                        obs::Recorder::disabled()
-                    };
-                    let mut proc = Proc::new(rank, Arc::clone(&shared), recorder);
-                    // Event mode: wait for this task's first run permit, so
-                    // at most `workers` rank programs execute at once.
-                    shared.waiter.start(rank);
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-                    // Read clock, fault tallies, and the flight log after
-                    // the unwind: all three stay meaningful for a crashed
-                    // rank (its log ends at the crash event).
-                    let vtime = proc.now();
-                    let fstats = proc.fault_stats();
-                    let obs_log = proc.take_obs_log();
-                    let exit = match outcome {
-                        Ok(r) => RankExit::Ok(r),
-                        Err(payload) => match payload.downcast::<InjectedCrash>() {
-                            Ok(crash) if tolerant => RankExit::Crashed(*crash),
-                            Ok(crash) => {
-                                shared.poisoned.store(true, Ordering::SeqCst);
-                                shared.waiter.notify_all();
-                                RankExit::Crashed(*crash)
-                            }
-                            Err(payload) => {
-                                shared.poisoned.store(true, Ordering::SeqCst);
-                                shared.waiter.notify_all();
-                                RankExit::Panicked(panic_message(payload))
-                            }
-                        },
-                    };
-                    // Release the run permit for good (the remaining work
-                    // above is local bookkeeping, not simulation).
-                    shared.waiter.exit(rank);
-                    (exit, vtime, fstats, obs_log)
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
-        }
+            move |rank: Rank| -> RankEnd<R> {
+                let recorder = if record {
+                    obs::Recorder::enabled(rank)
+                } else {
+                    obs::Recorder::disabled()
+                };
+                let mut proc = Proc::new(rank, Arc::clone(&shared), recorder);
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
+                // Read clock, fault tallies, and the flight log after
+                // the unwind: all three stay meaningful for a crashed
+                // rank (its log ends at the crash event).
+                let vtime = proc.now();
+                let fstats = proc.fault_stats();
+                let obs_log = proc.take_obs_log();
+                let exit = match outcome {
+                    Ok(r) => RankExit::Ok(r),
+                    Err(payload) => match payload.downcast::<InjectedCrash>() {
+                        Ok(crash) if tolerant => RankExit::Crashed(*crash),
+                        Ok(crash) => {
+                            shared.poisoned.store(true, Ordering::SeqCst);
+                            shared.waiter.notify_all();
+                            RankExit::Crashed(*crash)
+                        }
+                        Err(payload) => {
+                            shared.poisoned.store(true, Ordering::SeqCst);
+                            shared.waiter.notify_all();
+                            RankExit::Panicked(panic_message(payload))
+                        }
+                    },
+                };
+                (exit, vtime, fstats, obs_log)
+            }
+        });
 
-        let mut exits: Vec<RankExit<R>> = Vec::with_capacity(p);
+        // Each OS thread with the ranks it runs, ascending.
+        let threads: Vec<(Vec<Rank>, JoinHandle<Vec<RankEnd<R>>>)> = match &shared.waiter {
+            // `workers` threads, each switching between the stacks of the
+            // ranks homed on it.
+            Waiter::Events(sched) => (0..sched.workers())
+                .map(|w| {
+                    let homed = sched.homed(w).collect();
+                    let sched = Arc::clone(sched);
+                    let rank_main = Arc::clone(&rank_main);
+                    let handle = std::thread::Builder::new()
+                        .name(format!("mpisim-worker-{w}"))
+                        .spawn(move || sched.run_worker(w, &*rank_main))
+                        .expect("failed to spawn worker thread");
+                    (homed, handle)
+                })
+                .collect(),
+            // The oracle: one free-running thread per rank.
+            Waiter::Threads => (0..p)
+                .map(|rank| {
+                    let rank_main = Arc::clone(&rank_main);
+                    let handle = std::thread::Builder::new()
+                        .name(format!("mpisim-rank-{rank}"))
+                        .stack_size(stack_bytes)
+                        .spawn(move || vec![rank_main(rank)])
+                        .expect("failed to spawn rank thread");
+                    (vec![rank], handle)
+                })
+                .collect(),
+        };
+
+        let mut exits: Vec<Option<RankExit<R>>> = (0..p).map(|_| None).collect();
         let mut vtimes = vec![0.0; p];
         let mut fstats = vec![FaultStats::default(); p];
         let mut obs_logs = Vec::new();
-        for (rank, handle) in handles.into_iter().enumerate() {
+        for (ranks, handle) in threads {
             match handle.join() {
-                Ok((exit, vt, fs, log)) => {
-                    exits.push(exit);
-                    vtimes[rank] = vt;
-                    fstats[rank] = fs;
-                    obs_logs.extend(log);
+                Ok(ends) => {
+                    for (rank, (exit, vt, fs, log)) in ranks.into_iter().zip(ends) {
+                        exits[rank] = Some(exit);
+                        vtimes[rank] = vt;
+                        fstats[rank] = fs;
+                        obs_logs.extend(log);
+                    }
                 }
                 // The thread died outside catch_unwind (e.g. a panic while
                 // panicking); report what we can.
-                Err(payload) => exits.push(RankExit::Panicked(panic_message(payload))),
+                Err(payload) => {
+                    let msg = panic_message(payload);
+                    for rank in ranks {
+                        exits[rank] = Some(RankExit::Panicked(msg.clone()));
+                    }
+                }
             }
         }
+        let exits = exits
+            .into_iter()
+            .map(|exit| exit.expect("every rank belongs to one joined thread"))
+            .collect();
         let journal = record.then(|| obs::RunJournal::gather(p, armed, obs_logs));
         (exits, vtimes, fstats, journal, started.elapsed())
     }
 }
+
+/// What one rank hands back when it ends: how, its final virtual time, its
+/// fault tallies and its flight log.
+type RankEnd<R> = (RankExit<R>, VirtualTime, FaultStats, Option<obs::RankLog>);
 
 /// How one rank's thread ended.
 enum RankExit<R> {

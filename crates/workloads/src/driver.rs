@@ -82,8 +82,9 @@ pub struct Overrides {
     /// (`tests/sched_differential.rs`) uses this as its oracle; every
     /// simulation-visible output is byte-identical between the two.
     pub thread_sched: bool,
-    /// Event-scheduler worker-pool size (`0` = host parallelism). Results
-    /// are invariant under this knob; it trades wall-clock only.
+    /// Event-scheduler worker-pool size (`0` = the world's default, one
+    /// worker). Results are invariant under this knob; it trades
+    /// wall-clock only.
     pub workers: usize,
 }
 

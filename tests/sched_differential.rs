@@ -16,15 +16,55 @@
 //! any divergence caught here is a scheduler bug, not an expected drift.
 
 use chameleon_repro::chameleon::ChameleonConfig;
+use chameleon_repro::mpisim::FaultPlan;
 use chameleon_repro::obs::query::{fnv64, journal_digest};
 use chameleon_repro::scalatrace::format as trace_format;
 use chameleon_repro::workloads::chaos::{
     chaos_plan, marker_entry_ops, root_crash_plan, run_chaos_result_on,
 };
 use chameleon_repro::workloads::degraded::{degraded_detector, straggler_plan};
-use chameleon_repro::workloads::driver::{run, Mode, Overrides};
+use chameleon_repro::workloads::driver::{run, Mode, Overrides, RunReport};
 use chameleon_repro::workloads::registry::workload;
 use chameleon_repro::workloads::Class;
+
+/// Assert every simulation-visible output of two runs of one
+/// configuration agrees: virtual time, survivor set, fault counters,
+/// per-rank Chameleon stats, trace digest, journal bytes.
+fn assert_same_outputs(a: &RunReport, b: &RunReport, label: &str) {
+    assert_eq!(
+        a.app_vtime, b.app_vtime,
+        "{label}: app vtime must be bit-identical"
+    );
+    assert_eq!(a.crashed, b.crashed, "{label}: survivor sets must agree");
+    assert_eq!(
+        a.fault_stats, b.fault_stats,
+        "{label}: fault counters must agree"
+    );
+    assert_eq!(
+        a.cham_stats, b.cham_stats,
+        "{label}: per-rank Chameleon stats must agree"
+    );
+    match (&a.global_trace, &b.global_trace) {
+        (Some(a), Some(b)) => {
+            let da = fnv64(trace_format::to_text(a).as_bytes());
+            let db = fnv64(trace_format::to_text(b).as_bytes());
+            assert_eq!(da, db, "{label}: trace digests must agree");
+        }
+        (None, None) => {}
+        _ => panic!("{label}: one run produced a trace, the other did not"),
+    }
+    match (&a.journal, &b.journal) {
+        (Some(a), Some(b)) => {
+            assert_eq!(
+                a.to_jsonl(),
+                b.to_jsonl(),
+                "{label}: journals must be byte-identical"
+            );
+        }
+        (None, None) => {}
+        _ => panic!("{label}: one run gathered a journal, the other did not"),
+    }
+}
 
 /// Run one driver-level configuration on both schedulers and assert
 /// every simulation-visible output agrees.
@@ -34,45 +74,7 @@ fn assert_driver_parity(name: &str, p: usize, mode: Mode, overrides: Overrides, 
         o.thread_sched = thread_sched;
         run(workload(name, 25), Class::A, p, mode.clone(), o)
     };
-    let events = on(false);
-    let threads = on(true);
-
-    assert_eq!(
-        events.app_vtime, threads.app_vtime,
-        "{label}: app vtime must be bit-identical"
-    );
-    assert_eq!(
-        events.crashed, threads.crashed,
-        "{label}: survivor sets must agree"
-    );
-    assert_eq!(
-        events.fault_stats, threads.fault_stats,
-        "{label}: fault counters must agree"
-    );
-    assert_eq!(
-        events.cham_stats, threads.cham_stats,
-        "{label}: per-rank Chameleon stats must agree"
-    );
-    match (&events.global_trace, &threads.global_trace) {
-        (Some(a), Some(b)) => {
-            let da = fnv64(trace_format::to_text(a).as_bytes());
-            let db = fnv64(trace_format::to_text(b).as_bytes());
-            assert_eq!(da, db, "{label}: trace digests must agree");
-        }
-        (None, None) => {}
-        _ => panic!("{label}: one scheduler produced a trace, the other did not"),
-    }
-    match (&events.journal, &threads.journal) {
-        (Some(a), Some(b)) => {
-            assert_eq!(
-                a.to_jsonl(),
-                b.to_jsonl(),
-                "{label}: journals must be byte-identical"
-            );
-        }
-        (None, None) => {}
-        _ => panic!("{label}: one scheduler gathered a journal, the other did not"),
-    }
+    assert_same_outputs(&on(false), &on(true), label);
 }
 
 #[test]
@@ -103,7 +105,7 @@ fn lu_lossy_link_parity() {
             Overrides {
                 journal: true,
                 faults: Some(
-                    chameleon_repro::mpisim::FaultPlan::new(seed)
+                    FaultPlan::new(seed)
                         .corrupt_per_mille(150)
                         .duplicate_per_mille(40),
                 ),
@@ -213,37 +215,35 @@ fn rootcrash_deputy_promotion_parity() {
 #[test]
 fn parity_holds_across_worker_pool_sizes() {
     // The thread oracle is one fixed point; the event scheduler must also
-    // agree with itself across pool sizes (full invariance grid lives in
-    // tests/prop_sched.rs — this pins the driver-level plumbing).
-    let base = run(
-        workload("BT", 25),
-        Class::A,
-        8,
-        Mode::Chameleon,
-        Overrides {
-            journal: true,
-            workers: 1,
-            ..Default::default()
-        },
-    );
-    for workers in [2usize, 8] {
-        let other = run(
-            workload("BT", 25),
-            Class::A,
-            8,
-            Mode::Chameleon,
-            Overrides {
+    // agree with itself however many workers its ranks are spread over
+    // (1 = one sequential worker; 2 and 8 put neighbouring ranks on
+    // different OS threads, so every wake crosses workers). Fault-free BT
+    // and LU over a lossy link, at 16 ranks; the randomized grid lives in
+    // tests/prop_sched.rs.
+    let lossy = FaultPlan::new(3)
+        .corrupt_per_mille(150)
+        .duplicate_per_mille(40);
+    for (name, faults) in [("BT", None), ("LU", Some(lossy))] {
+        let on = |workers: usize, thread_sched: bool| {
+            let overrides = Overrides {
                 journal: true,
+                faults: faults.clone(),
+                retry_budget: faults.as_ref().map(|_| 3),
                 workers,
+                thread_sched,
                 ..Default::default()
-            },
-        );
-        assert_eq!(
-            base.journal.as_ref().unwrap().to_jsonl(),
-            other.journal.as_ref().unwrap().to_jsonl(),
-            "workers={workers}: journal must not depend on pool size"
-        );
-        assert_eq!(base.app_vtime, other.app_vtime);
-        assert_eq!(base.cham_stats, other.cham_stats);
+            };
+            run(workload(name, 25), Class::A, 16, Mode::Chameleon, overrides)
+        };
+        let base = on(1, false);
+        assert!(base.journal.is_some() && base.global_trace.is_some());
+        for workers in [2usize, 8] {
+            assert_same_outputs(
+                &base,
+                &on(workers, false),
+                &format!("{name} workers={workers}"),
+            );
+        }
+        assert_same_outputs(&base, &on(0, true), &format!("{name} thread oracle"));
     }
 }
