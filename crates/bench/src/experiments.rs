@@ -16,8 +16,8 @@ use workloads::lu::LuPhaseChange;
 use workloads::{Class, Workload};
 
 use crate::config::HarnessConfig;
-use crate::registry::{workload, STRONG_SET, TABLE2_SET, WEAK_SET};
 use crate::report::{secs, speedup, Table};
+use workloads::registry::{workload, STRONG_SET, TABLE2_SET, WEAK_SET};
 
 fn chameleon_run(cfg: &HarnessConfig, name: &str, p: usize, ov: Overrides) -> RunReport {
     run(workload(name, cfg.scale), cfg.class, p, Mode::Chameleon, ov)

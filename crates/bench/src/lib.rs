@@ -23,7 +23,6 @@
 pub mod config;
 pub mod experiments;
 pub mod harness;
-pub mod registry;
 pub mod report;
 
 pub use config::HarnessConfig;

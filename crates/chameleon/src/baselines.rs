@@ -69,7 +69,7 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
     // Whole-run signatures over the compressed trace (Algorithm 1's
     // literal input); equivalent to the never-rotated interval here but
     // consistent with Chameleon's clustering inputs.
-    let triple = crate::runtime::trace_triple_of(tp.tracer().trace());
+    let triple = crate::runtime::trace_triple(tp.tracer().trace());
     let _ = tp.tracer_mut().rotate_interval();
 
     // Hierarchical clustering over the rank tree (same machinery

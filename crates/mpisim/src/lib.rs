@@ -50,7 +50,7 @@ pub mod topology;
 pub mod world;
 
 pub use fault::{CrashFault, FaultPlan, FaultStats, InjectedCrash, LinkRamp};
-pub use proc::{PendingRecv, Proc, Rank, RecvInfo, SrcSel, Tag, TagSel};
+pub use proc::{Proc, Rank, RecvInfo, SrcSel, Tag, TagSel};
 pub use reliable::{ProtocolError, RetryPolicy};
 pub use sched::SchedMode;
 pub use time::{CostModel, VirtualClock, VirtualTime, WorkModel};

@@ -48,20 +48,6 @@ pub struct RecvInfo {
     pub payload: Vec<u8>,
 }
 
-/// A message dequeued by [`Proc::recv_from_set`] whose clock accounting
-/// has not happened yet — pass it to [`Proc::complete_recv`] when its
-/// deterministic processing slot comes up.
-#[derive(Debug, Clone)]
-pub struct PendingRecv {
-    /// Actual sender.
-    pub src: Rank,
-    /// Message payload.
-    pub payload: Vec<u8>,
-    /// Modeled arrival time in the sender's clock domain (tool or app,
-    /// per the communicator the message was sent on).
-    pub arrival: f64,
-}
-
 /// Per-rank communication statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcStats {
@@ -491,43 +477,6 @@ impl Proc {
             })
             .expect("an unbounded block returns only with a value");
         self.finish_recv(env, comm)
-    }
-
-    /// Blocking receive matching any rank in `srcs` on a fixed tag, in
-    /// *arrival* order (FIFO per sender is preserved). The pipelined tree
-    /// reduction is built on this: an interior rank takes whichever child
-    /// trace lands first instead of blocking on a fixed child order, so
-    /// merge work overlaps across tree levels. Restricting the match to
-    /// `srcs` (rather than a plain wildcard) keeps a child's message for
-    /// the *next* reduction on the same tag from being stolen.
-    ///
-    /// Clock accounting is **deferred**: dequeue order is a scheduling
-    /// artifact, and syncing the virtual clock here would leak it into
-    /// modeled time (breaking run-to-run determinism). The caller must
-    /// invoke [`Proc::complete_recv`] with the returned arrival stamp once
-    /// per message, in a deterministic order of its choosing. If another
-    /// rank panicked, this aborts (panics) instead of blocking forever.
-    pub fn recv_from_set(&mut self, srcs: &[Rank], tag: Tag, comm: Comm) -> PendingRecv {
-        let peer = srcs.first().copied().unwrap_or(0);
-        let env = self
-            .block_on(POLL_SLICE, peer, tag, None, |p| {
-                p.take(|e| srcs.contains(&e.src) && e.matches(SrcSel::Any, TagSel::Tag(tag), comm))
-            })
-            .expect("an unbounded block returns only with a value");
-        PendingRecv {
-            src: env.src,
-            payload: env.payload,
-            arrival: env.arrival,
-        }
-    }
-
-    /// Apply the clock synchronization and accounting for a message taken
-    /// with [`Proc::recv_from_set`]. Callers invoke this in a
-    /// deterministic order (e.g. canonical child order in a tree
-    /// reduction), which makes the modeled clocks independent of the
-    /// host's actual message timing.
-    pub fn complete_recv(&mut self, msg: &PendingRecv, comm: Comm) {
-        self.account_recv(msg.arrival, msg.payload.len(), comm);
     }
 
     /// [`Proc::account_recv`] for a message received in program order.

@@ -13,16 +13,19 @@
 //! result to its parent. Traces travel serialized in the trace text
 //! format over the tool communicator, so they never appear in any trace.
 //!
-//! The reduction is **pipelined**: an interior rank takes child traces in
-//! *arrival* order ([`mpisim::Proc::recv_from_set`]) instead of blocking
-//! on a fixed receive order, so merge work at one tree level overlaps
-//! with children still reducing their own subtrees. Arrivals that jump
-//! the queue are buffered and *folded* in canonical child order — the
-//! merged trace must be bit-identical run to run (the determinism suite
-//! holds the simulator to that), so fold order cannot depend on thread
-//! scheduling; each child is folded the moment it and all its
-//! left siblings are in. Each fold's cost is charged from the merge's
-//! *measured* counters ([`crate::merge::MergeMetrics`] via
+//! Each interior rank receives its children in **canonical** child order
+//! over [`Proc::reliable_recv`] — a plain matched receive when no fault
+//! plan is armed, a CRC-framed transfer with one re-request before
+//! degrading when one is. The merged trace must be bit-identical run to
+//! run (the determinism suite holds the simulator to that), so the fold
+//! order and the clock accounting of each receive follow the tree, never
+//! arrival order. Taking children as they land would only reorder host
+//! work: the folds would still wait for their left siblings, and every
+//! modeled cost lands in the same canonical order either way. A dead child
+//! costs its whole subtree (no mid-merge rerouting — grandchildren shipped
+//! into the dead child are gone, and they count their own loss when their
+//! ship-up sees the dead parent). Each fold's cost is charged from the
+//! merge's *measured* counters ([`crate::merge::MergeMetrics`] via
 //! [`WorkModel::merge_measured`]), and per-level timings come back in the
 //! [`MergeOutcome`] for aggregation.
 
@@ -106,38 +109,32 @@ pub fn radix_tree_merge(
     let tree = RadixTree::new(radix, participants.len());
     let obs_t0 = proc.tool_time();
 
-    // Receive children's subtree traces in arrival order (pipelining:
-    // this rank works on an early subtree while a slow sibling subtree is
-    // still reducing below), but fold them in canonical child order so the
-    // merged trace never depends on scheduling. Out-of-order arrivals are
-    // buffered until their left siblings are in.
     let work = WorkModel::calibrated();
     let mut compute = 0.0f64;
     let mut acc = my_trace.clone();
     let mut degraded = 0u64;
-    let children: Vec<Rank> = tree
-        .children(my_pos)
-        .into_iter()
-        .map(|pos| participants[pos])
-        .collect();
     let mut timing = LevelTiming {
         level: tree.depth(my_pos),
         ..LevelTiming::default()
     };
-    let mut fold = |proc: &mut Proc,
-                    acc: &mut CompressedTrace,
-                    payload: &[u8],
-                    compute: &mut f64,
-                    degraded: &mut u64| {
-        match decode_wire_trace(payload) {
+    for child_pos in tree.children(my_pos) {
+        let child = participants[child_pos];
+        let Ok(payload) =
+            proc.reliable_recv(child, TRACE_MERGE_TAG, Comm::TOOL, RetryPolicy::Bounded(1))
+        else {
+            degraded += 1;
+            continue;
+        };
+        let mut cost = work.codec(payload.len());
+        match decode_wire_trace(&payload) {
             Ok(child_trace) => {
                 let touched = acc.compressed_size() + child_trace.compressed_size();
-                let (folded, met) =
-                    merge_into(std::mem::replace(acc, CompressedTrace::new()), &child_trace);
-                *acc = folded;
-                let cost = work.codec(payload.len()) + work.merge_measured(met.dp_cells, touched);
-                proc.tool_compute(cost);
-                *compute += cost;
+                let (folded, met) = merge_into(
+                    std::mem::replace(&mut acc, CompressedTrace::new()),
+                    &child_trace,
+                );
+                acc = folded;
+                cost += work.merge_measured(met.dp_cells, touched);
                 timing.merges += 1;
                 timing.seconds += cost;
                 timing.dp_cells += met.dp_cells;
@@ -147,51 +144,12 @@ pub fn radix_tree_merge(
                 proc.metric_add(obs::Counter::FastPath, met.fast_path as u64);
                 proc.metric_observe(obs::HistId::DpCellsPerMerge, met.dp_cells);
             }
-            Err(_) => {
-                // The bytes arrived (CRC-clean when armed) but do not
-                // decode: drop this subtree's contribution and continue.
-                let cost = work.codec(payload.len());
-                proc.tool_compute(cost);
-                *compute += cost;
-                *degraded += 1;
-            }
+            // The bytes arrived (CRC-clean when armed) but do not decode:
+            // drop this subtree's contribution and continue.
+            Err(_) => degraded += 1,
         }
-    };
-
-    if proc.faults_armed() {
-        // Armed worlds abandon pipelining for canonical-order reliable
-        // receives: each child transfer is CRC-framed with one re-request
-        // before degrading, and a dead child costs its whole subtree (no
-        // mid-merge rerouting — grandchildren shipped into the dead child
-        // are gone, and they count their own loss when their ship-up sees
-        // the dead parent).
-        for &child in &children {
-            match proc.reliable_recv(child, TRACE_MERGE_TAG, Comm::TOOL, RetryPolicy::Bounded(1)) {
-                Ok(bytes) => fold(proc, &mut acc, &bytes, &mut compute, &mut degraded),
-                Err(_) => degraded += 1,
-            }
-        }
-    } else {
-        let mut pending: Vec<Rank> = children.clone();
-        let mut buffered: Vec<Option<mpisim::PendingRecv>> = vec![None; children.len()];
-        let mut next = 0usize;
-        while next < children.len() {
-            let Some(msg) = buffered[next].take() else {
-                let msg = proc.recv_from_set(&pending, TRACE_MERGE_TAG, Comm::TOOL);
-                pending.retain(|&r| r != msg.src);
-                let idx = children
-                    .iter()
-                    .position(|&r| r == msg.src)
-                    .expect("sender is one of this position's children");
-                buffered[idx] = Some(msg);
-                continue;
-            };
-            // Clock accounting happens here, in canonical child order, so
-            // the modeled tool time never encodes the host's dequeue order.
-            proc.complete_recv(&msg, Comm::TOOL);
-            fold(proc, &mut acc, &msg.payload, &mut compute, &mut degraded);
-            next += 1;
-        }
+        proc.tool_compute(cost);
+        compute += cost;
     }
     let timings = if timing.merges > 0 {
         vec![timing]
@@ -373,10 +331,10 @@ mod tests {
     #[test]
     fn fold_order_is_deterministic_under_arrival_skew() {
         // Root 0 has children ranks 1 and 2. Whichever child stalls, the
-        // merged node order must be identical: arrivals are taken as they
-        // land (pipelining), but folds happen in canonical child order, so
-        // the output never encodes thread scheduling. With disjoint traces
-        // any fold-order leak would be visible in the node order.
+        // merged node order must be identical: children are received and
+        // folded in canonical child order, so the output never encodes
+        // thread scheduling. With disjoint traces any fold-order leak
+        // would be visible in the node order.
         for slow in [1usize, 2] {
             let report = World::new(WorldConfig::for_tests(3))
                 .run(move |proc| {

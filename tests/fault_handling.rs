@@ -5,10 +5,11 @@
 use std::sync::Arc;
 
 use chameleon_repro::chameleon::{Chameleon, ChameleonConfig};
-use chameleon_repro::mpisim::{Comm, CostModel, World, WorldConfig};
+use chameleon_repro::mpisim::{Comm, CostModel, FaultPlan, World, WorldConfig};
 use chameleon_repro::scalareplay::replay;
 use chameleon_repro::scalatrace::{format, TracedProc};
 use chameleon_repro::workloads::driver::{run, Mode, Overrides, ScaledWorkload};
+use chameleon_repro::workloads::registry::workload;
 use chameleon_repro::workloads::{bt::Bt, Class};
 
 #[test]
@@ -38,9 +39,9 @@ fn rank_panic_mid_clustering_does_not_hang() {
 #[test]
 fn rank_panic_mid_reduction_does_not_hang() {
     // A leaf dies before shipping its subtree trace. Its parent is
-    // blocked in the pipelined receive (`recv_from_set`), the root is
-    // blocked on the parent — both must abort via the poison flag instead
-    // of waiting on a message that will never come.
+    // blocked in the canonical-order child receive, the root is blocked on
+    // the parent — both must abort via the poison flag instead of waiting
+    // on a message that will never come.
     use chameleon_repro::scalatrace::reduction::radix_tree_merge;
     use chameleon_repro::scalatrace::{CompressedTrace, Endpoint, EventRecord, MpiOp};
     use chameleon_repro::sigkit::StackSig;
@@ -80,6 +81,44 @@ fn rank_panic_mid_reduction_does_not_hang() {
         "the stall must propagate up the tree, got {:?}",
         err.failures
     );
+}
+
+#[test]
+fn armed_plan_without_faults_matches_unarmed() {
+    // The marker protocol is written once over the reliable transport. An
+    // armed plan that injects nothing must carry exactly the protocol of
+    // an unarmed run: same online trace, same app time, same state
+    // sequence, nothing degraded.
+    for (name, p) in [
+        ("BT", 16),
+        ("LU", 16),
+        ("POP", 16),
+        ("S3D", 16),
+        ("EMF", 17),
+    ] {
+        let go = |faults: Option<FaultPlan>| {
+            let ov = Overrides {
+                faults,
+                ..Overrides::default()
+            };
+            run(workload(name, 25), Class::A, p, Mode::Chameleon, ov)
+        };
+        let (plain, armed) = (go(None), go(Some(FaultPlan::new(3))));
+        let text = |r: &chameleon_repro::workloads::driver::RunReport| {
+            format::to_text(r.global_trace.as_ref().expect("online trace"))
+        };
+        assert_eq!(text(&plain), text(&armed), "{name}/{p}: online trace");
+        assert_eq!(
+            plain.app_vtime.to_bits(),
+            armed.app_vtime.to_bits(),
+            "{name}/{p}: app vtime"
+        );
+        assert_eq!(plain.cham_stats.len(), armed.cham_stats.len());
+        for (r, (a, b)) in plain.cham_stats.iter().zip(&armed.cham_stats).enumerate() {
+            assert_eq!(a.states, b.states, "{name}/{p}: rank {r} states");
+            assert_eq!(b.degraded_slices, 0, "{name}/{p}: rank {r} degraded");
+        }
+    }
 }
 
 #[test]
