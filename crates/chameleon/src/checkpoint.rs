@@ -42,8 +42,10 @@ use std::fmt;
 use clusterkit::LeadSelection;
 use mpisim::reliable::frame_crc;
 use mpisim::Rank;
-use scalatrace::CompressedTrace;
+use scalatrace::{CompressedTrace, TracedProc};
 use sigkit::CallPathSig;
+
+use crate::runtime::{Chameleon, CKPT_ACK_TAG, CKPT_SHIP_TAG};
 
 /// Leading magic of every checkpoint blob.
 pub const MAGIC: &[u8; 5] = b"CKPT1";
@@ -330,6 +332,107 @@ impl<'a> Cursor<'a> {
             });
         }
         Ok(raw as usize)
+    }
+}
+
+impl Chameleon {
+    /// Durable-checkpoint protocol, run at the close of every processed
+    /// marker whose invocation count is a multiple of `ckpt_stride`: the
+    /// online-trace root serializes its recovery state ([`Checkpoint`]),
+    /// optionally persists it to `ckpt_dir` (wall-clock I/O, invisible to
+    /// the simulation), and replicates it to the deputy — the
+    /// next-smallest survivor — over the passive obs plane. Obs traffic
+    /// never ticks the op counter, so a planned crash cannot strike
+    /// mid-replication: the ship/ack pair is crash-atomic.
+    pub(crate) fn checkpoint_if_due(&mut self, tp: &mut TracedProc) {
+        let stride = self.config.ckpt_stride;
+        if stride == 0 || !self.stats.marker_invocations.is_multiple_of(stride) || self.replaying()
+        {
+            return;
+        }
+        let me = tp.rank();
+        let root = self.online_root();
+        let deputy = self.alive.get(1).copied();
+        if me == root {
+            let ckpt = self.capture(tp);
+            let bytes = ckpt.encode();
+            if let Some(dir) = &self.config.ckpt_dir {
+                let path = dir.join(format!("ckpt-{:06}.bin", ckpt.marker));
+                // Persistence failure must degrade durability, not the
+                // run: the deputy replica still covers a root crash.
+                if let Err(e) = std::fs::write(&path, &bytes) {
+                    eprintln!("chameleon: checkpoint write {} failed: {e}", path.display());
+                }
+            }
+            if let Some(dep) = deputy {
+                tp.inner().obs_ship(dep, CKPT_SHIP_TAG, bytes.clone());
+                // Block for the ack so replication completes before the
+                // next faultable op; a dead deputy resolves to `None`.
+                let _ = tp.inner().obs_collect_or_dead(dep, CKPT_ACK_TAG);
+            }
+            let marker = ckpt.marker;
+            let nbytes = bytes.len() as u64;
+            let deputy_field = deputy.map_or(u64::MAX, |d| d as u64);
+            tp.inner().record(|| obs::EventKind::Checkpoint {
+                marker,
+                bytes: nbytes,
+                deputy: deputy_field,
+            });
+        } else if Some(me) == deputy {
+            // Lock-step with the root: both sides derive the same stride
+            // schedule from the agreed alive set, and a root that died
+            // mid-slice resolves the collect to `None`.
+            if let Some(bytes) = tp.inner().obs_collect_or_dead(root, CKPT_SHIP_TAG) {
+                self.replica = Some(bytes);
+                tp.inner().obs_ship(root, CKPT_ACK_TAG, vec![1]);
+            }
+        }
+    }
+
+    /// Capture this rank's recovery state (valid only on the online
+    /// root).
+    pub(crate) fn capture(&self, tp: &mut TracedProc) -> Checkpoint {
+        let (old_call_path, re_clustering, lead_flag) = self.graph.snapshot();
+        Checkpoint {
+            marker: self.stats.marker_invocations,
+            marker_calls: self.stats.marker_calls,
+            root: tp.rank() as u64,
+            alive: self.alive.clone(),
+            old_call_path,
+            re_clustering,
+            lead_flag,
+            selection: self.selection.clone(),
+            trace: self.online_trace.clone(),
+            metrics: tp.inner().metrics_encode().unwrap_or_default(),
+            journal_hwm: tp.inner().obs_len() as u64,
+        }
+    }
+
+    /// Close a resume replay's fast-forward window: at the checkpoint's
+    /// marker, install its online trace on the root and journal the
+    /// resume. The replayed transition graph must agree with the
+    /// checkpointed one — both are deterministic functions of the same
+    /// vote history.
+    pub(crate) fn maybe_install_resume(&mut self, tp: &mut TracedProc) {
+        let due = self
+            .resume
+            .as_ref()
+            .is_some_and(|c| self.stats.marker_invocations == c.marker);
+        if !due {
+            return;
+        }
+        let ckpt = self.resume.take().expect("due implies present");
+        debug_assert_eq!(
+            self.graph.snapshot(),
+            (ckpt.old_call_path, ckpt.re_clustering, ckpt.lead_flag),
+            "resume replay diverged from the checkpointed transition graph"
+        );
+        if tp.rank() == self.online_root() {
+            let marker = ckpt.marker;
+            let hwm = ckpt.journal_hwm;
+            self.online_trace = ckpt.trace;
+            tp.inner().record(|| obs::EventKind::Resume { marker, hwm });
+        }
     }
 }
 

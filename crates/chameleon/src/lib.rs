@@ -31,14 +31,18 @@
 //! * [`stats`] — per-rank overhead timers, state counts (Table II), and
 //!   per-state trace-memory accounting (Table IV);
 //! * [`runtime`] — the [`runtime::Chameleon`] driver: `marker()` and
-//!   `finalize()` wrappers (Algorithm 3);
+//!   `finalize()` wrappers (Algorithm 3); its clustering branch (cluster,
+//!   hand out the selection, merge the leads online) and its health plane
+//!   live in the private `cluster` and `health` modules;
 //! * [`baselines`] — plain ScalaTrace (all-rank merge at finalize) and
 //!   ACURDION (signature clustering at finalize) comparators.
 
 pub mod baselines;
 pub mod checkpoint;
+mod cluster;
 pub mod config;
 pub mod energy;
+mod health;
 pub mod runtime;
 pub mod state;
 pub mod stats;
