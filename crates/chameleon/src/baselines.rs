@@ -15,13 +15,13 @@
 
 use std::time::Duration;
 
-use clusterkit::{ClusterMap, LeadSelection};
-use mpisim::{Comm, Rank, SrcSel, TagSel};
+use mpisim::{Comm, Rank, RetryPolicy, SrcSel, TagSel};
 use scalatrace::reduction::radix_tree_merge;
 use scalatrace::{format, CompressedTrace, TracedProc};
 
+use crate::cluster::{cluster_up, distribute};
 use crate::config::ChameleonConfig;
-use crate::runtime::{CLUSTER_TAG, ONLINE_TAG};
+use crate::runtime::ONLINE_TAG;
 
 /// Outcome of a finalize-time baseline on one rank.
 #[derive(Debug, Clone)]
@@ -64,7 +64,6 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
     tp.inner().barrier(Comm::TOOL);
     let trace_bytes = tp.tracer().trace_bytes();
     let me = tp.rank();
-    let p = tp.size();
 
     // Whole-run signatures over the compressed trace (Algorithm 1's
     // literal input); equivalent to the never-rotated interval here but
@@ -72,49 +71,29 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
     let triple = crate::runtime::trace_triple(tp.tracer().trace());
     let _ = tp.tracer_mut().rotate_interval();
 
-    // Hierarchical clustering over the rank tree (same machinery
-    // Chameleon uses online).
+    // Hierarchical clustering over the rank tree: Chameleon's own upward
+    // pass and selection hand-out, over every rank of a faultless world.
     let tool0 = tp.inner().tool_time();
     let algo = config.algo.build();
-    let tree = mpisim::RadixTree::new(config.radix, p);
-    let mut map = ClusterMap::from_rank(me, &triple);
-    let work = mpisim::WorkModel::calibrated();
-    for child in tree.children(me) {
-        let info = tp
-            .inner()
-            .recv(SrcSel::Rank(child), TagSel::Tag(CLUSTER_TAG), Comm::TOOL);
-        tp.inner().tool_compute(work.codec(info.payload.len()));
+    let participants: Vec<Rank> = (0..tp.size()).collect();
+    let root_sel = cluster_up(
+        tp,
+        config,
+        &*algo,
+        &participants,
+        &triple,
+        |_| RetryPolicy::Bounded(config.retry_budget),
         // A bad payload (unreachable on the faultless simulated link)
         // costs the child's entries, not the run.
-        if let Ok(child_map) = ClusterMap::decode(&info.payload) {
-            map.merge(child_map);
-        }
-    }
-    tp.inner().tool_compute(work.cluster(map.total_clusters()));
-    map.prune(config.k, &*algo);
-    let sel = match tree.parent(me) {
-        Some(parent) => {
-            let wire = map.encode();
-            tp.inner().tool_compute(work.codec(wire.len()));
-            tp.inner().send(parent, CLUSTER_TAG, Comm::TOOL, &wire);
-            let enc = tp.inner().bcast(&[], 0, Comm::TOOL);
-            tp.inner().tool_compute(work.codec(enc.len()));
-            LeadSelection::decode(&enc)
-                .unwrap_or_else(|e| panic!("cluster protocol bug on a faultless channel: {e}"))
-        }
-        None => {
-            tp.inner().tool_compute(work.cluster(map.total_clusters()));
-            let sel = LeadSelection::select(map, config.k, &*algo);
-            let wire = sel.encode();
-            tp.inner().tool_compute(work.codec(wire.len()));
-            tp.inner().bcast(&wire, 0, Comm::TOOL);
-            sel
-        }
-    };
+        &mut false,
+    );
+    let sel = distribute(tp, root_sel, &participants, &mut false)
+        .expect("a faultless world's clustering root never dies");
     let clustering_time = Duration::from_secs_f64(tp.inner().tool_time() - tool0);
 
     // Top-K lead-trace merge, shipped to rank 0.
     let tool0 = tp.inner().tool_time();
+    let work = mpisim::WorkModel::calibrated();
     let mut global = None;
     if sel.is_lead(me) {
         let cluster = sel
@@ -180,7 +159,7 @@ mod tests {
 
     #[test]
     fn scalatrace_merges_all_ranks() {
-        let report = World::new(WorldConfig::for_tests(6))
+        let report = World::new(WorldConfig::new(6))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 5);
@@ -201,7 +180,7 @@ mod tests {
 
     #[test]
     fn acurdion_covers_ranks_with_few_leads() {
-        let report = World::new(WorldConfig::for_tests(8))
+        let report = World::new(WorldConfig::new(8))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 5);
@@ -224,14 +203,14 @@ mod tests {
         // two wrap-around ranks (offsets ±(p-1)) and the interior. With K
         // large enough to give each group a lead, the clustered trace is
         // structurally identical to the full ScalaTrace merge.
-        let st = World::new(WorldConfig::for_tests(4))
+        let st = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 4);
                 scalatrace_finalize(&mut tp, 2)
             })
             .unwrap();
-        let ac = World::new(WorldConfig::for_tests(4))
+        let ac = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 4);
@@ -248,14 +227,14 @@ mod tests {
     fn acurdion_small_k_drops_only_redundant_structure() {
         // With K=2 the two wrap-around ranks share one lead: the clustered
         // trace is smaller than the full merge but still covers all ranks.
-        let st = World::new(WorldConfig::for_tests(4))
+        let st = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 4);
                 scalatrace_finalize(&mut tp, 2)
             })
             .unwrap();
-        let ac = World::new(WorldConfig::for_tests(4))
+        let ac = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 4);

@@ -8,6 +8,7 @@ use scalatrace::reduction::{decode_wire_trace, radix_tree_merge};
 use scalatrace::TracedProc;
 use sigkit::SignatureTriple;
 
+use crate::config::ChameleonConfig;
 use crate::runtime::{tool_since, trace_triple, Chameleon, CLUSTER_TAG, ONLINE_TAG, SELECT_TAG};
 
 impl Chameleon {
@@ -41,55 +42,27 @@ impl Chameleon {
         let tool0 = tp.inner().tool_time();
         let algo = self.config.algo.build();
         let me = tp.rank();
-        let participants = self.alive.clone();
-        let my_pos = participants
-            .iter()
-            .position(|&r| r == me)
-            .expect("a running rank is always in the agreed alive set");
-        let tree = mpisim::RadixTree::new(self.config.radix, participants.len());
-
-        let work = mpisim::WorkModel::calibrated();
-        let mut map = ClusterMap::from_rank(me, triple);
-        for child_pos in tree.children(my_pos) {
-            let child = participants[child_pos];
-            let policy = self.retry_toward(child);
-            match tp
-                .inner()
-                .reliable_recv(child, CLUSTER_TAG, Comm::TOOL, policy)
-            {
-                Ok(payload) => {
-                    tp.inner().tool_compute(work.codec(payload.len()));
-                    match ClusterMap::decode(&payload) {
-                        Ok(child_map) => map.merge(child_map),
-                        Err(_) => self.slice_degraded = true,
-                    }
-                }
-                Err(_) => self.slice_degraded = true,
-            }
-        }
-        // Per-node pruning keeps every node's working set at O(K).
-        tp.inner().tool_compute(work.cluster(map.total_clusters()));
-        map.prune(self.config.k, &*algo);
-        let root_sel = match tree.parent(my_pos) {
-            Some(parent_pos) => {
-                let wire = map.encode();
-                tp.inner().tool_compute(work.codec(wire.len()));
-                if tp
-                    .inner()
-                    .reliable_send(participants[parent_pos], CLUSTER_TAG, Comm::TOOL, &wire)
-                    .is_err()
-                {
-                    // Dead parent: this subtree's entries miss the selection.
-                    self.slice_degraded = true;
-                }
-                None
-            }
-            None => {
-                tp.inner().tool_compute(work.cluster(map.total_clusters()));
-                Some(LeadSelection::select(map, self.config.k, &*algo))
-            }
-        };
-        let mut sel = self.distribute(tp, root_sel, triple, &*algo);
+        let mut degraded = false;
+        let root_sel = cluster_up(
+            tp,
+            &self.config,
+            &*algo,
+            &self.alive,
+            triple,
+            |child| self.retry_toward(child),
+            &mut degraded,
+        );
+        let sel = distribute(tp, root_sel, &self.alive, &mut degraded);
+        // The selection root died mid-distribution: degrade to a singleton
+        // self-selection. This rank keeps tracing as its own lead, and the
+        // next resilient collective re-agrees membership. Ranks that
+        // already received the real selection may merge without us — that
+        // divergence is bounded by the hang backstop (FAULTS.md, "mid-slice
+        // root death").
+        degraded |= sel.is_none();
+        self.slice_degraded |= degraded;
+        let mut sel = sel
+            .unwrap_or_else(|| LeadSelection::select(ClusterMap::from_rank(me, triple), 1, &*algo));
         self.apply_health_policy(tp, &mut sel);
         // Every span above was registered on the tool clock, so the delta
         // covers modeled compute + modeled communication + waits.
@@ -109,74 +82,6 @@ impl Chameleon {
         });
         tp.inner().metric_add(obs::Counter::ClusterRounds, 1);
         sel
-    }
-
-    /// Hand the lead selection from the clustering root (`root_sel` is
-    /// `Some` there only) to every survivor. Fault-free this is a tree
-    /// `bcast` from rank 0. Under an armed plan the root *stars* it out
-    /// over reliable transfers: a tree would cut a subtree off from the
-    /// selection if an interior relay died, and lock-step requires every
-    /// survivor to learn the same leads.
-    pub(crate) fn distribute(
-        &mut self,
-        tp: &mut TracedProc,
-        root_sel: Option<LeadSelection>,
-        triple: &SignatureTriple,
-        algo: &dyn ClusterAlgorithm,
-    ) -> LeadSelection {
-        let work = mpisim::WorkModel::calibrated();
-        let armed = tp.inner().faults_armed();
-        if let Some(sel) = root_sel {
-            let wire = sel.encode();
-            tp.inner().tool_compute(work.codec(wire.len()));
-            if !armed {
-                tp.inner().bcast(&wire, 0, Comm::TOOL);
-                return sel;
-            }
-            for &r in self.alive.iter().skip(1) {
-                if tp
-                    .inner()
-                    .reliable_send(r, SELECT_TAG, Comm::TOOL, &wire)
-                    .is_err()
-                {
-                    // Died mid-slice; the next resilient collective will
-                    // agree on its absence.
-                    self.slice_degraded = true;
-                }
-            }
-            return sel;
-        }
-        let enc = if !armed {
-            tp.inner().bcast(&[], 0, Comm::TOOL)
-        } else {
-            // The frames are CRC-checked, so unbounded retry converges —
-            // unless the root itself dies mid-star.
-            let root = self.alive[0];
-            match tp
-                .inner()
-                .reliable_recv(root, SELECT_TAG, Comm::TOOL, RetryPolicy::Unlimited)
-            {
-                Ok(enc) => enc,
-                Err(_) => {
-                    // The selection root died mid-distribution. Degrade
-                    // to a singleton self-selection: this rank keeps
-                    // tracing as its own lead, and the next resilient
-                    // collective re-agrees membership. Ranks that already
-                    // received the real selection may merge without us —
-                    // that divergence is bounded by the hang backstop
-                    // (FAULTS.md, "mid-slice root death").
-                    self.slice_degraded = true;
-                    return LeadSelection::select(
-                        ClusterMap::from_rank(tp.rank(), triple),
-                        1,
-                        algo,
-                    );
-                }
-            }
-        };
-        tp.inner().tool_compute(work.codec(enc.len()));
-        LeadSelection::decode(&enc)
-            .unwrap_or_else(|e| panic!("cluster protocol bug: undecodable lead selection: {e}"))
     }
 
     /// Online inter-compression (Algorithm 3, merge branch): leads
@@ -279,4 +184,110 @@ impl Chameleon {
         tp.tracer_mut().clear_trace();
         self.stats.intercomp_time += tool_since(tp, tool0);
     }
+}
+
+/// The upward pass of hierarchical signature clustering over the radix
+/// tree of `participants` (this rank among them): merge the children's
+/// cluster maps into this rank's own, prune to O(K), and ship the result
+/// to the parent. Returns the Top-K selection at the tree's root, `None`
+/// elsewhere. Every hop is a reliable transfer — a plain `send`/`recv`
+/// when no fault plan is armed — reading child `c` under
+/// `retry_toward(c)`; a dead child, a payload corrupt past that budget or
+/// a dead parent costs the subtree's entries and sets `degraded`.
+pub(crate) fn cluster_up(
+    tp: &mut TracedProc,
+    config: &ChameleonConfig,
+    algo: &dyn ClusterAlgorithm,
+    participants: &[Rank],
+    triple: &SignatureTriple,
+    retry_toward: impl Fn(Rank) -> RetryPolicy,
+    degraded: &mut bool,
+) -> Option<LeadSelection> {
+    let me = tp.rank();
+    let my_pos = participants
+        .iter()
+        .position(|&r| r == me)
+        .expect("a running rank is always a participant");
+    let tree = mpisim::RadixTree::new(config.radix, participants.len());
+    let work = mpisim::WorkModel::calibrated();
+    let mut map = ClusterMap::from_rank(me, triple);
+    for child_pos in tree.children(my_pos) {
+        let child = participants[child_pos];
+        let payload = tp
+            .inner()
+            .reliable_recv(child, CLUSTER_TAG, Comm::TOOL, retry_toward(child));
+        let child_map = payload.map(|payload| {
+            tp.inner().tool_compute(work.codec(payload.len()));
+            ClusterMap::decode(&payload)
+        });
+        match child_map {
+            Ok(Ok(child_map)) => map.merge(child_map),
+            // A dead child or a payload corrupt past its retry budget.
+            _ => *degraded = true,
+        }
+    }
+    // Per-node pruning keeps every node's working set at O(K).
+    tp.inner().tool_compute(work.cluster(map.total_clusters()));
+    map.prune(config.k, algo);
+    match tree.parent(my_pos) {
+        Some(parent_pos) => {
+            let wire = map.encode();
+            tp.inner().tool_compute(work.codec(wire.len()));
+            let sent =
+                tp.inner()
+                    .reliable_send(participants[parent_pos], CLUSTER_TAG, Comm::TOOL, &wire);
+            // Dead parent: this subtree's entries miss the selection.
+            *degraded |= sent.is_err();
+            None
+        }
+        None => {
+            tp.inner().tool_compute(work.cluster(map.total_clusters()));
+            Some(LeadSelection::select(map, config.k, algo))
+        }
+    }
+}
+
+/// Hand the lead selection from the clustering root (`root_sel` is `Some`
+/// there only) to every rank of `alive`. Fault-free this is a tree `bcast`
+/// from rank 0. Under an armed plan the root *stars* it out over reliable
+/// transfers: a tree would cut a subtree off from the selection if an
+/// interior relay died, and lock-step requires every survivor to learn the
+/// same leads. A rank the root cannot reach sets `degraded`; `None` means
+/// the root died before this rank heard from it.
+pub(crate) fn distribute(
+    tp: &mut TracedProc,
+    root_sel: Option<LeadSelection>,
+    alive: &[Rank],
+    degraded: &mut bool,
+) -> Option<LeadSelection> {
+    let work = mpisim::WorkModel::calibrated();
+    let armed = tp.inner().faults_armed();
+    if let Some(sel) = root_sel {
+        let wire = sel.encode();
+        tp.inner().tool_compute(work.codec(wire.len()));
+        if !armed {
+            tp.inner().bcast(&wire, 0, Comm::TOOL);
+            return Some(sel);
+        }
+        for &r in alive.iter().skip(1) {
+            // A rank that died mid-slice; the next resilient collective
+            // will agree on its absence.
+            let sent = tp.inner().reliable_send(r, SELECT_TAG, Comm::TOOL, &wire);
+            *degraded |= sent.is_err();
+        }
+        return Some(sel);
+    }
+    let enc = if !armed {
+        tp.inner().bcast(&[], 0, Comm::TOOL)
+    } else {
+        // The frames are CRC-checked, so unbounded retry converges —
+        // unless the root itself dies mid-star.
+        tp.inner()
+            .reliable_recv(alive[0], SELECT_TAG, Comm::TOOL, RetryPolicy::Unlimited)
+            .ok()?
+    };
+    tp.inner().tool_compute(work.codec(enc.len()));
+    let sel = LeadSelection::decode(&enc)
+        .unwrap_or_else(|e| panic!("cluster protocol bug: undecodable lead selection: {e}"));
+    Some(sel)
 }

@@ -30,7 +30,7 @@ fn run_app(
     steps: usize,
     epilogue: usize,
 ) -> (Vec<ChameleonStats>, CompressedTrace) {
-    let report = World::new(WorldConfig::for_tests(p))
+    let report = World::new(WorldConfig::new(p))
         .run(move |proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(k));
@@ -132,7 +132,7 @@ fn non_leads_allocate_nothing_in_lead_state() {
 
 #[test]
 fn call_frequency_limits_transition_graph_runs() {
-    let report = World::new(WorldConfig::for_tests(2))
+    let report = World::new(WorldConfig::new(2))
         .run(|proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(2).with_frequency(5));
@@ -154,7 +154,7 @@ fn call_frequency_limits_transition_graph_runs() {
 #[test]
 fn divergent_p2p_groups_two_callpaths() {
     // Masters (rank 0) vs workers: different Call-Paths via p2p only.
-    let report = World::new(WorldConfig::for_tests(6))
+    let report = World::new(WorldConfig::new(6))
         .run(|proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(2));
@@ -203,7 +203,7 @@ fn divergent_p2p_groups_two_callpaths() {
 fn reclustering_counted_per_phase_change() {
     // Alternate two patterns every 4 markers: each stable block causes
     // one clustering; transitions cause flushes.
-    let report = World::new(WorldConfig::for_tests(4))
+    let report = World::new(WorldConfig::new(4))
         .run(|proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(2));
@@ -245,7 +245,7 @@ fn run_detected(
     steps: usize,
     plan: Option<mpisim::FaultPlan>,
 ) -> mpisim::WorldReport<FinalizeOutcome> {
-    let mut cfg = WorldConfig::for_tests(p).with_recorder();
+    let mut cfg = WorldConfig::new(p).with_recorder();
     if let Some(plan) = plan {
         cfg = cfg.with_faults(plan);
     }
@@ -318,7 +318,7 @@ fn single_rank_world_works() {
 
 #[test]
 fn double_finalize_is_an_error() {
-    let err = World::new(WorldConfig::for_tests(1))
+    let err = World::new(WorldConfig::new(1))
         .run(|proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(1));

@@ -3,14 +3,15 @@
 //! Chameleon and ScalaTrace are MPI-level tools: they interpose on MPI
 //! calls, run reductions over process trees, and reason about per-rank
 //! event streams. Reproducing them requires an MPI, and this crate provides
-//! one: each rank is a cooperative task multiplexed over a bounded worker
-//! pool by an event-driven scheduler ([`sched`]) — scaling worlds to tens
-//! of thousands of ranks — point-to-point messages are matched on
-//! `(communicator, tag, source)` exactly as MPI matches them, and the
-//! collectives (`barrier`, `reduce`, `bcast`, `allreduce`, `gather`) are
-//! implemented over point-to-point with the same binomial-tree /
-//! dissemination structures real MPI libraries use — so the O(log P) cost
-//! shape the paper relies on is real, not assumed. The pre-refactor
+//! one: each rank is a cooperative task on its own stack, and an
+//! event-driven scheduler ([`sched`]) runs them all on the calling thread
+//! — scaling worlds to tens of thousands of ranks — point-to-point
+//! messages are matched on `(communicator, tag, source)` exactly as MPI
+//! matches them, and the collectives (`barrier`, `reduce`, `bcast`,
+//! `allreduce`, `gather`) are implemented over point-to-point with the
+//! same binomial-tree / dissemination structures real MPI libraries use —
+//! so the O(log P) cost shape the paper relies on is real, not assumed.
+//! The pre-refactor
 //! free-running thread-per-rank engine is retained behind
 //! [`SchedMode::Threads`] as a differential-testing oracle.
 //!
@@ -31,7 +32,7 @@
 //! ```
 //! use mpisim::{World, WorldConfig};
 //!
-//! let report = World::new(WorldConfig::for_tests(4)).run(|proc| {
+//! let report = World::new(WorldConfig::new(4)).run(|proc| {
 //!     let rank = proc.rank();
 //!     let sum = proc.allreduce_sum(rank as u64);
 //!     assert_eq!(sum, 0 + 1 + 2 + 3);

@@ -617,9 +617,9 @@ impl Proc {
         self.recorder.len()
     }
 
-    /// Surrender this rank's flight log (used by the world at join time;
-    /// the log survives an injected crash because the unwind is caught
-    /// outside the rank body).
+    /// Surrender this rank's flight log (used by the world once the rank
+    /// ends; the log survives an injected crash because the unwind is
+    /// caught outside the rank body).
     pub fn take_obs_log(&mut self) -> Option<obs::RankLog> {
         self.recorder.take_log()
     }

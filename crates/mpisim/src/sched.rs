@@ -13,23 +13,20 @@
 //! * **Task = rank, continuation = switched stack.** A rank program runs
 //!   on its own `mmap`ed stack (a private `stack::Fiber`) and keeps its
 //!   natural blocking style: at a block point it saves six registers and
-//!   its stack pointer and the worker's loop continues on the worker's
-//!   stack. No OS thread belongs to a rank, and a blocked rank costs a
+//!   its stack pointer and the scheduler loop continues on the thread's
+//!   own stack. No OS thread belongs to a rank, and a blocked rank costs a
 //!   register swap, not a futex hand-off.
-//! * **Bounded worker pool, home workers.** `workers` OS threads run
-//!   [`Sched::run_worker`]. Rank `r` is only ever resumed by worker
-//!   `r % workers` — its *home* — so nothing on a rank's stack ever
-//!   changes OS thread (`stack`'s rule 1). `workers = 1` yields fully
-//!   sequential, deterministic dispatch; results are invariant under the
-//!   pool size by construction (see the determinism notes below).
-//! * **Virtual-clock ready heaps.** Each worker dispatches its runnable
-//!   tasks in ascending order of their virtual timestamp at the moment
-//!   they became runnable, ties broken by rank ([`ReadyQueue`]), one heap
-//!   per worker under the one scheduler lock. The order is a heuristic
-//!   (run the event that is earliest in simulated time first), *not* a
-//!   correctness requirement: every simulation-visible quantity — virtual
-//!   clocks, traces, journals, fault coins, survivor sets — is already
-//!   scheduler-invariant (arrival-stamped messages, deferred clock
+//! * **One thread.** [`Sched::run`] resumes every rank on the thread that
+//!   calls it, one at a time, so nothing on a rank's stack ever changes OS
+//!   thread (`stack`'s rule 1) and dispatch is a sequential, deterministic
+//!   loop: the engine has no physical race at all.
+//! * **Virtual-clock ready heap.** The loop dispatches runnable tasks in
+//!   ascending order of their virtual timestamp at the moment they became
+//!   runnable, ties broken by rank ([`ReadyQueue`]). The order is a
+//!   heuristic (run the event that is earliest in simulated time first),
+//!   *not* a correctness requirement: every simulation-visible quantity —
+//!   virtual clocks, traces, journals, fault coins, survivor sets — is
+//!   already scheduler-invariant (arrival-stamped messages, deferred clock
 //!   accounting, eager sends with death flags published before
 //!   unwinding), which is what makes thread-vs-event byte-identity
 //!   testable at all.
@@ -37,10 +34,10 @@
 //!   destination task; crash-death and world-poison flags ready every
 //!   parked task. A per-rank wake *epoch* closes the classic check-then-
 //!   park race: a waiter records the epoch, re-checks its mailbox, and
-//!   parks only if no wake arrived in between. A worker sleeps only when
-//!   its heap is empty — until a wake from another worker, or the
-//!   earliest real-time deadline (`recv_timeout`, the armed hang
-//!   backstop) among the tasks parked on it.
+//!   parks only if no wake arrived in between. Only a rank can wake a
+//!   rank, so with the heap empty the thread sleeps until the earliest
+//!   real-time deadline (`recv_timeout`, the armed hang backstop) among
+//!   the parked tasks.
 //! * **Stall detection.** If no task is running, none is ready, and no
 //!   parked task holds a real-time deadline, the world can never make
 //!   progress again. The scheduler flags the stall and readies everyone;
@@ -60,7 +57,7 @@ mod stack;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::mailbox::Mailbox;
@@ -72,9 +69,9 @@ use stack::{Fiber, Stack};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedMode {
     /// Cooperative event-driven scheduler (the default): rank tasks
-    /// multiplexed over a bounded worker pool, parked without polling,
-    /// dispatched in virtual-clock order. Scales to tens of thousands of
-    /// ranks.
+    /// multiplexed on the thread that runs the world, parked without
+    /// polling, dispatched in virtual-clock order. Scales to tens of
+    /// thousands of ranks.
     #[default]
     Events,
     /// The pre-refactor model: every rank thread free-runs and blocked
@@ -133,9 +130,9 @@ impl ReadyQueue {
 /// Lifecycle of one rank task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TaskState {
-    /// Runnable, queued in its home worker's ready heap.
+    /// Runnable, queued in the ready heap.
     Ready,
-    /// Executing rank code on its home worker.
+    /// Executing rank code.
     Running,
     /// Suspended at a block point; readied by `notify` or its deadline.
     Waiting,
@@ -164,25 +161,22 @@ struct Task {
     /// key when it becomes runnable again.
     parked_vtime: VirtualTime,
     /// Real-time deadline of a `Waiting` task (hang backstop,
-    /// `recv_timeout`); its home worker readies it when it expires.
+    /// `recv_timeout`); the scheduler loop readies it when it expires.
     deadline: Option<Instant>,
     /// Why the task was last readied; what its `park` returns.
     outcome: ParkOutcome,
     /// The rank's stack, mapped by [`Sched::new`] so that running out of
-    /// mappings fails before any rank runs; taken by its home worker.
+    /// mappings fails before any rank runs; taken by [`Sched::run`].
     stack: Option<Stack>,
 }
 
 struct Inner {
     tasks: Vec<Task>,
-    /// Runnable tasks, one heap per worker (index = home worker).
-    ready: Vec<ReadyQueue>,
-    /// Workers blocked on their `idle` condvar. A sleeping worker's heap
-    /// is empty: whoever pushes to it wakes it.
-    asleep: Vec<bool>,
-    /// Per worker: homed tasks not yet `Done`. The worker returns at zero.
-    homed_live: Vec<usize>,
-    /// Tasks `Running` right now (at most one per worker).
+    /// Runnable tasks.
+    ready: ReadyQueue,
+    /// Tasks not yet `Done`; [`Sched::run`] returns at zero.
+    live: usize,
+    /// Tasks `Running` right now (at most one).
     active: usize,
     /// `Waiting` tasks holding a deadline. They wake by themselves, so
     /// their existence vetoes stall detection.
@@ -192,32 +186,25 @@ struct Inner {
 }
 
 /// The cooperative scheduler shared by all ranks of one world.
+///
+/// Its state sits behind a `Mutex` although one thread runs every rank:
+/// [`Waiter`] lives in the world's shared state, which the thread oracle
+/// hands to many threads, so it must be `Sync`. The lock is never
+/// contended and so never reaches the kernel.
 pub(crate) struct Sched {
-    /// Number of rank tasks.
-    ranks: usize,
-    /// Worker-pool size; rank `r` is homed on worker `r % workers`.
-    workers: usize,
     inner: Mutex<Inner>,
-    /// One condvar per worker, guarding [`Sched::inner`]: where a worker
-    /// with nothing ready sleeps.
-    idle: Vec<Condvar>,
 }
 
 impl Sched {
-    /// Scheduler for `ranks` tasks over at most `workers` workers, each
-    /// task on a stack of `stack_bytes`. All tasks start ready at virtual
-    /// time zero.
+    /// Scheduler for `ranks` tasks, each on a stack of `stack_bytes`. All
+    /// tasks start ready at virtual time zero.
     ///
     /// Panics if a stack cannot be mapped — before anything runs.
-    pub(crate) fn new(ranks: usize, workers: usize, stack_bytes: usize) -> Self {
-        assert!(workers >= 1, "worker pool needs at least one worker");
-        let workers = workers.min(ranks.max(1));
-        let mut ready: Vec<ReadyQueue> = (0..workers).map(|_| ReadyQueue::new()).collect();
-        let mut homed_live = vec![0; workers];
+    pub(crate) fn new(ranks: usize, stack_bytes: usize) -> Self {
+        let mut ready = ReadyQueue::new();
         let tasks = (0..ranks)
             .map(|rank| {
-                ready[rank % workers].push(0.0, rank);
-                homed_live[rank % workers] += 1;
+                ready.push(0.0, rank);
                 let stack = Stack::map(stack_bytes).unwrap_or_else(|e| {
                     panic!(
                         "failed to map the {stack_bytes}-byte stack of rank {rank} of {ranks} \
@@ -235,76 +222,19 @@ impl Sched {
             })
             .collect();
         Sched {
-            ranks,
-            workers,
             inner: Mutex::new(Inner {
                 tasks,
                 ready,
-                asleep: vec![false; workers],
-                homed_live,
+                live: ranks,
                 active: 0,
                 timed: 0,
                 stalled: false,
             }),
-            idle: (0..workers).map(|_| Condvar::new()).collect(),
         }
-    }
-
-    /// How many workers must each call [`Sched::run_worker`] once.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The ranks homed on worker `w`, ascending.
-    pub(crate) fn homed(&self, w: usize) -> impl Iterator<Item = Rank> {
-        (w..self.ranks).step_by(self.workers)
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Move a `Waiting` task to its home worker's heap, waking that worker
-    /// if it sleeps. `outcome` is what the task's `park` will return.
-    fn make_ready(&self, g: &mut Inner, rank: Rank, outcome: ParkOutcome) {
-        let task = &mut g.tasks[rank];
-        debug_assert_eq!(task.state, TaskState::Waiting);
-        task.state = TaskState::Ready;
-        task.outcome = outcome;
-        if task.deadline.take().is_some() {
-            g.timed -= 1;
-        }
-        let home = rank % self.workers;
-        g.ready[home].push(task.parked_vtime, rank);
-        if std::mem::take(&mut g.asleep[home]) {
-            self.idle[home].notify_one();
-        }
-    }
-
-    /// After a task stopped running: if nothing runs, nothing is ready,
-    /// and no parked task can wake itself, the world is deadlocked. Flag
-    /// it and ready everyone so they can fail loudly instead of hanging.
-    fn check_stall(&self, g: &mut Inner) {
-        if g.stalled
-            || g.active != 0
-            || g.timed != 0
-            || g.ready.iter().any(|q| !q.is_empty())
-            || g.homed_live.iter().all(|&live| live == 0)
-        {
-            return;
-        }
-        g.stalled = true;
-        self.ready_all(g);
-    }
-
-    /// Bump every epoch and ready every parked task.
-    fn ready_all(&self, g: &mut Inner) {
-        for rank in 0..g.tasks.len() {
-            g.tasks[rank].epoch += 1;
-            if g.tasks[rank].state == TaskState::Waiting {
-                self.make_ready(g, rank, ParkOutcome::Granted);
-            }
-        }
     }
 
     /// Whether the scheduler has proven the world deadlocked.
@@ -312,84 +242,73 @@ impl Sched {
         self.lock().stalled
     }
 
-    /// Worker `w`'s whole life: run `body(rank)` for every rank homed on
-    /// it, each on its own stack, switching to whichever is ready and
+    /// The whole world, on the calling thread: run `body(rank)` for every
+    /// rank, each on its own stack, switching to whichever is ready and
     /// earliest in virtual time whenever the running one parks. Returns
-    /// the bodies' results in ascending rank order once all have finished.
+    /// the bodies' results in rank order once all have finished.
     ///
-    /// Each of the [`Sched::workers`] workers must be run exactly once,
-    /// each on its own thread (a rank parked on a worker that never runs
-    /// is a hang).
-    pub(crate) fn run_worker<T>(&self, w: usize, body: &dyn Fn(Rank) -> T) -> Vec<T> {
-        let stacks: Vec<Stack> = {
-            let mut g = self.lock();
-            self.homed(w)
-                .map(|rank| g.tasks[rank].stack.take().expect("a worker is run once"))
-                .collect()
-        };
+    /// Call it once per scheduler.
+    pub(crate) fn run<T>(&self, body: &dyn Fn(Rank) -> T) -> Vec<T> {
+        let stacks: Vec<Stack> = self
+            .lock()
+            .tasks
+            .iter_mut()
+            .map(|task| task.stack.take().expect("a world is run once"))
+            .collect();
         let results: Vec<Cell<Option<T>>> = stacks.iter().map(|_| Cell::new(None)).collect();
         let mut fibers: Vec<Fiber<'_>> = stacks
             .into_iter()
-            .zip(self.homed(w))
             .zip(&results)
-            .map(|((stack, rank), result)| {
+            .enumerate()
+            .map(|(rank, (stack, result))| {
                 Fiber::new(stack, move || {
                     result.set(Some(body(rank)));
                     self.exit(rank);
                 })
             })
             .collect();
-        while let Some(rank) = self.next_ready(w) {
-            fibers[rank / self.workers].resume();
+        while let Some(rank) = self.next_ready() {
+            fibers[rank].resume();
         }
         drop(fibers);
         results
             .into_iter()
-            .map(|r| r.into_inner().expect("every homed rank ran to its end"))
+            .map(|r| r.into_inner().expect("every rank ran to its end"))
             .collect()
     }
 
-    /// Block until a task homed on worker `w` is ready and mark it
-    /// running; `None` once every such task is done.
-    fn next_ready(&self, w: usize) -> Option<Rank> {
-        let mut g = self.lock();
+    /// Mark the earliest ready task running and return it, sleeping first
+    /// if none is ready yet; `None` once every task is done.
+    fn next_ready(&self) -> Option<Rank> {
         loop {
-            if let Some(rank) = g.ready[w].pop() {
+            let mut g = self.lock();
+            if let Some(rank) = g.ready.pop() {
                 debug_assert_eq!(g.tasks[rank].state, TaskState::Ready);
                 g.tasks[rank].state = TaskState::Running;
                 g.active += 1;
                 return Some(rank);
             }
-            if g.homed_live[w] == 0 {
+            if g.live == 0 {
                 return None;
             }
-            // Nothing to run here: ready the parked tasks whose deadline
-            // has passed, else sleep until the earliest one or a wake.
-            let mut earliest: Option<Duration> = None;
-            if g.timed > 0 {
-                let now = Instant::now();
-                for rank in self.homed(w) {
-                    match g.tasks[rank].deadline {
-                        Some(d) if d <= now => self.make_ready(&mut g, rank, ParkOutcome::TimedOut),
-                        Some(d) => earliest = Some(earliest.map_or(d - now, |e| e.min(d - now))),
-                        None => {}
-                    }
-                }
-                if !g.ready[w].is_empty() {
-                    continue;
+            // Nothing is ready and nothing runs. Only a rank wakes a rank,
+            // and `check_stall` readied everyone unless a parked task holds
+            // a deadline, so one does: ready the expired ones, else sleep
+            // until the earliest.
+            let now = Instant::now();
+            let mut earliest: Option<Instant> = None;
+            for rank in 0..g.tasks.len() {
+                match g.tasks[rank].deadline {
+                    Some(d) if d <= now => g.make_ready(rank, ParkOutcome::TimedOut),
+                    Some(d) => earliest = Some(earliest.map_or(d, |e| e.min(d))),
+                    None => {}
                 }
             }
-            g.asleep[w] = true;
-            g = match earliest {
-                Some(timeout) => {
-                    let (g, _) = self.idle[w]
-                        .wait_timeout(g, timeout)
-                        .unwrap_or_else(|e| e.into_inner());
-                    g
-                }
-                None => self.idle[w].wait(g).unwrap_or_else(|e| e.into_inner()),
-            };
-            g.asleep[w] = false;
+            if g.ready.is_empty() {
+                let wake = earliest.expect("an untimed wait with nothing runnable is a stall");
+                drop(g);
+                std::thread::sleep(wake - now);
+            }
         }
     }
 
@@ -401,14 +320,14 @@ impl Sched {
         self.lock().tasks[rank].epoch
     }
 
-    /// Park the running task at a block point: switch to its worker's
+    /// Park the running task at a block point: switch to the scheduler
     /// loop, and continue here once a wake event readies the task and the
-    /// worker picks it again (or `deadline` passes with nothing else to
-    /// run on the worker — [`ParkOutcome::TimedOut`]).
+    /// loop picks it again (or `deadline` passes with nothing else to run
+    /// — [`ParkOutcome::TimedOut`]).
     ///
     /// `vtime` is the task's virtual timestamp at the block point; it
     /// becomes the ready-heap key when the task is woken. Must be called
-    /// from the rank's own stack, i.e. from inside `run_worker`'s `body`.
+    /// from the rank's own stack, i.e. from inside [`Sched::run`]'s `body`.
     pub(crate) fn park(
         &self,
         rank: Rank,
@@ -431,32 +350,29 @@ impl Sched {
                 g.timed += 1;
             }
             g.active -= 1;
-            self.check_stall(&mut g);
-            // The guard ends here: the worker's loop takes this lock next,
-            // on this thread (`stack`'s rule 2).
+            g.check_stall();
+            // The guard ends here: the scheduler loop takes this lock
+            // next (`stack`'s rule 2).
         }
-        // Another worker may ready this task before the switch below; only
-        // this one — busy right here — can resume it, so it cannot start
-        // running twice.
         stack::suspend();
         self.lock().tasks[rank].outcome
     }
 
-    /// Wake `rank`: bump its epoch and, if it is parked, move it to its
-    /// home worker's ready heap. Called after every message delivery to
-    /// the rank's mailbox.
+    /// Wake `rank`: bump its epoch and, if it is parked, move it to the
+    /// ready heap. Called after every message delivery to the rank's
+    /// mailbox.
     pub(crate) fn notify(&self, rank: Rank) {
         let mut g = self.lock();
         g.tasks[rank].epoch += 1;
         if g.tasks[rank].state == TaskState::Waiting {
-            self.make_ready(&mut g, rank, ParkOutcome::Granted);
+            g.make_ready(rank, ParkOutcome::Granted);
         }
     }
 
     /// Wake every parked task — death flags and world poison are global
     /// conditions any waiter might be blocked on.
     pub(crate) fn notify_all(&self) {
-        self.ready_all(&mut self.lock());
+        self.lock().ready_all();
     }
 
     /// The task's program returned or unwound.
@@ -464,9 +380,50 @@ impl Sched {
         let mut g = self.lock();
         debug_assert_eq!(g.tasks[rank].state, TaskState::Running);
         g.tasks[rank].state = TaskState::Done;
-        g.homed_live[rank % self.workers] -= 1;
+        g.live -= 1;
         g.active -= 1;
-        self.check_stall(&mut g);
+        g.check_stall();
+    }
+}
+
+impl Inner {
+    /// Move a `Waiting` task to the ready heap. `outcome` is what the
+    /// task's `park` will return.
+    fn make_ready(&mut self, rank: Rank, outcome: ParkOutcome) {
+        let task = &mut self.tasks[rank];
+        debug_assert_eq!(task.state, TaskState::Waiting);
+        task.state = TaskState::Ready;
+        task.outcome = outcome;
+        if task.deadline.take().is_some() {
+            self.timed -= 1;
+        }
+        self.ready.push(task.parked_vtime, rank);
+    }
+
+    /// After a task stopped running: if nothing runs, nothing is ready,
+    /// and no parked task can wake itself, the world is deadlocked. Flag
+    /// it and ready everyone so they can fail loudly instead of hanging.
+    fn check_stall(&mut self) {
+        if self.stalled
+            || self.active != 0
+            || self.timed != 0
+            || !self.ready.is_empty()
+            || self.live == 0
+        {
+            return;
+        }
+        self.stalled = true;
+        self.ready_all();
+    }
+
+    /// Bump every epoch and ready every parked task.
+    fn ready_all(&mut self) {
+        for rank in 0..self.tasks.len() {
+            self.tasks[rank].epoch += 1;
+            if self.tasks[rank].state == TaskState::Waiting {
+                self.make_ready(rank, ParkOutcome::Granted);
+            }
+        }
     }
 }
 
@@ -483,7 +440,7 @@ impl Sched {
 /// counter in thread mode.
 pub(crate) enum Waiter {
     /// [`SchedMode::Events`]: park on the scheduler until woken.
-    Events(Arc<Sched>),
+    Events(Sched),
     /// [`SchedMode::Threads`]: every rank free-runs on its own OS thread;
     /// a blocked rank sleeps on its mailbox condvar one poll slice at a
     /// time. Nothing signals a death or poison flag here — the slice
@@ -492,16 +449,13 @@ pub(crate) enum Waiter {
 }
 
 impl Waiter {
-    /// The engine for `mode` over `ranks` tasks (`workers` workers and
-    /// `stack_bytes` per rank in event mode; thread mode has no pool and
-    /// sizes its threads' stacks itself). Where `stack` has no switch
-    /// routine — anywhere but x86-64 Linux — event mode runs on the thread
-    /// engine too.
-    pub(crate) fn new(mode: SchedMode, ranks: usize, workers: usize, stack_bytes: usize) -> Self {
+    /// The engine for `mode` over `ranks` tasks (`stack_bytes` per rank in
+    /// event mode; thread mode sizes its threads' stacks itself). Where
+    /// `stack` has no switch routine — anywhere but x86-64 Linux — event
+    /// mode runs on the thread engine too.
+    pub(crate) fn new(mode: SchedMode, ranks: usize, stack_bytes: usize) -> Self {
         match mode {
-            SchedMode::Events if stack::SUPPORTED => {
-                Waiter::Events(Arc::new(Sched::new(ranks, workers, stack_bytes)))
-            }
+            SchedMode::Events if stack::SUPPORTED => Waiter::Events(Sched::new(ranks, stack_bytes)),
             _ => Waiter::Threads,
         }
     }
@@ -606,28 +560,12 @@ mod tests {
 
         const STACK: usize = 64 * 1024;
 
-        /// Run a whole `ranks`-task world on this thread (`workers = 1`) and
-        /// return each rank's result.
+        /// Run a whole `ranks`-task world on this thread and return each
+        /// rank's result.
         fn run_alone<T>(ranks: usize, body: impl Fn(&Sched, Rank) -> T) -> (Sched, Vec<T>) {
-            let sched = Sched::new(ranks, 1, STACK);
-            let results = sched.run_worker(0, &|rank| body(&sched, rank));
+            let sched = Sched::new(ranks, STACK);
+            let results = sched.run(&|rank| body(&sched, rank));
             (sched, results)
-        }
-
-        #[test]
-        fn ranks_start_ready_on_their_home_workers() {
-            let sched = Sched::new(8, 3, STACK);
-            let mut g = sched.lock();
-            let homed: Vec<Vec<Rank>> = (0..3)
-                .map(|w| std::iter::from_fn(|| g.ready[w].pop()).collect())
-                .collect();
-            assert_eq!(homed, [vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
-            assert_eq!(g.homed_live, [3, 3, 2]);
-            assert_eq!(
-                Sched::new(2, 8, STACK).workers(),
-                2,
-                "no worker without a rank"
-            );
         }
 
         #[test]
@@ -718,13 +656,13 @@ mod tests {
             assert!(!sched.stalled());
             let g = sched.lock();
             assert!(g.tasks.iter().all(|t| t.state == TaskState::Done));
-            assert_eq!((g.active, g.timed, &g.homed_live[..]), (0, 0, &[0][..]));
+            assert_eq!((g.active, g.timed, g.live), (0, 0, 0));
         }
 
         #[test]
         fn ready_tasks_resume_in_vtime_then_rank_order() {
             // Ranks 1..=4 park at chosen virtual times; rank 0 readies them
-            // all at once. One worker must resume them by (vtime, rank).
+            // all at once. The loop must resume them by (vtime, rank).
             let order = Mutex::new(Vec::new());
             run_alone(5, |sched, rank| {
                 if rank == 0 {
@@ -741,37 +679,6 @@ mod tests {
                 }
             });
             assert_eq!(*order.lock().unwrap(), [2, 4, 1, 3]);
-        }
-
-        #[test]
-        fn a_cross_worker_notify_wakes_a_sleeping_worker() {
-            // Two workers, two ranks: rank 1 parks untimed (its worker then
-            // sleeps, heap empty); rank 0, on the other worker, waits until it
-            // is parked and notifies it.
-            let sched = Sched::new(2, 2, STACK);
-            let body = |rank: Rank| {
-                if rank == 1 {
-                    let epoch = sched.pre_wait(1);
-                    sched.park(1, epoch, 0.0, None)
-                } else {
-                    while !sched.lock().asleep[1] {
-                        std::thread::yield_now();
-                    }
-                    sched.notify(1);
-                    ParkOutcome::Granted
-                }
-            };
-            let results: Vec<Vec<ParkOutcome>> = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..2)
-                    .map(|w| {
-                        let (sched, body) = (&sched, &body);
-                        s.spawn(move || sched.run_worker(w, body))
-                    })
-                    .collect();
-                workers.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            assert_eq!(results, [[ParkOutcome::Granted], [ParkOutcome::Granted]]);
-            assert!(!sched.stalled(), "rank 0 was running: no stall");
         }
     }
 }

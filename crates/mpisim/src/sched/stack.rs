@@ -15,7 +15,8 @@
 //!    is therefore neither `Send` nor `Sync`: it is resumed only by the
 //!    thread that built it, so `!Send` values, `std`'s thread-locals and
 //!    the panic count on a fiber's stack never see a second thread
-//!    (`sched`: a rank's home worker is `rank % workers`).
+//!    (`sched`: `Sched::run` resumes every rank on the thread that calls
+//!    it).
 //! 2. **No lock guard is live across a switch.** `suspend` hands the
 //!    thread to code that may take the same lock; `Sched::park` drops the
 //!    scheduler guard before it suspends and takes no mailbox lock at all.

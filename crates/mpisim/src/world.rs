@@ -1,10 +1,9 @@
 //! World setup and execution: build the per-rank tasks, run the rank
-//! program on the configured scheduler, join, and report.
+//! program on the configured scheduler, and report.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
@@ -40,19 +39,12 @@ pub struct WorldConfig {
     /// changes no simulated behavior.
     pub record: bool,
     /// Which scheduler runs the ranks. [`SchedMode::Events`] (the
-    /// default) multiplexes rank tasks over a bounded worker pool with
-    /// event wakeups; [`SchedMode::Threads`] is the pre-refactor
-    /// free-running oracle kept for differential testing. Every
-    /// simulation-visible output is byte-identical between the two
+    /// default) multiplexes rank tasks on the thread that calls
+    /// [`World::run`], with event wakeups; [`SchedMode::Threads`] is the
+    /// pre-refactor free-running oracle kept for differential testing.
+    /// Every simulation-visible output is byte-identical between the two
     /// (`tests/sched_differential.rs`).
     pub sched: SchedMode,
-    /// Worker-pool size for [`SchedMode::Events`]: the number of OS
-    /// threads the ranks are spread over (rank `r` lives on worker
-    /// `r % workers`), hence the maximum number of ranks running
-    /// simultaneously. `0` (the default) resolves to
-    /// [`WorldConfig::effective_workers`]. Results are invariant under
-    /// this knob — it trades wall-clock only. Ignored in thread mode.
-    pub workers: usize,
 }
 
 impl WorldConfig {
@@ -65,14 +57,7 @@ impl WorldConfig {
             faults: None,
             record: false,
             sched: SchedMode::default(),
-            workers: 0,
         }
-    }
-
-    /// Small-world configuration for unit tests (deterministic cost model,
-    /// compact stacks).
-    pub fn for_tests(ranks: usize) -> Self {
-        Self::new(ranks)
     }
 
     /// Override the cost model.
@@ -81,14 +66,12 @@ impl WorldConfig {
         self
     }
 
-    /// Set the event scheduler's worker-pool size (see
-    /// [`WorldConfig::workers`]).
+    /// Run the event scheduler on one thread — which it always does.
+    /// Kept only because the benchmark harness still calls it with `1`.
     ///
-    /// Panics if `n == 0`: a pool with no worker can never run anything.
-    /// Leave the field at its default (`0`, meaning auto) otherwise.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        assert!(n >= 1, "worker pool needs at least one worker");
-        self.workers = n;
+    /// Panics for any other `n`: there is no worker pool to size.
+    pub fn with_workers(self, n: usize) -> Self {
+        assert_eq!(n, 1, "the event scheduler runs every rank on one thread");
         self
     }
 
@@ -111,20 +94,6 @@ impl WorldConfig {
         self.record = true;
         self
     }
-
-    /// The effective worker-pool size: the configured value, or one
-    /// worker when left at the `0` (auto) default.
-    ///
-    /// Auto is one worker, not the host's parallelism, because a rank does
-    /// microseconds of work between block points: a second worker spends
-    /// more on the shared scheduler lock and on waking its sleeping peer
-    /// than it gains. Measured on a 2-CPU host, `workers` 1 → 2 (ms per
-    /// run, median of 5; EXPERIMENTS.md "PR 24"): BT P=64 app-only
-    /// 32 → 47, Chameleon 48 → 98; SP P=256 Chameleon 177 → 551; LU P=1024
-    /// app-only 216 → 221, ScalaTrace 636 → 947 — never faster.
-    pub fn effective_workers(&self) -> usize {
-        self.workers.max(1)
-    }
 }
 
 /// Result of running a world to completion.
@@ -137,7 +106,8 @@ pub struct WorldReport<R = ()> {
     /// Maximum final virtual time across ranks — the simulated
     /// "application execution time".
     pub max_vtime: VirtualTime,
-    /// Real wall-clock duration of the run (threads spawned to joined).
+    /// Real wall-clock duration of the run, from the first rank's start
+    /// to the last one's end.
     pub wall: Duration,
     /// Per-rank return values of the rank program, in rank order.
     pub results: Vec<R>,
@@ -206,14 +176,17 @@ impl World {
         World { config }
     }
 
-    /// Run `program` on every rank concurrently and wait for completion.
+    /// Run `program` on every rank and return once all have finished.
     ///
-    /// The program receives the rank's [`Proc`] handle; its return values
-    /// are collected in rank order. If any rank panics — including a
-    /// plan-injected crash — the world is poisoned (blocked receives
-    /// abort), all threads are joined, and an error listing the failures
-    /// is returned. Worlds that should *survive* injected crashes go
-    /// through [`World::run_faulty`] instead.
+    /// Under [`SchedMode::Events`] every rank runs on the calling thread,
+    /// each on its own stack, and no thread is spawned; the thread oracle
+    /// spawns one thread per rank and joins them all. The program receives
+    /// the rank's [`Proc`] handle; its return values are collected in rank
+    /// order. If any rank panics — including a plan-injected crash — the
+    /// world is poisoned (blocked receives abort), every rank still runs
+    /// to its end, and an error listing the failures is returned. Worlds
+    /// that should *survive* injected crashes go through
+    /// [`World::run_faulty`] instead.
     pub fn run<R, F>(self, program: F) -> Result<WorldReport<R>, WorldError>
     where
         R: Send + 'static,
@@ -285,7 +258,7 @@ impl World {
         })
     }
 
-    /// Spawn, run, and join all ranks. `tolerant` controls whether a
+    /// Run all ranks to their end. `tolerant` controls whether a
     /// plan-injected crash poisons the world (it never does for tolerant
     /// runs — survivors are expected to shrink and continue).
     #[allow(clippy::type_complexity)]
@@ -308,12 +281,7 @@ impl World {
         let record = self.config.record;
         let armed = self.config.faults.is_some();
         let stack_bytes = self.config.stack_bytes;
-        let waiter = Waiter::new(
-            self.config.sched,
-            p,
-            self.config.effective_workers(),
-            stack_bytes,
-        );
+        let waiter = Waiter::new(self.config.sched, p, stack_bytes);
         let shared = Arc::new(Shared {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             cost: self.config.cost,
@@ -328,100 +296,78 @@ impl World {
         // One rank's whole life, on whatever stack its engine gives it.
         // `catch_unwind` sits here, at the rank's entry, on both engines:
         // crashes, timeouts and genuine panics all end as a `RankExit`.
-        let rank_main = Arc::new({
-            let shared = Arc::clone(&shared);
-            move |rank: Rank| -> RankEnd<R> {
-                let recorder = if record {
-                    obs::Recorder::enabled(rank)
-                } else {
-                    obs::Recorder::disabled()
-                };
-                let mut proc = Proc::new(rank, Arc::clone(&shared), recorder);
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-                // Read clock, fault tallies, and the flight log after
-                // the unwind: all three stay meaningful for a crashed
-                // rank (its log ends at the crash event).
-                let vtime = proc.now();
-                let fstats = proc.fault_stats();
-                let obs_log = proc.take_obs_log();
-                let exit = match outcome {
-                    Ok(r) => RankExit::Ok(r),
-                    Err(payload) => match payload.downcast::<InjectedCrash>() {
-                        Ok(crash) if tolerant => RankExit::Crashed(*crash),
-                        Ok(crash) => {
-                            shared.poisoned.store(true, Ordering::SeqCst);
-                            shared.waiter.notify_all();
-                            RankExit::Crashed(*crash)
-                        }
-                        Err(payload) => {
-                            shared.poisoned.store(true, Ordering::SeqCst);
-                            shared.waiter.notify_all();
-                            RankExit::Panicked(panic_message(payload))
-                        }
-                    },
-                };
-                (exit, vtime, fstats, obs_log)
-            }
-        });
-
-        // Each OS thread with the ranks it runs, ascending.
-        let threads: Vec<(Vec<Rank>, JoinHandle<Vec<RankEnd<R>>>)> = match &shared.waiter {
-            // `workers` threads, each switching between the stacks of the
-            // ranks homed on it.
-            Waiter::Events(sched) => (0..sched.workers())
-                .map(|w| {
-                    let homed = sched.homed(w).collect();
-                    let sched = Arc::clone(sched);
-                    let rank_main = Arc::clone(&rank_main);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("mpisim-worker-{w}"))
-                        .spawn(move || sched.run_worker(w, &*rank_main))
-                        .expect("failed to spawn worker thread");
-                    (homed, handle)
-                })
-                .collect(),
-            // The oracle: one free-running thread per rank.
-            Waiter::Threads => (0..p)
-                .map(|rank| {
-                    let rank_main = Arc::clone(&rank_main);
-                    let handle = std::thread::Builder::new()
-                        .name(format!("mpisim-rank-{rank}"))
-                        .stack_size(stack_bytes)
-                        .spawn(move || vec![rank_main(rank)])
-                        .expect("failed to spawn rank thread");
-                    (vec![rank], handle)
-                })
-                .collect(),
+        let rank_main = |rank: Rank| -> RankEnd<R> {
+            let recorder = if record {
+                obs::Recorder::enabled(rank)
+            } else {
+                obs::Recorder::disabled()
+            };
+            let mut proc = Proc::new(rank, Arc::clone(&shared), recorder);
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
+            // Read clock, fault tallies, and the flight log after the
+            // unwind: all three stay meaningful for a crashed rank (its log
+            // ends at the crash event).
+            let vtime = proc.now();
+            let fstats = proc.fault_stats();
+            let obs_log = proc.take_obs_log();
+            let exit = match outcome {
+                Ok(r) => RankExit::Ok(r),
+                Err(payload) => match payload.downcast::<InjectedCrash>() {
+                    Ok(crash) if tolerant => RankExit::Crashed(*crash),
+                    Ok(crash) => {
+                        shared.poisoned.store(true, Ordering::SeqCst);
+                        shared.waiter.notify_all();
+                        RankExit::Crashed(*crash)
+                    }
+                    Err(payload) => {
+                        shared.poisoned.store(true, Ordering::SeqCst);
+                        shared.waiter.notify_all();
+                        RankExit::Panicked(panic_message(payload))
+                    }
+                },
+            };
+            (exit, vtime, fstats, obs_log)
         };
 
-        let mut exits: Vec<Option<RankExit<R>>> = (0..p).map(|_| None).collect();
-        let mut vtimes = vec![0.0; p];
-        let mut fstats = vec![FaultStats::default(); p];
+        let ends: Vec<RankEnd<R>> = match &shared.waiter {
+            // Every rank on this thread, each on its own stack.
+            Waiter::Events(sched) => sched.run(&rank_main),
+            // The oracle: one free-running thread per rank.
+            Waiter::Threads => std::thread::scope(|scope| {
+                let threads: Vec<_> = (0..p)
+                    .map(|rank| {
+                        let rank_main = &rank_main;
+                        std::thread::Builder::new()
+                            .name(format!("mpisim-rank-{rank}"))
+                            .stack_size(stack_bytes)
+                            .spawn_scoped(scope, move || rank_main(rank))
+                            .expect("failed to spawn rank thread")
+                    })
+                    .collect();
+                threads
+                    .into_iter()
+                    .map(|thread| {
+                        // The thread died outside `catch_unwind` (e.g. a
+                        // panic while panicking); report what we can.
+                        thread.join().unwrap_or_else(|payload| {
+                            let exit = RankExit::Panicked(panic_message(payload));
+                            (exit, 0.0, FaultStats::default(), None)
+                        })
+                    })
+                    .collect()
+            }),
+        };
+
+        let mut exits = Vec::with_capacity(p);
+        let mut vtimes = Vec::with_capacity(p);
+        let mut fstats = Vec::with_capacity(p);
         let mut obs_logs = Vec::new();
-        for (ranks, handle) in threads {
-            match handle.join() {
-                Ok(ends) => {
-                    for (rank, (exit, vt, fs, log)) in ranks.into_iter().zip(ends) {
-                        exits[rank] = Some(exit);
-                        vtimes[rank] = vt;
-                        fstats[rank] = fs;
-                        obs_logs.extend(log);
-                    }
-                }
-                // The thread died outside catch_unwind (e.g. a panic while
-                // panicking); report what we can.
-                Err(payload) => {
-                    let msg = panic_message(payload);
-                    for rank in ranks {
-                        exits[rank] = Some(RankExit::Panicked(msg.clone()));
-                    }
-                }
-            }
+        for (exit, vtime, fs, log) in ends {
+            exits.push(exit);
+            vtimes.push(vtime);
+            fstats.push(fs);
+            obs_logs.extend(log);
         }
-        let exits = exits
-            .into_iter()
-            .map(|exit| exit.expect("every rank belongs to one joined thread"))
-            .collect();
         let journal = record.then(|| obs::RunJournal::gather(p, armed, obs_logs));
         (exits, vtimes, fstats, journal, started.elapsed())
     }
@@ -431,7 +377,7 @@ impl World {
 /// fault tallies and its flight log.
 type RankEnd<R> = (RankExit<R>, VirtualTime, FaultStats, Option<obs::RankLog>);
 
-/// How one rank's thread ended.
+/// How one rank's program ended.
 enum RankExit<R> {
     /// Normal completion.
     Ok(R),
@@ -463,8 +409,14 @@ mod tests {
     use crate::Comm;
 
     #[test]
+    #[should_panic(expected = "every rank on one thread")]
+    fn with_workers_accepts_only_one() {
+        let _ = WorldConfig::new(2).with_workers(1).with_workers(2);
+    }
+
+    #[test]
     fn single_rank_world() {
-        let report = World::new(WorldConfig::for_tests(1))
+        let report = World::new(WorldConfig::new(1))
             .run(|proc| proc.rank())
             .unwrap();
         assert_eq!(report.results, vec![0]);
@@ -472,7 +424,7 @@ mod tests {
 
     #[test]
     fn results_in_rank_order() {
-        let report = World::new(WorldConfig::for_tests(8))
+        let report = World::new(WorldConfig::new(8))
             .run(|proc| proc.rank() * 10)
             .unwrap();
         assert_eq!(report.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
@@ -482,7 +434,7 @@ mod tests {
     fn ring_pass() {
         // Each rank sends its rank to the right neighbor and receives from
         // the left one.
-        let report = World::new(WorldConfig::for_tests(5))
+        let report = World::new(WorldConfig::new(5))
             .run(|proc| {
                 let p = proc.size();
                 let me = proc.rank();
@@ -500,7 +452,7 @@ mod tests {
     #[test]
     fn barrier_all_sizes() {
         for p in [1, 2, 3, 4, 5, 7, 8, 16, 33] {
-            World::new(WorldConfig::for_tests(p))
+            World::new(WorldConfig::new(p))
                 .run(|proc| {
                     for _ in 0..3 {
                         proc.barrier(Comm::WORLD);
@@ -515,7 +467,7 @@ mod tests {
         for p in [1usize, 2, 3, 5, 8, 13, 16] {
             for root in [0, p / 2, p - 1] {
                 let expect: u64 = (0..p as u64).sum();
-                World::new(WorldConfig::for_tests(p))
+                World::new(WorldConfig::new(p))
                     .run(move |proc| {
                         let out =
                             proc.reduce_u64(proc.rank() as u64, ReduceOp::Sum, root, Comm::WORLD);
@@ -532,7 +484,7 @@ mod tests {
 
     #[test]
     fn reduce_max_min() {
-        World::new(WorldConfig::for_tests(9))
+        World::new(WorldConfig::new(9))
             .run(|proc| {
                 let v = proc.rank() as u64 * 7 % 5; // some non-monotone values
                 let mx = proc.allreduce_u64(v, ReduceOp::Max, Comm::WORLD);
@@ -548,7 +500,7 @@ mod tests {
     fn bcast_all_sizes_and_roots() {
         for p in [1usize, 2, 3, 5, 8, 13] {
             for root in [0, p - 1] {
-                World::new(WorldConfig::for_tests(p))
+                World::new(WorldConfig::new(p))
                     .run(move |proc| {
                         let payload = if proc.rank() == root {
                             vec![0xab; 37]
@@ -566,7 +518,7 @@ mod tests {
     #[test]
     fn gather_collects_all() {
         for p in [1usize, 2, 3, 6, 11] {
-            World::new(WorldConfig::for_tests(p))
+            World::new(WorldConfig::new(p))
                 .run(move |proc| {
                     let mine = vec![proc.rank() as u8; proc.rank() + 1];
                     let out = proc.gather(&mine, 0, Comm::WORLD);
@@ -585,7 +537,7 @@ mod tests {
 
     #[test]
     fn allreduce_sum_convenience() {
-        let report = World::new(WorldConfig::for_tests(16))
+        let report = World::new(WorldConfig::new(16))
             .run(|proc| proc.allreduce_sum(1))
             .unwrap();
         assert!(report.results.iter().all(|&r| r == 16));
@@ -593,7 +545,7 @@ mod tests {
 
     #[test]
     fn virtual_time_advances_with_compute() {
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 proc.compute(1.0);
                 proc.barrier(Comm::WORLD);
@@ -608,7 +560,7 @@ mod tests {
     fn recv_synchronizes_clocks() {
         // Rank 0 computes for 5 virtual seconds then sends; rank 1 receives
         // immediately. Rank 1's clock must advance past 5.0.
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 if proc.rank() == 0 {
                     proc.compute(5.0);
@@ -627,7 +579,7 @@ mod tests {
 
     #[test]
     fn panic_in_one_rank_reported_not_deadlocked() {
-        let err = World::new(WorldConfig::for_tests(3))
+        let err = World::new(WorldConfig::new(3))
             .run(|proc| {
                 if proc.rank() == 1 {
                     panic!("injected failure");
@@ -647,7 +599,7 @@ mod tests {
 
     #[test]
     fn stats_count_messages() {
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 if proc.rank() == 0 {
                     proc.send(1, 0, Comm::WORLD, &[0; 100]);
@@ -666,7 +618,7 @@ mod tests {
     #[test]
     fn sendrecv_head_on_exchange() {
         // Classic stencil exchange: both partners sendrecv each other.
-        World::new(WorldConfig::for_tests(2))
+        World::new(WorldConfig::new(2))
             .run(|proc| {
                 let peer = 1 - proc.rank();
                 let info = proc.sendrecv(
@@ -687,7 +639,7 @@ mod tests {
         // Each rank self-sends 10 messages on the tool plane; rank 2 is
         // scheduled to die partway through.
         let plan = FaultPlan::new(1).crash_rank(2, 5);
-        let report = World::new(WorldConfig::for_tests(4).with_faults(plan))
+        let report = World::new(WorldConfig::new(4).with_faults(plan))
             .run_faulty(|proc| {
                 let me = proc.rank();
                 for i in 0..10u32 {
@@ -710,7 +662,7 @@ mod tests {
     fn injected_crash_fails_plain_run() {
         // `run` (intolerant) treats a scheduled crash like any panic.
         let plan = FaultPlan::new(1).crash_rank(1, 0);
-        let err = World::new(WorldConfig::for_tests(2).with_faults(plan))
+        let err = World::new(WorldConfig::new(2).with_faults(plan))
             .run(|proc| {
                 proc.send(proc.rank(), 0, Comm::TOOL, &[]);
             })
@@ -729,7 +681,7 @@ mod tests {
         // the dead rank's program position, not scheduling.
         for _ in 0..20 {
             let plan = FaultPlan::new(0).crash_rank(1, 1);
-            let report = World::new(WorldConfig::for_tests(2).with_faults(plan))
+            let report = World::new(WorldConfig::new(2).with_faults(plan))
                 .run_faulty(|proc| {
                     if proc.rank() == 1 {
                         proc.send(0, 5, Comm::TOOL, b"first");
@@ -756,7 +708,7 @@ mod tests {
             .delay(100, 0.1);
         let payload: Vec<u8> = (0..2000u32).map(|i| (i % 251) as u8).collect();
         let expect = payload.clone();
-        let report = World::new(WorldConfig::for_tests(2).with_faults(plan))
+        let report = World::new(WorldConfig::new(2).with_faults(plan))
             .run_faulty(move |proc| {
                 if proc.rank() == 0 {
                     for _ in 0..20 {
@@ -793,7 +745,7 @@ mod tests {
         // Every frame corrupt: the receiver re-requests once, then gives
         // up with a typed error; neither side panics or hangs.
         let plan = FaultPlan::new(42).corrupt_per_mille(1000);
-        let report = World::new(WorldConfig::for_tests(2).with_faults(plan))
+        let report = World::new(WorldConfig::new(2).with_faults(plan))
             .run_faulty(|proc| {
                 if proc.rank() == 0 {
                     proc.reliable_recv(1, 9, Comm::TOOL, crate::reliable::RetryPolicy::Bounded(1))
@@ -811,7 +763,7 @@ mod tests {
     #[test]
     fn resilient_allreduce_excludes_dead_rank() {
         let plan = FaultPlan::new(3).crash_rank(2, 0);
-        let report = World::new(WorldConfig::for_tests(4).with_faults(plan))
+        let report = World::new(WorldConfig::new(4).with_faults(plan))
             .run_faulty(|proc| {
                 proc.resilient_allreduce_u64((proc.rank() + 1) as u64, ReduceOp::Sum, Comm::TOOL)
             })
@@ -826,7 +778,7 @@ mod tests {
 
     #[test]
     fn unarmed_world_reports_zero_fault_stats() {
-        let report = World::new(WorldConfig::for_tests(3))
+        let report = World::new(WorldConfig::new(3))
             .run(|proc| proc.allreduce_sum(1))
             .unwrap();
         assert!(report
@@ -837,7 +789,7 @@ mod tests {
 
     #[test]
     fn unrecorded_world_has_no_journal() {
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| proc.allreduce_sum(1))
             .unwrap();
         assert!(report.journal.is_none(), "recorder off => zero output");
@@ -846,7 +798,7 @@ mod tests {
     #[test]
     fn recorder_gathers_a_journal_with_crash_and_fault_events() {
         let plan = FaultPlan::new(1).crash_rank(2, 5).corrupt_per_mille(1000);
-        let report = World::new(WorldConfig::for_tests(4).with_faults(plan).with_recorder())
+        let report = World::new(WorldConfig::new(4).with_faults(plan).with_recorder())
             .run_faulty(|proc| {
                 let me = proc.rank();
                 for i in 0..10u32 {
@@ -878,9 +830,9 @@ mod tests {
     fn recorder_does_not_perturb_virtual_times() {
         let run_once = |record: bool| {
             let cfg = if record {
-                WorldConfig::for_tests(3).with_recorder()
+                WorldConfig::new(3).with_recorder()
             } else {
-                WorldConfig::for_tests(3)
+                WorldConfig::new(3)
             };
             World::new(cfg)
                 .run(|proc| {
@@ -897,7 +849,7 @@ mod tests {
 
     #[test]
     fn moderately_large_world() {
-        // Smoke-test the thread machinery at a P beyond toy sizes.
+        // Smoke-test the scheduler at a P beyond toy sizes.
         let report = World::new(WorldConfig::new(128))
             .run(|proc| proc.allreduce_sum(proc.rank() as u64))
             .unwrap();

@@ -230,9 +230,9 @@ mod tests {
                 proc.allreduce_sum(1);
             }
         };
-        let base = W::new(WC::for_tests(p)).run(app).unwrap();
+        let base = W::new(WC::new(p)).run(app).unwrap();
 
-        let st = W::new(WC::for_tests(p))
+        let st = W::new(WC::new(p))
             .run(move |proc| {
                 let mut tp = TracedProc::new(proc);
                 let me = tp.rank();
@@ -249,7 +249,7 @@ mod tests {
             })
             .unwrap();
 
-        let ch = W::new(WC::for_tests(p))
+        let ch = W::new(WC::new(p))
             .run(move |proc| {
                 let mut tp = TracedProc::new(proc);
                 let me = tp.rank();

@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn all_ranks_merge_to_root() {
         for p in [1usize, 2, 3, 7, 8, 16] {
-            let report = World::new(WorldConfig::for_tests(p))
+            let report = World::new(WorldConfig::new(p))
                 .run(move |proc| {
                     let me = proc.rank();
                     let participants: Vec<Rank> = (0..proc.size()).collect();
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn subset_merge_only_participants() {
         // Only ranks 1, 3, 5 participate; others do unrelated work.
-        let report = World::new(WorldConfig::for_tests(6))
+        let report = World::new(WorldConfig::new(6))
             .run(|proc| {
                 let me = proc.rank();
                 let participants = vec![1, 3, 5];
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn divergent_traces_unioned() {
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let me = proc.rank();
                 let participants: Vec<Rank> = (0..proc.size()).collect();
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn higher_radix_same_result() {
         for radix in [2usize, 4, 8] {
-            let report = World::new(WorldConfig::for_tests(9))
+            let report = World::new(WorldConfig::new(9))
                 .run(move |proc| {
                     let me = proc.rank();
                     let participants: Vec<Rank> = (0..proc.size()).collect();
@@ -336,7 +336,7 @@ mod tests {
         // thread scheduling. With disjoint traces any fold-order leak
         // would be visible in the node order.
         for slow in [1usize, 2] {
-            let report = World::new(WorldConfig::for_tests(3))
+            let report = World::new(WorldConfig::new(3))
                 .run(move |proc| {
                     let me = proc.rank();
                     let participants: Vec<Rank> = vec![0, 1, 2];
@@ -367,7 +367,7 @@ mod tests {
     fn timings_report_levels_and_fast_path() {
         // p = 7, radix 2: interior positions 0 (depth 0), 1 and 2 (depth
         // 1), each folding two children; 3..6 are leaves.
-        let report = World::new(WorldConfig::for_tests(7))
+        let report = World::new(WorldConfig::new(7))
             .run(move |proc| {
                 let participants: Vec<Rank> = (0..proc.size()).collect();
                 let mine = trace_for(proc.rank(), &[1, 2, 3]);
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn root_can_be_any_participant_order() {
         // The "temp rank" mapping: participants[0] = 2 is the root.
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let me = proc.rank();
                 let participants = vec![2, 0, 1, 3];

@@ -469,7 +469,7 @@ mod tests {
 
     #[test]
     fn traced_ring_builds_trace() {
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 let me = tp.rank();
@@ -490,7 +490,7 @@ mod tests {
 
     #[test]
     fn interval_signatures_match_across_spmd_ranks() {
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 let me = tp.rank();
@@ -514,7 +514,7 @@ mod tests {
 
     #[test]
     fn different_behavior_different_callpath() {
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 if tp.rank() == 0 {
@@ -530,7 +530,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_records_signatures_but_no_trace() {
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 tp.tracer_mut().set_enabled(false);
@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn frames_distinguish_call_contexts() {
-        let report = World::new(WorldConfig::for_tests(1))
+        let report = World::new(WorldConfig::new(1))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 tp.frame("phase_a", |tp| tp.record_finalize("x"));
@@ -569,7 +569,7 @@ mod tests {
     fn repeated_interval_same_callpath() {
         // The transition graph's core assumption: re-executing the same
         // code between markers reproduces the same Call-Path signature.
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 let mut sigs = Vec::new();
@@ -593,7 +593,7 @@ mod tests {
     fn sendrecv_records_both_tags() {
         // Regression: a SendRecv's send and receive tags differ; replay
         // needs both (a single recorded tag mispairs boundary exchanges).
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 let peer = 1 - tp.rank();
@@ -612,7 +612,7 @@ mod tests {
 
     #[test]
     fn pre_time_captures_compute() {
-        let report = World::new(WorldConfig::for_tests(1))
+        let report = World::new(WorldConfig::new(1))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 tp.compute(2.0);
@@ -629,7 +629,7 @@ mod tests {
 
     #[test]
     fn take_trace_leaves_empty() {
-        let report = World::new(WorldConfig::for_tests(1))
+        let report = World::new(WorldConfig::new(1))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 tp.record_finalize("x");
@@ -642,7 +642,7 @@ mod tests {
 
     #[test]
     fn peak_bytes_monotone() {
-        let report = World::new(WorldConfig::for_tests(1))
+        let report = World::new(WorldConfig::new(1))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 for i in 0..20u64 {

@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn three_callpath_groups() {
         // Run one interval on 6 ranks; exactly 3 distinct Call-Paths.
-        let report = World::new(WorldConfig::for_tests(6))
+        let report = World::new(WorldConfig::new(6))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Bt.step(&mut tp, Class::A, 0);
@@ -113,7 +113,7 @@ mod tests {
     fn steps_are_repetitive() {
         // The same step twice yields the same Call-Path — the property
         // the transition graph votes on.
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Bt.step(&mut tp, Class::A, 0);
@@ -128,7 +128,7 @@ mod tests {
 
     #[test]
     fn single_rank_step_no_deadlock() {
-        World::new(WorldConfig::for_tests(1))
+        World::new(WorldConfig::new(1))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Bt.step(&mut tp, Class::A, 0);

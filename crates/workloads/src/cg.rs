@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn two_callpath_groups_on_square_grid() {
-        let report = World::new(WorldConfig::for_tests(16))
+        let report = World::new(WorldConfig::new(16))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Cg.step(&mut tp, Class::A, 0);
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn transpose_exchange_no_deadlock() {
         for p in [1usize, 4, 9, 16] {
-            World::new(WorldConfig::for_tests(p))
+            World::new(WorldConfig::new(p))
                 .run(|proc| {
                     let mut tp = TracedProc::new(proc);
                     for step in 0..3 {

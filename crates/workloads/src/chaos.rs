@@ -60,7 +60,7 @@ pub fn root_crash_plan(seed: u64, at_op: u64) -> FaultPlan {
 /// next op — the marker-`m+1` resilient barrier.
 pub fn marker_entry_ops(p: usize, steps: usize, mut plan: FaultPlan) -> Vec<u64> {
     plan.crash = None;
-    let config = WorldConfig::for_tests(p).with_faults(plan);
+    let config = WorldConfig::new(p).with_faults(plan);
     let report = World::new(config)
         .run_faulty(move |proc| {
             let mut tp = TracedProc::new(proc);
@@ -183,7 +183,7 @@ pub fn run_chaos_result_on(
     cham_cfg: ChameleonConfig,
     thread_sched: bool,
 ) -> Result<ChaosOutcome, String> {
-    let mut config = WorldConfig::for_tests(p).with_faults(plan);
+    let mut config = WorldConfig::new(p).with_faults(plan);
     if thread_sched {
         config = config.with_thread_scheduler();
     }
@@ -376,7 +376,7 @@ mod tests {
     fn fault_free_chaos_ring_completes() {
         // The harness itself (shrink-aware ring + k=p config) must be a
         // well-formed workload when nothing is armed.
-        let report = mpisim::World::new(mpisim::WorldConfig::for_tests(4))
+        let report = mpisim::World::new(mpisim::WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 let mut cham = Chameleon::new(ChameleonConfig::with_k(4));

@@ -82,9 +82,9 @@ pub struct Overrides {
     /// (`tests/sched_differential.rs`) uses this as its oracle; every
     /// simulation-visible output is byte-identical between the two.
     pub thread_sched: bool,
-    /// Event-scheduler worker-pool size (`0` = the world's default, one
-    /// worker). Results are invariant under this knob; it trades
-    /// wall-clock only.
+    /// Kept only because the benchmark harness sets it to `1`: the event
+    /// scheduler always runs every rank on one thread. `0` (the default)
+    /// and `1` mean that; [`run`] panics on anything else.
     pub workers: usize,
 }
 

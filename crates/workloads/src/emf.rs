@@ -119,7 +119,7 @@ mod tests {
 
     #[test]
     fn two_callpath_groups() {
-        let report = World::new(WorldConfig::for_tests(5))
+        let report = World::new(WorldConfig::new(5))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Emf.step(&mut tp, Class::A, 0);
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn master_worker_rounds_complete() {
-        World::new(WorldConfig::for_tests(4))
+        World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 for step in 0..5 {
@@ -148,7 +148,7 @@ mod tests {
     fn tiny_trace_after_compression() {
         // The EMF small-trace property: many rounds compress to a
         // constant-size trace.
-        let report = World::new(WorldConfig::for_tests(3))
+        let report = World::new(WorldConfig::new(3))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 for step in 0..50 {

@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn nine_callpath_groups_on_grid() {
         // 4x4 grid: all 9 boundary-position classes exist.
-        let report = World::new(WorldConfig::for_tests(16))
+        let report = World::new(WorldConfig::new(16))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Lu::strong().step(&mut tp, Class::A, 0);
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn wavefront_completes_without_deadlock() {
         for p in [1usize, 2, 4, 6, 9, 12] {
-            World::new(WorldConfig::for_tests(p))
+            World::new(WorldConfig::new(p))
                 .run(|proc| {
                     let mut tp = TracedProc::new(proc);
                     for step in 0..3 {
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn phase_change_variant_adds_barrier_periodically() {
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 let w = LuPhaseChange::new(2);

@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn three_callpath_groups() {
-        let report = World::new(WorldConfig::for_tests(6))
+        let report = World::new(WorldConfig::new(6))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Pop.step(&mut tp, Class::A, 0);
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn wobble_changes_times_not_signatures() {
-        let report = World::new(WorldConfig::for_tests(2))
+        let report = World::new(WorldConfig::new(2))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Pop.step(&mut tp, Class::A, 0);

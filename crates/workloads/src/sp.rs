@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn three_callpath_groups() {
-        let report = World::new(WorldConfig::for_tests(5))
+        let report = World::new(WorldConfig::new(5))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Sp.step(&mut tp, Class::A, 0);
@@ -107,7 +107,7 @@ mod tests {
     fn sp_and_bt_distinct_callpaths() {
         // Same rank positions, different codes: signatures must differ
         // (different call sites).
-        let report = World::new(WorldConfig::for_tests(3))
+        let report = World::new(WorldConfig::new(3))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Sp.step(&mut tp, Class::A, 0);

@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn nine_groups_and_no_deadlock() {
-        let report = World::new(WorldConfig::for_tests(16))
+        let report = World::new(WorldConfig::new(16))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Sweep3d::strong().step(&mut tp, Class::A, 0);
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn load_imbalance_spreads_completion_times() {
-        let report = World::new(WorldConfig::for_tests(8))
+        let report = World::new(WorldConfig::new(8))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 for step in 0..2 {
@@ -197,7 +197,7 @@ mod tests {
     fn repetitive_signature_despite_imbalance() {
         // The paper's point: time skew lives in histograms, not in the
         // Call-Path signature, so repetition is still detected.
-        let report = World::new(WorldConfig::for_tests(4))
+        let report = World::new(WorldConfig::new(4))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 Sweep3d::strong().step(&mut tp, Class::A, 0);

@@ -40,7 +40,7 @@ fn run_ring(
     kill_after: Option<usize>,
     cfg: ChameleonConfig,
 ) -> Option<String> {
-    let report = World::new(WorldConfig::for_tests(p))
+    let report = World::new(WorldConfig::new(p))
         .run(move |proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(cfg.clone());

@@ -32,8 +32,8 @@ fn all_workloads() -> Vec<Arc<dyn Workload>> {
 fn large_world_4096_rank_spmd_ring() {
     // Thread-per-rank capped worlds at a few hundred ranks: P free-running
     // threads all polling their mailboxes thrash the host scheduler. The
-    // event scheduler parks blocked rank tasks without polling and runs at
-    // most `workers` of them at once, so a 4096-rank world is just 4096
+    // event scheduler parks blocked rank tasks without polling and runs
+    // one of them at a time, so a 4096-rank world is just 4096
     // parked continuations — bounded memory, bounded runnable set. This
     // smoke test pins that capability (nextest enforces the wall-clock
     // bound; see .config/nextest.toml).

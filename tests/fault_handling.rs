@@ -16,7 +16,7 @@ use chameleon_repro::workloads::{bt::Bt, Class};
 fn rank_panic_mid_clustering_does_not_hang() {
     // One rank dies between the marker barrier and the vote; the poison
     // mechanism must unblock the others.
-    let err = World::new(WorldConfig::for_tests(4))
+    let err = World::new(WorldConfig::new(4))
         .run(|proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(2));
@@ -46,7 +46,7 @@ fn rank_panic_mid_reduction_does_not_hang() {
     use chameleon_repro::scalatrace::{CompressedTrace, Endpoint, EventRecord, MpiOp};
     use chameleon_repro::sigkit::StackSig;
 
-    let err = World::new(WorldConfig::for_tests(5))
+    let err = World::new(WorldConfig::new(5))
         .run(|proc| {
             let me = proc.rank();
             let participants: Vec<usize> = (0..proc.size()).collect();
@@ -317,7 +317,7 @@ fn empty_world_single_rank_full_pipeline() {
 
 #[test]
 fn marker_after_finalize_is_rejected() {
-    let err = World::new(WorldConfig::for_tests(2))
+    let err = World::new(WorldConfig::new(2))
         .run(|proc| {
             let mut tp = TracedProc::new(proc);
             let mut cham = Chameleon::new(ChameleonConfig::with_k(1));

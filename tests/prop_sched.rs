@@ -3,10 +3,10 @@
 //! The scheduler's determinism contract has three legs, each checked
 //! here over randomized inputs rather than hand-picked cases:
 //!
-//! - **pool-size invariance** — every simulation-visible output (journal
+//! - **engine invariance** — every simulation-visible output (journal
 //!   bytes, virtual times, Chameleon stats) is a pure function of the
-//!   world's seed and workload, never of how many worker permits the
-//!   scheduler hands out (1, 2, 8, or whatever the host offers);
+//!   world's seed and workload, the same on the one-thread event engine
+//!   as on the thread-per-rank oracle;
 //! - **deterministic tie-break** — when several rank tasks become ready
 //!   at the same virtual timestamp, the ready queue dispatches them in
 //!   rank order regardless of the order they were *inserted*, so wake
@@ -32,24 +32,23 @@ use chameleon_repro::workloads::Class;
 use xrand::Xoshiro256;
 
 // ---------------------------------------------------------------------------
-// Pool-size invariance
+// Engine invariance
 // ---------------------------------------------------------------------------
 
+/// Three seeded cases, each run on the one-thread event engine and on the
+/// thread-per-rank oracle (the name predates the engine's single thread).
 #[test]
 fn results_invariant_under_worker_pool_size() {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let mut rng = Xoshiro256::seed_from_u64(0x5eed_5c4e_d001);
     let names = ["BT", "LU", "SP", "CG"];
     for case in 0..3 {
         let name = names[rng.usize_below(names.len())];
         let p = [4usize, 8][rng.usize_below(2)];
         let lossy = rng.gen_bool(0.5);
-        let run_with = |workers: usize| {
+        let run_with = |thread_sched: bool| {
             let mut o = Overrides {
                 journal: true,
-                workers,
+                thread_sched,
                 ..Default::default()
             };
             if lossy {
@@ -62,28 +61,25 @@ fn results_invariant_under_worker_pool_size() {
             }
             run(workload(name, 25), Class::A, p, Mode::Chameleon, o)
         };
-        let base = run_with(1);
-        for workers in [2usize, 8, host] {
-            let other = run_with(workers);
-            let label = format!("{name} p={p} lossy={lossy} workers={workers}");
-            assert_eq!(
-                base.journal.as_ref().unwrap().to_jsonl(),
-                other.journal.as_ref().unwrap().to_jsonl(),
-                "{label}: journal bytes must not depend on pool size"
-            );
-            assert_eq!(
-                base.app_vtime, other.app_vtime,
-                "{label}: app vtime must be bit-identical"
-            );
-            assert_eq!(
-                base.cham_stats, other.cham_stats,
-                "{label}: Chameleon stats must agree"
-            );
-            assert_eq!(
-                base.fault_stats, other.fault_stats,
-                "{label}: fault counters must agree"
-            );
-        }
+        let (events, threads) = (run_with(false), run_with(true));
+        let label = format!("{name} p={p} lossy={lossy}");
+        assert_eq!(
+            events.journal.as_ref().unwrap().to_jsonl(),
+            threads.journal.as_ref().unwrap().to_jsonl(),
+            "{label}: journal bytes must not depend on the engine"
+        );
+        assert_eq!(
+            events.app_vtime, threads.app_vtime,
+            "{label}: app vtime must be bit-identical"
+        );
+        assert_eq!(
+            events.cham_stats, threads.cham_stats,
+            "{label}: Chameleon stats must agree"
+        );
+        assert_eq!(
+            events.fault_stats, threads.fault_stats,
+            "{label}: fault counters must agree"
+        );
     }
 }
 
@@ -137,22 +133,15 @@ fn equal_timestamp_ties_resolve_by_rank_for_any_insertion_order() {
 fn world_level_equal_timestamps_dispatch_in_rank_order() {
     // At world start every rank is Ready at virtual time 0.0 — the one
     // moment the ready queue is guaranteed to hold P equal-vtime entries.
-    // With a sequential pool (workers=1) the dispatch order is fully
-    // observable: each rank runs to its next block in queue order, so
-    // rank 0 — receiving with SrcSel::Any — sees the senders in exactly
+    // The event engine runs one rank at a time, so the dispatch order is
+    // fully observable: each rank runs to its next block in queue order,
+    // so rank 0 — receiving with SrcSel::Any — sees the senders in exactly
     // the order the scheduler dispatched them, which must be ascending
     // rank, every run. (A barrier would NOT set this up: barriers are
     // message trees, so ranks exit them at rank-dependent vtimes.)
-    //
-    // (With workers > 1 several senders run on concurrent OS threads and
-    // the FIFO mailbox records their *physical* deposit race — the same
-    // nondeterminism the free-running thread engine always had, which is
-    // why SrcSel::Any arrival order was never part of the determinism
-    // contract. Deterministically-matched programs are pool-invariant;
-    // that leg is pinned by the other tests in this file.)
     let p = 12;
     let observe = || -> Vec<usize> {
-        let report = World::new(WorldConfig::new(p).with_workers(1))
+        let report = World::new(WorldConfig::new(p))
             .run(move |proc| {
                 let me = proc.rank();
                 if me == 0 {
@@ -190,10 +179,9 @@ fn every_rank_reaches_final_state_under_random_patterns() {
     for _ in 0..4 {
         let p = 6 + rng.usize_below(10);
         let rounds = 3 + rng.usize_below(5);
-        let workers = 1 + rng.usize_below(8);
         let world_seed = rng.next_u64();
 
-        let report = World::new(WorldConfig::new(p).with_workers(workers))
+        let report = World::new(WorldConfig::new(p))
             .run(move |proc| {
                 let p = proc.size();
                 let me = proc.rank();
@@ -241,11 +229,11 @@ fn every_rank_reaches_final_state_under_random_patterns() {
         let first = report.results[0];
         assert!(
             report.results.iter().all(|&r| r == first),
-            "p={p} workers={workers}: final allreduce disagrees"
+            "p={p}: final allreduce disagrees"
         );
         assert!(
             report.rank_vtimes.iter().all(|&t| t > 0.0),
-            "p={p} workers={workers}: a rank's virtual clock never advanced"
+            "p={p}: a rank's virtual clock never advanced"
         );
     }
 }

@@ -1,8 +1,8 @@
 //! Thread-vs-event scheduler differential suite.
 //!
-//! The event scheduler (the default) multiplexes rank tasks over a
-//! bounded worker pool with event wakeups; the pre-refactor free-running
-//! thread scheduler survives behind `WorldConfig::with_thread_scheduler`
+//! The event scheduler (the default) runs every rank task on one thread
+//! with event wakeups; the pre-refactor free-running thread scheduler
+//! survives behind `WorldConfig::with_thread_scheduler`
 //! (`Overrides::thread_sched` at the driver level) exactly so it can act
 //! as the oracle here: every simulation-visible output — gathered
 //! journals (byte-for-byte), trace digests, Chameleon stats, fault
@@ -213,37 +213,26 @@ fn rootcrash_deputy_promotion_parity() {
 }
 
 #[test]
-fn parity_holds_across_worker_pool_sizes() {
-    // The thread oracle is one fixed point; the event scheduler must also
-    // agree with itself however many workers its ranks are spread over
-    // (1 = one sequential worker; 2 and 8 put neighbouring ranks on
-    // different OS threads, so every wake crosses workers). Fault-free BT
-    // and LU over a lossy link, at 16 ranks; the randomized grid lives in
-    // tests/prop_sched.rs.
+fn bt_and_lossy_lu_at_16_ranks_match_the_thread_oracle() {
+    // The tier-1 row at a size above the grid above: fault-free BT and LU
+    // over a lossy link, 16 ranks, journals on. The randomized grid lives
+    // in tests/prop_sched.rs.
     let lossy = FaultPlan::new(3)
         .corrupt_per_mille(150)
         .duplicate_per_mille(40);
     for (name, faults) in [("BT", None), ("LU", Some(lossy))] {
-        let on = |workers: usize, thread_sched: bool| {
+        let on = |thread_sched: bool| {
             let overrides = Overrides {
                 journal: true,
                 faults: faults.clone(),
                 retry_budget: faults.as_ref().map(|_| 3),
-                workers,
                 thread_sched,
                 ..Default::default()
             };
             run(workload(name, 25), Class::A, 16, Mode::Chameleon, overrides)
         };
-        let base = on(1, false);
-        assert!(base.journal.is_some() && base.global_trace.is_some());
-        for workers in [2usize, 8] {
-            assert_same_outputs(
-                &base,
-                &on(workers, false),
-                &format!("{name} workers={workers}"),
-            );
-        }
-        assert_same_outputs(&base, &on(0, true), &format!("{name} thread oracle"));
+        let events = on(false);
+        assert!(events.journal.is_some() && events.global_trace.is_some());
+        assert_same_outputs(&events, &on(true), &format!("{name} thread oracle"));
     }
 }

@@ -65,24 +65,13 @@ fn thread_ids_at_block_points(config: WorldConfig) -> Vec<Vec<ThreadId>> {
 #[test]
 fn event_mode_has_no_thread_per_rank() {
     let p = 64;
-    for workers in [1usize, 2] {
-        let seen = thread_ids_at_block_points(WorldConfig::new(p).with_workers(workers));
-        for (rank, ids) in seen.iter().enumerate() {
-            assert!(
-                ids.iter().all(|id| *id == ids[0]),
-                "workers={workers}: rank {rank} changed OS thread: {ids:?}"
-            );
-        }
-        let distinct: HashSet<ThreadId> = seen.iter().map(|ids| ids[0]).collect();
-        assert_eq!(
-            distinct.len(),
-            workers,
-            "workers={workers}: {p} ranks must share exactly the pool's threads"
+    let caller = std::thread::current().id();
+    let seen = thread_ids_at_block_points(WorldConfig::new(p));
+    for (rank, ids) in seen.iter().enumerate() {
+        assert!(
+            ids.iter().all(|id| *id == caller),
+            "rank {rank} ran off the thread that called run: {ids:?} vs {caller:?}"
         );
-        // The home-worker rule: rank r lives on worker r % workers.
-        for (rank, ids) in seen.iter().enumerate() {
-            assert_eq!(ids[0], seen[rank % workers][0], "rank {rank}'s home");
-        }
     }
     // The oracle still spends a thread per rank (so the count above is
     // a property of the engine, not of the probe).
@@ -144,33 +133,31 @@ fn run_hands_back_an_unchanged_process_child() {
     // a rank touches a few pages of it.
     let stack_bytes = 4 << 20;
     let p = 64;
-    for workers in [1usize, 2] {
-        let before = (os_threads(), stack_mappings(stack_bytes));
-        assert_eq!(before.1, 0, "no rank stack before the world runs");
-        let mut config = WorldConfig::new(p).with_workers(workers);
-        config.stack_bytes = stack_bytes;
-        let during = World::new(config)
-            .run(move |proc| {
-                proc.barrier(Comm::WORLD);
-                let seen = (os_threads(), stack_mappings(stack_bytes));
-                proc.barrier(Comm::WORLD);
-                seen
-            })
-            .unwrap()
-            .results;
-        for seen in during {
-            assert_eq!(
-                seen,
-                (before.0 + workers, p),
-                "workers={workers}: a running world is `workers` threads and one stack per rank"
-            );
-        }
+    let before = (os_threads(), stack_mappings(stack_bytes));
+    assert_eq!(before.1, 0, "no rank stack before the world runs");
+    let mut config = WorldConfig::new(p);
+    config.stack_bytes = stack_bytes;
+    let during = World::new(config)
+        .run(move |proc| {
+            proc.barrier(Comm::WORLD);
+            let seen = (os_threads(), stack_mappings(stack_bytes));
+            proc.barrier(Comm::WORLD);
+            seen
+        })
+        .unwrap()
+        .results;
+    for seen in during {
         assert_eq!(
-            (os_threads_settled(before.0), stack_mappings(stack_bytes)),
-            before,
-            "workers={workers}: run() left a thread or a mapping behind"
+            seen,
+            (before.0, p),
+            "a running world is no new thread and one stack per rank"
         );
     }
+    assert_eq!(
+        (os_threads_settled(before.0), stack_mappings(stack_bytes)),
+        before,
+        "run() left a thread or a mapping behind"
+    );
 }
 
 #[test]
@@ -192,35 +179,31 @@ fn run_hands_back_an_unchanged_process() {
 fn non_tolerant_crash_poisons_and_every_parked_rank_unwinds() {
     // Everyone waits on rank 3, which dies at its second operation.
     let p = 8;
-    for workers in [1usize, 2] {
-        let plan = FaultPlan::new(7).crash_rank(3, 1);
-        let err = World::new(WorldConfig::new(p).with_workers(workers).with_faults(plan))
-            .run(|proc| {
-                if proc.rank() == 3 {
-                    proc.recv_u64(SrcSel::Rank(0), TagSel::Tag(2), Comm::WORLD); // op 0
-                    proc.send_u64(3, 1, Comm::TOOL, 1); // op 1: the crash
-                    unreachable!("rank 3 is killed by the plan");
-                }
-                if proc.rank() == 0 {
-                    proc.send_u64(3, 2, Comm::WORLD, 0);
-                }
-                proc.recv_u64(SrcSel::Rank(3), TagSel::Tag(9), Comm::WORLD);
-            })
-            .unwrap_err();
-        let mut failures = err.failures;
-        failures.sort();
-        assert_eq!(failures.len(), p, "workers={workers}: {failures:?}");
-        for (rank, msg) in failures {
-            if rank == 3 {
-                assert_eq!(msg, "injected crash: rank 3 at op 1");
-            } else {
-                assert_eq!(
-                    msg,
-                    format!(
-                        "world poisoned: another rank panicked while rank {rank} was receiving"
-                    )
-                );
+    let plan = FaultPlan::new(7).crash_rank(3, 1);
+    let err = World::new(WorldConfig::new(p).with_faults(plan))
+        .run(|proc| {
+            if proc.rank() == 3 {
+                proc.recv_u64(SrcSel::Rank(0), TagSel::Tag(2), Comm::WORLD); // op 0
+                proc.send_u64(3, 1, Comm::TOOL, 1); // op 1: the crash
+                unreachable!("rank 3 is killed by the plan");
             }
+            if proc.rank() == 0 {
+                proc.send_u64(3, 2, Comm::WORLD, 0);
+            }
+            proc.recv_u64(SrcSel::Rank(3), TagSel::Tag(9), Comm::WORLD);
+        })
+        .unwrap_err();
+    let mut failures = err.failures;
+    failures.sort();
+    assert_eq!(failures.len(), p, "{failures:?}");
+    for (rank, msg) in failures {
+        if rank == 3 {
+            assert_eq!(msg, "injected crash: rank 3 at op 1");
+        } else {
+            assert_eq!(
+                msg,
+                format!("world poisoned: another rank panicked while rank {rank} was receiving")
+            );
         }
     }
 }
@@ -228,26 +211,24 @@ fn non_tolerant_crash_poisons_and_every_parked_rank_unwinds() {
 #[test]
 fn tolerant_crash_leaves_a_hole_and_parked_survivors_finish() {
     let p = 8;
-    for workers in [1usize, 2] {
-        let plan = FaultPlan::new(7).crash_rank(5, 0);
-        let report = World::new(WorldConfig::new(p).with_workers(workers).with_faults(plan))
-            .run_faulty(|proc| {
-                let me = proc.rank();
-                if me == 5 {
-                    proc.send_u64(0, 1, Comm::TOOL, 1); // op 0: dies here
-                    unreachable!("rank 5 is killed by the plan");
-                }
-                // Parks (nothing was sent), then wakes on the death flag.
-                let heard = proc.recv_or_dead(5, 1, Comm::TOOL).is_some();
-                let (sum, alive) = proc.resilient_allreduce_u64(1, ReduceOp::Sum, Comm::TOOL);
-                (heard, sum, alive.len())
-            })
-            .unwrap();
-        assert_eq!(report.crashed, vec![5], "workers={workers}");
-        for (rank, result) in report.results.iter().enumerate() {
-            let expect = (rank != 5).then_some((false, 7, 7));
-            assert_eq!(*result, expect, "workers={workers} rank {rank}");
-        }
+    let plan = FaultPlan::new(7).crash_rank(5, 0);
+    let report = World::new(WorldConfig::new(p).with_faults(plan))
+        .run_faulty(|proc| {
+            let me = proc.rank();
+            if me == 5 {
+                proc.send_u64(0, 1, Comm::TOOL, 1); // op 0: dies here
+                unreachable!("rank 5 is killed by the plan");
+            }
+            // Parks (nothing was sent), then wakes on the death flag.
+            let heard = proc.recv_or_dead(5, 1, Comm::TOOL).is_some();
+            let (sum, alive) = proc.resilient_allreduce_u64(1, ReduceOp::Sum, Comm::TOOL);
+            (heard, sum, alive.len())
+        })
+        .unwrap();
+    assert_eq!(report.crashed, vec![5]);
+    for (rank, result) in report.results.iter().enumerate() {
+        let expect = (rank != 5).then_some((false, 7, 7));
+        assert_eq!(*result, expect, "rank {rank}");
     }
 }
 
