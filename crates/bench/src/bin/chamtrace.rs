@@ -45,10 +45,12 @@
 //! versioned `CKPT1` binary format (see FAULTS.md "Recovery"); corrupt
 //! or truncated blobs also exit 2.
 //!
-//! With `--json`, every journal subcommand prints the same canonical
-//! single-line JSON object the `chamtrace serve` daemon returns for the
-//! matching endpoint — CLI and daemon answers diff byte for byte (see
-//! OBSERVABILITY.md "Trace service").
+//! The six journal subcommands are the rows of `obs::query::QUERIES`,
+//! the table the `chamtrace serve` daemon routes through: each query is
+//! computed once and printed through the text sink, or with `--json`
+//! through the JSON sink — the same canonical single-line object the
+//! daemon returns for the matching endpoint, so CLI and daemon answers
+//! diff byte for byte (see OBSERVABILITY.md "Querying journals").
 //!
 //! Matrix plans are declarative JSON scenario matrices (see
 //! EXPERIMENTS.md "Running a matrix"); `matrix run` exits 1 when any
@@ -68,7 +70,8 @@
 use chameleon::Checkpoint;
 use chamserve::{ServeConfig, Server};
 use mpisim::CostModel;
-use obs::{query, RunJournal};
+use obs::query::{self, QueryError, Sink};
+use obs::RunJournal;
 use scalatrace::{format, CompressedTrace, RankSet};
 use workloads::chaos::{
     latest_checkpoint, marker_entry_ops, root_crash_plan, run_chaos_supervised,
@@ -156,107 +159,37 @@ fn replay_cmd(path: &str, ranks: usize) {
     }
 }
 
-/// The one journal loader every `journal *` subcommand shares — the same
-/// `RunJournal::load` the daemon's store builds on. Unreadable or
-/// malformed input prints the path + line diagnostic and exits 2.
-fn load_journal(path: &str) -> RunJournal {
-    RunJournal::load(std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_rank(v: &str) -> usize {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("error: invalid rank {v:?}");
-        std::process::exit(2);
-    })
-}
-
-/// Strip a `--json` flag (anywhere in the tail) and return the rest.
-fn take_json_flag(tail: &[String]) -> (Vec<&str>, bool) {
-    let mut json = false;
-    let mut rest = Vec::new();
-    for a in tail {
-        if a == "--json" {
-            json = true;
-        } else {
-            rest.push(a.as_str());
-        }
-    }
-    (rest, json)
-}
-
-/// All `journal *` subcommands behind one loader and one dispatch, in
-/// text or canonical-JSON form.
+/// Every `journal <q>` subcommand: look `q` up in the query table the
+/// daemon routes through, load the journal(s) with the `RunJournal::load`
+/// the daemon's store builds on, and print the text or JSON rendering.
+/// Unreadable or malformed input (path + line diagnostic) and a bad rank
+/// exit 2; a `diff` that finds a divergence exits 1. `--json` may stand
+/// anywhere in the tail.
 fn journal_cmd(tail: &[String]) {
-    let (args, json) = take_json_flag(tail);
-    match args.as_slice() {
-        ["summarize", path] => {
-            let j = load_journal(path);
-            if json {
-                print!("{}", query::summarize_json(&j));
-            } else {
-                print!("{}", j.summary());
-            }
-        }
-        ["timeline", path, rank] => {
-            let rank = parse_rank(rank);
-            let j = load_journal(path);
-            let rendered = if json {
-                query::timeline_json(&j, rank)
-            } else {
-                query::timeline(&j, rank)
-            };
-            match rendered {
-                Ok(text) => print!("{text}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        ["spans", path] => {
-            let j = load_journal(path);
-            if json {
-                print!("{}", query::spans_json(&j));
-            } else {
-                print!("{}", query::span_report(&j));
-            }
-        }
-        ["metrics", path] => {
-            let j = load_journal(path);
-            if json {
-                print!("{}", query::metrics_json(&j));
-            } else {
-                print!("{}", query::metrics_report(&j));
-            }
-        }
-        ["anomalies", path] => {
-            let j = load_journal(path);
-            if json {
-                print!("{}", query::anomalies_json(&j));
-            } else {
-                print!("{}", query::anomaly_report(&j));
-            }
-        }
-        ["diff", path_a, path_b] => {
-            let a = load_journal(path_a);
-            let b = load_journal(path_b);
-            let divergence = query::diff(&a, &b);
-            if json {
-                print!("{}", query::diff_json(&a, &b));
-            } else {
-                match &divergence {
-                    None => println!("identical: {path_a} and {path_b}"),
-                    Some(d) => println!("divergence: {d}"),
-                }
-            }
-            if divergence.is_some() {
+    let (flags, args): (Vec<&str>, Vec<&str>) = tail
+        .iter()
+        .map(String::as_str)
+        .partition(|a| *a == "--json");
+    let json = !flags.is_empty();
+    let [name, path, rest @ ..] = args.as_slice() else {
+        usage()
+    };
+    let Some((q, arg)) = query::find(name, rest) else {
+        usage()
+    };
+    let sink = if json { Sink::Json } else { Sink::Text };
+    let load = |path: &str| RunJournal::load(std::path::Path::new(path));
+    match q.serve(path, arg, sink, load) {
+        Ok((out, diverged)) => {
+            print!("{out}");
+            if diverged {
                 std::process::exit(1);
             }
         }
-        _ => usage(),
+        Err(QueryError::Bad(e) | QueryError::Load(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     }
 }
 

@@ -780,18 +780,17 @@ pub fn observability(cfg: &HarnessConfig) -> Table {
         },
     );
     let journal = rep.journal.expect("journal was requested");
-    eprint!("{}", journal.summary());
+    let summary = obs::query::summarize(&journal);
+    eprint!("{}", summary.render(obs::query::Sink::Text));
     let agg = chameleon::AggregatedStats::from_ranks(rep.cham_stats.iter());
     let mut t = Table::new(
         format!("Flight recorder digest: BT({p}), Chameleon mode"),
         &["metric", "value"],
     );
-    let mut by_label: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    for (_, e) in journal.events() {
-        *by_label.entry(e.kind.label()).or_insert(0) += 1;
-    }
-    for (label, n) in &by_label {
-        t.row(&[format!("events.{label}"), n.to_string()]);
+    if let obs::query::Answer::Summarize(_, _, _, counters, _) = &summary {
+        for (label, n) in counters {
+            t.row(&[format!("events.{label}"), n.to_string()]);
+        }
     }
     t.row(&["overhead.total [s]".into(), secs(agg.total_overhead())]);
     t.row(&["overhead.signature [s]".into(), secs(agg.signature_time)]);
@@ -810,20 +809,15 @@ pub fn observability(cfg: &HarnessConfig) -> Table {
     let snaps = obs::query::snapshots(&journal);
     t.row(&["snapshot.count".into(), snaps.len().to_string()]);
     for s in &snaps {
-        let ctr = |c: obs::Counter| s.ctrs.get(c as usize).copied().unwrap_or(0);
-        let wait_p99 = s
-            .hists
-            .get(obs::HistId::RecvWaitNs as usize * obs::metrics::HIST_DIGEST_STRIDE + 2)
-            .copied()
-            .unwrap_or(0);
+        let [_, _, wait_p99, _] = s.digest(obs::HistId::RecvWaitNs).0;
         t.row(&[
             format!("snapshot.m{}", s.marker),
             format!(
                 "ranks={} signatures={} merges={} dp_cells={} recv_wait_p99_ns={}",
                 s.ranks,
-                ctr(obs::Counter::Signatures),
-                ctr(obs::Counter::Merges),
-                ctr(obs::Counter::DpCells),
+                s.ctr(obs::Counter::Signatures),
+                s.ctr(obs::Counter::Merges),
+                s.ctr(obs::Counter::DpCells),
                 wait_p99
             ),
         ]);

@@ -7,6 +7,10 @@
 //! fails to parse, including the second one (a malformed second file is a
 //! broken input, not evidence of divergence).
 //!
+//! The text reports of `chamtrace journal <q>` are pinned byte for byte
+//! against goldens under `tests/fixtures/serve/` (regenerate with
+//! `REGEN_GOLDEN=1 cargo test -p chameleon-bench --test cli`).
+//!
 //! The matrix subcommands are covered end to end: `matrix run` on the
 //! committed smoke plan, then `matrix diff` against the committed
 //! baseline (exit 0), against a tampered table (exit 1, naming trial and
@@ -101,6 +105,67 @@ fn journal_diff_exit_codes() {
     assert_eq!(code(&chamtrace(&["journal", "diff", &gone, &valid_a])), 2);
     assert_eq!(code(&chamtrace(&["journal", "diff", &valid_a, &gone])), 2);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Compare `text` against `tests/fixtures/<name>`, or rewrite the fixture
+/// when `REGEN_GOLDEN` is set (the convention of `tests/serve.rs`).
+fn assert_golden(name: &str, text: &str) {
+    let path = repo_path("tests/fixtures").join(name);
+    if std::env::var_os("REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); regenerate with REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        text, want,
+        "{name} drifted from its golden fixture; if the change is \
+         intentional, regenerate with REGEN_GOLDEN=1 and review the diff"
+    );
+}
+
+/// The text rendering of every query on the committed bt4 journal, byte
+/// for byte, and both `journal diff` verdict lines. Paths are given
+/// relative to the repository root because the verdict prints them.
+#[test]
+fn journal_text_reports_match_goldens() {
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_chamtrace"))
+            .current_dir(repo_path(""))
+            .args(args)
+            .output()
+            .expect("chamtrace spawns")
+    };
+    let bt4 = "tests/fixtures/bt4_chameleon.journal.jsonl";
+    for (query, arg, golden) in [
+        ("summarize", None, "bt4_summarize"),
+        ("timeline", Some("0"), "bt4_timeline_rank0"),
+        ("spans", None, "bt4_spans"),
+        ("metrics", None, "bt4_metrics"),
+        ("anomalies", None, "bt4_anomalies"),
+    ] {
+        let mut args = vec!["journal", query, bt4];
+        args.extend(arg);
+        let out = run(&args);
+        assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).expect("UTF-8 report");
+        assert_golden(&format!("serve/{golden}.txt"), &text);
+    }
+    let out = run(&["journal", "diff", bt4, bt4]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("identical: {bt4} and {bt4}\n")
+    );
+    let nosnap = "tests/fixtures/bt4_chameleon_nosnap.journal.jsonl";
+    let out = run(&["journal", "diff", bt4, nosnap]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "divergence: rank 0 seq 3: snapshot marker=1 ranks=4 vs marker n=2\n"
+    );
 }
 
 #[test]

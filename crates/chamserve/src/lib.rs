@@ -17,20 +17,16 @@
 //! | `POST /runs/<id>/journal` | strict JSONL ingest; 400 + line diagnostic on malformed input |
 //! | `POST /runs/<id>/checkpoint` | total CKPT1 decode; 400 + offset/CRC diagnostic |
 //! | `GET /runs` | all sessions in run-ID order with their hot sketches |
-//! | `GET /runs/<id>/summarize` | [`obs::query::summarize_json`] |
-//! | `GET /runs/<id>/timeline/<rank>` | [`obs::query::timeline_json`] |
-//! | `GET /runs/<id>/spans` | [`obs::query::spans_json`] |
-//! | `GET /runs/<id>/metrics` | [`obs::query::metrics_json`] |
-//! | `GET /runs/<id>/anomalies` | [`obs::query::anomalies_json`] |
-//! | `GET /runs/<id>/diff/<other>` | [`obs::query::diff_json`] |
+//! | `GET /runs/<id>/<query>[/<arg>]` | one row of [`obs::query::QUERIES`]: `summarize`, `timeline/<rank>`, `spans`, `metrics`, `anomalies`, `diff/<other>` |
 //! | `GET /metrics` | the daemon's own telemetry (see below) |
 //! | `GET /healthz` | liveness probe |
 //! | `POST /shutdown` | graceful stop (used by tests and the CI smoke job) |
 //!
-//! Query responses are the *same canonical bytes* printed by the
-//! `chamtrace journal <query> --json` subcommands — one shared renderer
-//! in `obs::query` — so endpoint goldens diff exactly, and CLI-vs-daemon
-//! answers can be compared byte for byte.
+//! Query responses are the JSON rendering of the same computed answer
+//! the `chamtrace journal <query>` subcommands render — one query table,
+//! one core in `obs::query` — so endpoint goldens diff exactly, and
+//! CLI-vs-daemon answers can be compared byte for byte. `GET /` lists
+//! the query routes off the same table.
 //!
 //! ## The loop closes
 //!

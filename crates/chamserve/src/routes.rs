@@ -10,10 +10,11 @@
 //! serving. All three statuses are in the retrying client's retryable
 //! set, so well-behaved pushers back off and converge.
 //!
-//! Every response body is canonical — query endpoints return the exact
-//! bytes of the shared `obs::query` JSON renderers, so a daemon answer
-//! can be byte-diffed against the CLI's `--json` output and against
-//! committed goldens.
+//! Every response body is canonical. The query routes are the rows of
+//! `obs::query::QUERIES`, the table `chamtrace journal` dispatches
+//! through, answered with the JSON sink — so a daemon answer can be
+//! byte-diffed against the CLI's `--json` output and against committed
+//! goldens — and `GET /` lists them off the same table.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -23,8 +24,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use obs::metrics::{Counter, HistId, HIST_DIGEST_STRIDE};
-use obs::query;
+use obs::metrics::{Counter, Digest, HistId};
+use obs::query::{self, JsonObject, QueryError, Sink};
 
 use crate::fault::SvcFaultPlan;
 use crate::http::{read_request_with, write_response_with, HttpError, Request};
@@ -243,20 +244,7 @@ fn handle(stream: &mut TcpStream, state: &State, cfg: &ServeConfig, local: Socke
                     (422, "application/json", error_body(&detail))
                 }
                 Ok(()) => {
-                    let is_query = matches!(
-                        (
-                            req.method.as_str(),
-                            req.segments.first().map(String::as_str)
-                        ),
-                        ("GET", Some("runs"))
-                    ) && req.segments.len() >= 3;
                     let (status, body) = route(&req, state, local);
-                    if is_query && status == 200 {
-                        state.telemetry.add(SvcCounter::QueriesServed, 1);
-                        state
-                            .telemetry
-                            .observe(SvcHist::ResponseBytes, body.len() as u64);
-                    }
                     (status, "application/json", body)
                 }
             },
@@ -324,15 +312,26 @@ fn store_error(e: &StoreError) -> (u16, String) {
     (e.status, error_body(&e.detail))
 }
 
+fn no_route(req: &Request) -> (u16, String) {
+    let what = format!("no route for {} /{}", req.method, req.segments.join("/"));
+    (404, error_body(&what))
+}
+
 fn route(req: &Request, state: &State, local: SocketAddr) -> (u16, String) {
     let segs: Vec<&str> = req.segments.iter().map(String::as_str).collect();
     match (req.method.as_str(), segs.as_slice()) {
-        ("GET", []) => (
-            200,
-            format!(
-                "{{\"service\":\"chamserve\",\"addr\":\"{local}\",\"endpoints\":[\"GET /healthz\",\"GET /metrics\",\"GET /runs\",\"POST /runs/<id>/journal\",\"POST /runs/<id>/checkpoint\",\"GET /runs/<id>/summarize\",\"GET /runs/<id>/timeline/<rank>\",\"GET /runs/<id>/spans\",\"GET /runs/<id>/metrics\",\"GET /runs/<id>/anomalies\",\"GET /runs/<id>/diff/<other>\",\"POST /shutdown\"]}}\n"
-            ),
-        ),
+        ("GET", []) => {
+            let queries: String = query::QUERIES
+                .iter()
+                .map(|q| format!(",\"GET /runs/<id>/{}{}\"", q.name, q.arg.placeholder()))
+                .collect();
+            (
+                200,
+                format!(
+                    "{{\"service\":\"chamserve\",\"addr\":\"{local}\",\"endpoints\":[\"GET /healthz\",\"GET /metrics\",\"GET /runs\",\"POST /runs/<id>/journal\",\"POST /runs/<id>/checkpoint\"{queries},\"POST /shutdown\"]}}\n"
+                ),
+            )
+        }
         ("GET", ["healthz"]) => (200, "{\"ok\":true}\n".to_string()),
         ("GET", ["metrics"]) => (
             200,
@@ -404,29 +403,24 @@ fn route(req: &Request, state: &State, local: SocketAddr) -> (u16, String) {
                 Err(e) => ingest_error(state, &e),
             }
         }
-        ("GET", ["runs", id, "summarize"]) => with_journal(state, id, query::summarize_json),
-        ("GET", ["runs", id, "spans"]) => with_journal(state, id, query::spans_json),
-        ("GET", ["runs", id, "metrics"]) => with_journal(state, id, query::metrics_json),
-        ("GET", ["runs", id, "anomalies"]) => with_journal(state, id, query::anomalies_json),
-        ("GET", ["runs", id, "timeline", rank]) => match rank.parse::<usize>() {
-            Err(_) => (400, error_body(&format!("invalid rank {rank:?}"))),
-            Ok(rank) => match state.store.journal(id, Some(&state.telemetry)) {
-                Err(e) => store_error(&e),
-                Ok(j) => match query::timeline_json(&j, rank) {
-                    Ok(body) => (200, body),
-                    Err(e) => (400, error_body(&e)),
-                },
-            },
-        },
-        ("GET", ["runs", a, "diff", b]) => {
-            match (
-                state.store.journal(a, Some(&state.telemetry)),
-                state.store.journal(b, Some(&state.telemetry)),
-            ) {
-                (Ok(ja), Ok(jb)) => (200, query::diff_json(&ja, &jb)),
-                (Err(e), _) | (_, Err(e)) => store_error(&e),
+        ("GET", ["runs", id, name, rest @ ..]) => match query::find(name, rest) {
+            None => no_route(req),
+            Some((q, arg)) => {
+                let load = |run: &str| state.store.journal(run, Some(&state.telemetry));
+                match q.serve(id, arg, Sink::Json, load) {
+                    Ok((body, _)) => {
+                        // Only a row of the query table reaches here, so
+                        // `queries_served` counts exactly the query answers.
+                        state.telemetry.add(SvcCounter::QueriesServed, 1);
+                        let bytes = body.len() as u64;
+                        state.telemetry.observe(SvcHist::ResponseBytes, bytes);
+                        (200, body)
+                    }
+                    Err(QueryError::Bad(e)) => (400, error_body(&e)),
+                    Err(QueryError::Load(e)) => store_error(&e),
+                }
             }
-        }
+        },
         ("POST", ["shutdown"]) => {
             state.stopping.store(true, Ordering::SeqCst);
             // Wake the acceptor parked in accept and every idle worker;
@@ -435,14 +429,7 @@ fn route(req: &Request, state: &State, local: SocketAddr) -> (u16, String) {
             state.queue_wake.notify_all();
             (200, "{\"ok\":true,\"stopping\":true}\n".to_string())
         }
-        _ => (
-            404,
-            error_body(&format!(
-                "no route for {} /{}",
-                req.method,
-                req.segments.join("/")
-            )),
-        ),
+        _ => no_route(req),
     }
 }
 
@@ -454,17 +441,6 @@ fn ingest_error(state: &State, e: &StoreError) -> (u16, String) {
         _ => {}
     }
     store_error(e)
-}
-
-fn with_journal(
-    state: &State,
-    id: &str,
-    render: impl FnOnce(&obs::RunJournal) -> String,
-) -> (u16, String) {
-    match state.store.journal(id, Some(&state.telemetry)) {
-        Ok(j) => (200, render(&j)),
-        Err(e) => store_error(&e),
-    }
 }
 
 /// The `/runs` listing: every session in run-ID order with its bounded
@@ -495,46 +471,17 @@ fn render_runs(sessions: &[(String, Session)]) -> String {
             markers.join(","),
             s.ckpt_ranks
         ));
-        out.push_str(",\"sketch\":{\"ctrs\":{");
-        for (k, c) in Counter::ALL.iter().enumerate() {
-            let v = s.journal_ctrs[*c as usize].saturating_add(s.ckpt_sketch.get(*c));
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", c.label()));
-        }
-        out.push_str("},\"snapshot_hist_peaks\":{");
-        for (k, h) in HistId::ALL.iter().enumerate() {
-            let base = (*h as usize) * HIST_DIGEST_STRIDE;
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.label(),
-                s.snapshot_hist_peaks[base],
-                s.snapshot_hist_peaks[base + 1],
-                s.snapshot_hist_peaks[base + 2],
-                s.snapshot_hist_peaks[base + 3]
-            ));
-        }
-        out.push_str("},\"ckpt_hists\":{");
-        let ckpt_digest = s.ckpt_sketch.hist_digest();
-        for (k, h) in HistId::ALL.iter().enumerate() {
-            let base = (*h as usize) * HIST_DIGEST_STRIDE;
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.label(),
-                ckpt_digest[base],
-                ckpt_digest[base + 1],
-                ckpt_digest[base + 2],
-                ckpt_digest[base + 3]
-            ));
-        }
-        out.push_str("}}}");
+        let ctrs = JsonObject(Counter::ALL.map(|c| {
+            let v = s.journal_ctrs[c as usize].saturating_add(s.ckpt_sketch.get(c));
+            (c.label(), v)
+        }));
+        let peaks =
+            JsonObject(HistId::ALL.map(|h| (h.label(), Digest::at(&s.snapshot_hist_peaks, h))));
+        let ckpt = s.ckpt_sketch.hist_digest();
+        let ckpt = JsonObject(HistId::ALL.map(|h| (h.label(), Digest::at(&ckpt, h))));
+        out.push_str(&format!(
+            ",\"sketch\":{{\"ctrs\":{ctrs},\"snapshot_hist_peaks\":{peaks},\"ckpt_hists\":{ckpt}}}}}"
+        ));
     }
     out.push_str("]}\n");
     out

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 
 use chameleon::Checkpoint;
 use obs::metrics::{Counter, HistId, MetricSet, HIST_DIGEST_STRIDE};
-use obs::query::fnv64;
+use obs::wire::fnv64;
 use obs::{EventKind, RunJournal};
 
 use crate::fault::SvcFaultPlan;
@@ -304,7 +304,7 @@ impl Session {
     /// Fold one parsed journal into the session's journal-side state.
     /// `canonical` is the journal's canonical JSONL (the bytes spilled),
     /// `body` their `(crc32, len)`; the digest is taken over those bytes
-    /// as they stand, which is what [`obs::query::journal_digest`] hashes.
+    /// as they stand, so it equals `fnv64` of the journal's `to_jsonl`.
     fn install_journal(&mut self, journal: &RunJournal, canonical: &[u8], body: (u32, u64)) {
         self.ranks = journal.ranks;
         self.armed = journal.armed;

@@ -12,6 +12,7 @@
 use std::sync::Mutex;
 
 use obs::metrics::Histogram;
+use obs::query::JsonObject;
 
 use crate::store::QuarantineCounts;
 
@@ -216,29 +217,9 @@ impl Telemetry {
             quarantined.bad_manifest,
             quarantined.total()
         ));
-        out.push_str(",\"counters\":{");
-        for (i, c) in SvcCounter::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", c.label(), g.counters[*c as usize]));
-        }
-        out.push_str("},\"hists\":{");
-        for (i, h) in SvcHist::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let hist = &g.hists[*h as usize];
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.label(),
-                hist.count(),
-                hist.quantile(0.5),
-                hist.quantile(0.99),
-                hist.max()
-            ));
-        }
-        out.push_str("}}\n");
+        let counters = JsonObject(SvcCounter::ALL.map(|c| (c.label(), g.counters[c as usize])));
+        let hists = JsonObject(SvcHist::ALL.map(|h| (h.label(), g.hists[h as usize].digest())));
+        out.push_str(&format!(",\"counters\":{counters},\"hists\":{hists}}}\n"));
         out
     }
 }

@@ -300,6 +300,79 @@ impl EventKind {
             EventKind::Resume { .. } => "resume",
         }
     }
+
+    /// One-line human description of the payload, as `chamtrace journal
+    /// timeline` and `diff` print it: the label, then `key=value` pairs.
+    pub fn describe(&self) -> String {
+        match self {
+            EventKind::Marker { n } => format!("marker n={n}"),
+            EventKind::Signature { events, call_path } => {
+                format!("signature events={events} cp={call_path:#x}")
+            }
+            EventKind::ClusterSel {
+                marker,
+                effective_k,
+                lead,
+                leads,
+            } => format!("cluster marker={marker} k={effective_k} lead={lead} leads={leads:?}"),
+            EventKind::State {
+                marker,
+                state,
+                decision,
+            } => format!("state marker={marker} state={state} decision={decision}"),
+            EventKind::Degraded { marker } => format!("degraded marker={marker}"),
+            EventKind::Reelect {
+                call_path,
+                old,
+                new,
+            } => format!("reelect cp={call_path:#x} old={old} new={new}"),
+            EventKind::MergeLevel {
+                level,
+                merges,
+                dp_cells,
+                fast_path,
+                t0,
+                t1,
+            } => format!(
+                "merge_level level={level} merges={merges} dp_cells={dp_cells} fast_path={fast_path} t0={t0:?} t1={t1:?}"
+            ),
+            EventKind::Retry { peer, tag } => format!("retry peer={peer} tag={tag}"),
+            EventKind::Nack { peer, tag } => format!("nack peer={peer} tag={tag}"),
+            EventKind::GiveUp { peer, tag } => format!("giveup peer={peer} tag={tag}"),
+            EventKind::Fault { kind, dest, tag } => {
+                format!("fault kind={} dest={dest} tag={tag}", kind.label())
+            }
+            EventKind::Snapshot { marker, ranks, .. } => {
+                format!("snapshot marker={marker} ranks={ranks}")
+            }
+            EventKind::Crash { op } => format!("crash op={op}"),
+            EventKind::PeerDead { peer } => format!("peer_dead peer={peer}"),
+            EventKind::Timeout { peer, tag, waited } => {
+                format!("timeout peer={peer} tag={tag} waited={waited}ms")
+            }
+            EventKind::Checkpoint {
+                marker,
+                bytes,
+                deputy,
+            } => format!("checkpoint marker={marker} bytes={bytes} deputy={deputy}"),
+            EventKind::Promote {
+                marker,
+                old_root,
+                restored,
+            } => format!("promote marker={marker} old_root={old_root} restored={restored}"),
+            EventKind::Anomaly {
+                rank,
+                marker,
+                kind,
+                score,
+                cluster,
+            } => format!(
+                "anomaly rank={rank} marker={marker} kind={} score={score:?} cluster={cluster}",
+                kind.label()
+            ),
+            EventKind::Resume { marker, hwm } => format!("resume marker={marker} hwm={hwm}"),
+        }
+    }
 }
 
 /// One recorded event: a per-rank monotonic sequence number, both virtual

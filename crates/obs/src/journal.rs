@@ -31,8 +31,9 @@ use crate::recorder::RankLog;
 /// Format-version magic in the header line.
 pub const MAGIC: &str = "chameleon-obs-v1";
 
-/// Why the encoder's `fmt::Result`s are unwrapped.
-const STRING_WRITE: &str = "formatting integers, floats and labels into a String cannot fail";
+/// Why the encoder's (and the query sinks') `fmt::Result`s are unwrapped.
+pub(crate) const STRING_WRITE: &str =
+    "formatting integers, floats and labels into a String cannot fail";
 
 /// A malformed journal: the line (1-based) and what went wrong there.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,61 +211,28 @@ impl RunJournal {
         }
         Ok(journal)
     }
-
-    /// Compact deterministic text summary for bench reports and triage.
-    pub fn summary(&self) -> String {
-        let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut events = 0usize;
-        for log in &self.logs {
-            events += log.events.len();
-            for (label, n) in log.counters() {
-                *totals.entry(label).or_insert(0) += n;
-            }
-        }
-        let mut out = format!(
-            "obs journal: ranks={} armed={} events={events}\n",
-            self.ranks,
-            if self.armed { "yes" } else { "no" }
-        );
-        if !totals.is_empty() {
-            out.push_str("  ");
-            let parts: Vec<String> = totals.iter().map(|(l, n)| format!("{l}={n}")).collect();
-            out.push_str(&parts.join(" "));
-            out.push('\n');
-        }
-        for log in &self.logs {
-            out.push_str(&format!(
-                "  rank {}: {} events\n",
-                log.rank,
-                log.events.len()
-            ));
-        }
-        out
-    }
 }
 
-/// One event as its canonical JSON object — exactly the bytes the
-/// journal line for it carries, minus the trailing newline. Exposed so
-/// the query engine's JSON renderers embed events verbatim.
-pub fn event_json(rank: usize, e: &Event) -> String {
-    let mut out = String::new();
-    write_event(&mut out, rank, e).expect(STRING_WRITE);
-    out
-}
-
-/// Append `vals` as a JSON array body (no brackets): `1,2,3`.
-fn write_u64_list(out: &mut String, vals: &[u64]) -> fmt::Result {
-    for (i, v) in vals.iter().enumerate() {
+/// Write `items` comma-separated, each through `item`: the body of a JSON
+/// array or object, for the encoder here and the query renderers alike.
+pub(crate) fn write_seq<W: Write, T>(
+    out: &mut W,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut W, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, x) in items.into_iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
-        write!(out, "{v}")?;
+        item(out, x)?;
     }
     Ok(())
 }
 
-/// Append [`event_json`]'s object to `out`.
-fn write_event(out: &mut String, rank: usize, e: &Event) -> fmt::Result {
+/// Append one event's canonical JSON object to `out`: exactly the bytes
+/// its journal line carries, minus the newline. The query engine's
+/// timeline embeds events through it verbatim.
+pub(crate) fn write_event(out: &mut String, rank: usize, e: &Event) -> fmt::Result {
     write!(
         out,
         "{{\"rank\":{rank},\"seq\":{},\"vt\":{:?},\"tt\":{:?},\"ev\":\"{}\"",
@@ -288,7 +256,7 @@ fn write_event(out: &mut String, rank: usize, e: &Event) -> fmt::Result {
                 out,
                 ",\"marker\":{marker},\"k\":{effective_k},\"lead\":{lead},\"leads\":["
             )?;
-            write_u64_list(out, leads)?;
+            write_seq(out, leads, |out, v| write!(out, "{v}"))?;
             out.push(']');
         }
         EventKind::State {
@@ -331,9 +299,9 @@ fn write_event(out: &mut String, rank: usize, e: &Event) -> fmt::Result {
             hists,
         } => {
             write!(out, ",\"marker\":{marker},\"ranks\":{ranks},\"ctrs\":[")?;
-            write_u64_list(out, ctrs)?;
+            write_seq(out, ctrs, |out, v| write!(out, "{v}"))?;
             out.push_str("],\"hists\":[");
-            write_u64_list(out, hists)?;
+            write_seq(out, hists, |out, v| write!(out, "{v}"))?;
             out.push(']');
         }
         EventKind::Crash { op } => write!(out, ",\"op\":{op}")?,
@@ -990,13 +958,15 @@ mod tests {
     ];
 
     /// `text` → journal → `text` is the identity, and every event line is
-    /// exactly [`event_json`] of its event.
+    /// exactly [`write_event`]'s object for its event.
     fn assert_codec_identity(text: &str) {
         let j = RunJournal::from_jsonl(text).expect("canonical journal parses");
         assert_eq!(j.to_jsonl(), text);
         let mut event_lines = text.lines().skip(1).filter(|l| !l.contains("\"ctr\":"));
         for (rank, e) in j.events() {
-            assert_eq!(Some(event_json(rank, e).as_str()), event_lines.next());
+            let mut object = String::new();
+            write_event(&mut object, rank, e).unwrap();
+            assert_eq!(Some(object.as_str()), event_lines.next());
         }
         assert_eq!(event_lines.next(), None, "a line per event, no more");
     }
@@ -1050,7 +1020,7 @@ mod tests {
         assert_eq!(j.count("checkpoint"), 1);
         assert_eq!(j.count("promote"), 1);
         assert_eq!(j.count("anomaly"), 1);
-        let s = j.summary();
+        let s = crate::query::summarize(&j).render(crate::query::Sink::Text);
         assert!(s.contains("ranks=4 armed=yes events=19"), "{s}");
         assert!(s.contains("crash=1"), "{s}");
         assert!(s.contains("rank 3: 4 events"), "{s}");

@@ -263,6 +263,16 @@ impl Histogram {
         self.max
     }
 
+    /// What a `snapshot` keeps of this sketch: count, p50, p99, max.
+    pub fn digest(&self) -> Digest {
+        Digest([
+            self.count,
+            self.quantile(0.5),
+            self.quantile(0.99),
+            self.max,
+        ])
+    }
+
     /// Canonical byte form: count, sum, max, then the non-zero buckets as
     /// ascending `(index, count)` pairs — all little-endian u64.
     fn encode_into(&self, out: &mut Vec<u8>) {
@@ -428,19 +438,40 @@ impl MetricSet {
     /// Bounded histogram digest — the `snapshot` event's `hists` array:
     /// `(count, p50, p99, max)` per histogram, in slot order.
     pub fn hist_digest(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(HistId::COUNT * 4);
-        for h in &self.hists {
-            out.push(h.count());
-            out.push(h.quantile(0.5));
-            out.push(h.quantile(0.99));
-            out.push(h.max());
-        }
-        out
+        self.hists.iter().flat_map(|h| h.digest().0).collect()
     }
 }
 
 /// Number of u64 slots per histogram in [`MetricSet::hist_digest`].
 pub const HIST_DIGEST_STRIDE: usize = 4;
+
+/// One histogram's `(count, p50, p99, max)` digest, a `snapshot` event's
+/// per-histogram stride. Displays as the canonical JSON object
+/// `{"count":…,"p50":…,"p99":…,"max":…}` — the one spelling the query
+/// renderers and the daemon's `/runs` and `/metrics` bodies share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Digest(pub [u64; HIST_DIGEST_STRIDE]);
+
+impl Digest {
+    /// Histogram `h`'s digest out of a flat digest array in slot order
+    /// (slots past its end read 0).
+    pub fn at(slots: &[u64], h: HistId) -> Digest {
+        let base = h as usize * HIST_DIGEST_STRIDE;
+        Digest(std::array::from_fn(|k| {
+            slots.get(base + k).copied().unwrap_or(0)
+        }))
+    }
+}
+
+impl std::fmt::Display for Digest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [count, p50, p99, max] = self.0;
+        write!(
+            f,
+            "{{\"count\":{count},\"p50\":{p50},\"p99\":{p99},\"max\":{max}}}"
+        )
+    }
+}
 
 struct Cursor<'a> {
     bytes: &'a [u8],

@@ -1,237 +1,38 @@
 //! The journal query engine: a journal file is an artifact to *query*,
 //! not a grep target.
 //!
-//! Everything here is a pure function over a parsed [`RunJournal`]:
+//! One core, two sinks. Each query is a pure function of a parsed
+//! [`RunJournal`], computed once into one typed [`Answer`], and the answer
+//! is rendered either as a human-readable report ([`Sink::Text`]) or as
+//! one canonical JSON object ([`Sink::Json`]). Both renderings read the
+//! same value, so they cannot disagree about a number. [`QUERIES`] is the
+//! one table of queries: `chamtrace journal <q>` and the daemon's
+//! `GET /runs/<id>/<q>` both look a query up there and answer it through
+//! [`Query::serve`], and the daemon's `GET /` endpoint list is read off it.
 //!
-//! - [`filter`] — event selection by rank and/or label;
-//! - [`timeline`] — one rank's events in sequence, human-readable;
-//! - [`merge_spans`] / [`span_report`] — per-level merge spans and the
-//!   critical path of the reduction wave, off `merge_level` events;
-//! - [`snapshots`] / [`metrics_report`] — the metrics plane's per-marker
-//!   `snapshot` deltas, decoded back into labeled counters and histogram
-//!   digests;
-//! - [`diff`] — structural comparison of two journals reporting the
-//!   *first divergence* (rank, seq, and both sides), the tool for "these
-//!   two runs were supposed to be identical — where did they fork?".
+//! | query | argument | answer |
+//! |---|---|---|
+//! | `summarize` | — | header, event totals per label and per rank |
+//! | `timeline` | a rank | that rank's events in sequence order |
+//! | `spans` | — | `merge_level` spans folded per tree level, and the critical path of the reduction wave |
+//! | `metrics` | — | every `snapshot` delta as labeled counters and histogram digests, and the totals |
+//! | `anomalies` | — | every health-detector flag, and a per-rank rollup |
+//! | `diff` | a second run | the *first divergence* of two journals: rank, seq and both sides |
 //!
-//! All report strings are deterministic: iteration orders are fixed
-//! (rank-major, slot order) and floats print with `{:?}` exactly as the
-//! journal serializes them.
+//! Renderings are deterministic: iteration orders are fixed (rank-major,
+//! slot order, level order) and floats print with `{:?}` exactly as the
+//! journal serializes them. A JSON rendering is one object on one line
+//! with a fixed key order, so `chamtrace journal * --json`, the daemon's
+//! answers and the goldens under `tests/fixtures/serve/` diff byte for
+//! byte.
 
-use crate::event::{Event, EventKind};
-use crate::journal::RunJournal;
-use crate::metrics::{Counter, HistId, HIST_DIGEST_STRIDE};
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
-/// 64-bit FNV-1a over a byte string. Used to digest deterministic
-/// artifacts (canonical journals, trace text) into a single comparable
-/// word for regression tables — not a cryptographic hash.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Digest of a journal's canonical JSONL form. Two journals share a
-/// digest iff [`RunJournal::to_jsonl`] produces identical bytes — the
-/// same relation [`diff`] decides, collapsed to one word. When a digest
-/// comparison fails, run [`diff`] on the two journals for the first
-/// diverging event.
-pub fn journal_digest(journal: &RunJournal) -> u64 {
-    fnv64(journal.to_jsonl().as_bytes())
-}
-
-/// One-line human description of an event payload.
-pub fn describe(kind: &EventKind) -> String {
-    match kind {
-        EventKind::Marker { n } => format!("marker n={n}"),
-        EventKind::Signature { events, call_path } => {
-            format!("signature events={events} cp={call_path:#x}")
-        }
-        EventKind::ClusterSel {
-            marker,
-            effective_k,
-            lead,
-            leads,
-        } => format!("cluster marker={marker} k={effective_k} lead={lead} leads={leads:?}"),
-        EventKind::State {
-            marker,
-            state,
-            decision,
-        } => format!("state marker={marker} state={state} decision={decision}"),
-        EventKind::Degraded { marker } => format!("degraded marker={marker}"),
-        EventKind::Reelect {
-            call_path,
-            old,
-            new,
-        } => format!("reelect cp={call_path:#x} old={old} new={new}"),
-        EventKind::MergeLevel {
-            level,
-            merges,
-            dp_cells,
-            fast_path,
-            t0,
-            t1,
-        } => format!(
-            "merge_level level={level} merges={merges} dp_cells={dp_cells} fast_path={fast_path} t0={t0:?} t1={t1:?}"
-        ),
-        EventKind::Retry { peer, tag } => format!("retry peer={peer} tag={tag}"),
-        EventKind::Nack { peer, tag } => format!("nack peer={peer} tag={tag}"),
-        EventKind::GiveUp { peer, tag } => format!("giveup peer={peer} tag={tag}"),
-        EventKind::Fault { kind, dest, tag } => {
-            format!("fault kind={} dest={dest} tag={tag}", kind.label())
-        }
-        EventKind::Snapshot { marker, ranks, .. } => {
-            format!("snapshot marker={marker} ranks={ranks}")
-        }
-        EventKind::Crash { op } => format!("crash op={op}"),
-        EventKind::PeerDead { peer } => format!("peer_dead peer={peer}"),
-        EventKind::Timeout { peer, tag, waited } => {
-            format!("timeout peer={peer} tag={tag} waited={waited}ms")
-        }
-        EventKind::Checkpoint {
-            marker,
-            bytes,
-            deputy,
-        } => format!("checkpoint marker={marker} bytes={bytes} deputy={deputy}"),
-        EventKind::Promote {
-            marker,
-            old_root,
-            restored,
-        } => format!("promote marker={marker} old_root={old_root} restored={restored}"),
-        EventKind::Anomaly {
-            rank,
-            marker,
-            kind,
-            score,
-            cluster,
-        } => format!(
-            "anomaly rank={rank} marker={marker} kind={} score={score:?} cluster={cluster}",
-            kind.label()
-        ),
-        EventKind::Resume { marker, hwm } => format!("resume marker={marker} hwm={hwm}"),
-    }
-}
-
-/// Events matching an optional rank and an optional label, rank-major.
-pub fn filter<'a>(
-    journal: &'a RunJournal,
-    rank: Option<usize>,
-    label: Option<&str>,
-) -> Vec<(usize, &'a Event)> {
-    journal
-        .events()
-        .filter(|(r, e)| {
-            rank.is_none_or(|want| *r == want) && label.is_none_or(|want| e.kind.label() == want)
-        })
-        .collect()
-}
-
-/// One rank's events in sequence order, one line each.
-pub fn timeline(journal: &RunJournal, rank: usize) -> Result<String, String> {
-    let log = journal
-        .rank_log(rank)
-        .ok_or_else(|| format!("rank {rank} out of range (world size {})", journal.ranks))?;
-    let mut out = format!("rank {rank}: {} events\n", log.events.len());
-    for e in &log.events {
-        out.push_str(&format!(
-            "  seq {:>4}  vt {:?}  tt {:?}  {}\n",
-            e.seq,
-            e.vt,
-            e.tt,
-            describe(&e.kind)
-        ));
-    }
-    Ok(out)
-}
-
-/// One rank's completed merge level, spanning tool time `t0..t1`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergeSpan {
-    /// Rank that folded this level.
-    pub rank: usize,
-    /// Tree level (0 = leaves).
-    pub level: u64,
-    /// Pairwise merges folded.
-    pub merges: u64,
-    /// LCS cells touched.
-    pub dp_cells: u64,
-    /// Merges served by the fast path.
-    pub fast_path: u64,
-    /// Tool time the level began.
-    pub t0: f64,
-    /// Tool time the level ended.
-    pub t1: f64,
-}
-
-/// All `merge_level` events as spans, rank-major.
-pub fn merge_spans(journal: &RunJournal) -> Vec<MergeSpan> {
-    journal
-        .events()
-        .filter_map(|(rank, e)| match &e.kind {
-            EventKind::MergeLevel {
-                level,
-                merges,
-                dp_cells,
-                fast_path,
-                t0,
-                t1,
-            } => Some(MergeSpan {
-                rank,
-                level: *level,
-                merges: *merges,
-                dp_cells: *dp_cells,
-                fast_path: *fast_path,
-                t0: *t0,
-                t1: *t1,
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Per-level aggregation plus the critical path of the merge waves: the
-/// wall between the earliest level start and the latest level end, and
-/// the single slowest rank-level span that bounds it from below.
-pub fn span_report(journal: &RunJournal) -> String {
-    let spans = merge_spans(journal);
-    if spans.is_empty() {
-        return "no merge_level spans recorded\n".to_string();
-    }
-    let mut levels: Vec<u64> = spans.iter().map(|s| s.level).collect();
-    levels.sort_unstable();
-    levels.dedup();
-    let mut out = format!("{} merge spans over {} levels\n", spans.len(), levels.len());
-    for lvl in &levels {
-        let at: Vec<&MergeSpan> = spans.iter().filter(|s| s.level == *lvl).collect();
-        let merges: u64 = at.iter().map(|s| s.merges).sum();
-        let dp: u64 = at.iter().map(|s| s.dp_cells).sum();
-        let fast: u64 = at.iter().map(|s| s.fast_path).sum();
-        let t0 = at.iter().map(|s| s.t0).fold(f64::INFINITY, f64::min);
-        let t1 = at.iter().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
-        out.push_str(&format!(
-            "  level {lvl}: ranks={} merges={merges} dp_cells={dp} fast_path={fast} t0={t0:?} t1={t1:?} width={:?}\n",
-            at.len(),
-            t1 - t0
-        ));
-    }
-    let first = spans.iter().map(|s| s.t0).fold(f64::INFINITY, f64::min);
-    let last = spans.iter().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
-    let slowest = spans
-        .iter()
-        .max_by(|a, b| (a.t1 - a.t0).total_cmp(&(b.t1 - b.t0)))
-        .expect("non-empty spans");
-    out.push_str(&format!(
-        "  critical path: {:?} (first t0 to last t1); slowest span rank {} level {} at {:?}\n",
-        last - first,
-        slowest.rank,
-        slowest.level,
-        slowest.t1 - slowest.t0
-    ));
-    out
-}
+use crate::event::{AnomalyKind, Event, EventKind};
+use crate::journal::{write_event, write_seq, RunJournal, STRING_WRITE};
+use crate::metrics::{Counter, Digest, HistId};
 
 /// One decoded `snapshot` event: the world's metric delta for one marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,8 +45,21 @@ pub struct SnapshotRow {
     pub ranks: u64,
     /// Counter values in [`Counter`] slot order.
     pub ctrs: Vec<u64>,
-    /// Histogram digests, [`HIST_DIGEST_STRIDE`] slots per [`HistId`].
+    /// Histogram digests, [`crate::metrics::HIST_DIGEST_STRIDE`] slots per
+    /// [`HistId`].
     pub hists: Vec<u64>,
+}
+
+impl SnapshotRow {
+    /// One counter's value (0 for a slot the row lacks).
+    pub fn ctr(&self, c: Counter) -> u64 {
+        self.ctrs.get(c as usize).copied().unwrap_or(0)
+    }
+
+    /// One histogram's digest (slots the row lacks read 0).
+    pub fn digest(&self, h: HistId) -> Digest {
+        Digest::at(&self.hists, h)
+    }
 }
 
 /// All `snapshot` events in journal order.
@@ -270,51 +84,6 @@ pub fn snapshots(journal: &RunJournal) -> Vec<SnapshotRow> {
         .collect()
 }
 
-/// The metrics plane over markers: per-snapshot deltas with labeled
-/// counters (non-zero only, to stay readable), histogram digests, and a
-/// cumulative totals line.
-pub fn metrics_report(journal: &RunJournal) -> String {
-    let rows = snapshots(journal);
-    if rows.is_empty() {
-        return "no snapshot events recorded (run with the recorder on)\n".to_string();
-    }
-    let mut out = format!("{} snapshots\n", rows.len());
-    let mut totals = [0u64; Counter::COUNT];
-    for row in &rows {
-        out.push_str(&format!("  marker {} (ranks={}):", row.marker, row.ranks));
-        let mut any = false;
-        for c in Counter::ALL {
-            let v = row.ctrs.get(c as usize).copied().unwrap_or(0);
-            totals[c as usize] = totals[c as usize].saturating_add(v);
-            if v != 0 {
-                out.push_str(&format!(" {}={v}", c.label()));
-                any = true;
-            }
-        }
-        if !any {
-            out.push_str(" (quiet)");
-        }
-        out.push('\n');
-        for h in HistId::ALL {
-            let base = (h as usize) * HIST_DIGEST_STRIDE;
-            if let Some([count, p50, p99, max]) = row.hists.get(base..base + HIST_DIGEST_STRIDE) {
-                if *count != 0 {
-                    out.push_str(&format!(
-                        "    {}: count={count} p50={p50} p99={p99} max={max}\n",
-                        h.label()
-                    ));
-                }
-            }
-        }
-    }
-    out.push_str("  totals:");
-    for c in Counter::ALL {
-        out.push_str(&format!(" {}={}", c.label(), totals[c as usize]));
-    }
-    out.push('\n');
-    out
-}
-
 /// One decoded `anomaly` event: a health-detector flag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnomalyRow {
@@ -323,7 +92,7 @@ pub struct AnomalyRow {
     /// Marker invocation the flagged delta closed.
     pub marker: u64,
     /// Signal that fired (`slow` or `flaky`).
-    pub kind: crate::event::AnomalyKind,
+    pub kind: AnomalyKind,
     /// Floored robust z-score.
     pub score: f64,
     /// Cohort the rank was scored against.
@@ -354,44 +123,6 @@ pub fn anomalies(journal: &RunJournal) -> Vec<AnomalyRow> {
         .collect()
 }
 
-/// The health plane over markers: every flag in journal order, then a
-/// per-rank rollup (flag count, kinds seen, first flagged marker —
-/// the detection-latency number the matrix scorer uses).
-pub fn anomaly_report(journal: &RunJournal) -> String {
-    let rows = anomalies(journal);
-    if rows.is_empty() {
-        return "no anomaly events recorded (fault-free run, or detector off)\n".to_string();
-    }
-    let mut out = format!("{} anomaly flags\n", rows.len());
-    for r in &rows {
-        out.push_str(&format!(
-            "  marker {:>4}: rank {} {} score={:?} cluster={}\n",
-            r.marker,
-            r.rank,
-            r.kind.label(),
-            r.score,
-            r.cluster
-        ));
-    }
-    let mut ranks: Vec<u64> = rows.iter().map(|r| r.rank).collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    out.push_str("  per rank:\n");
-    for rank in ranks {
-        let mine: Vec<&AnomalyRow> = rows.iter().filter(|r| r.rank == rank).collect();
-        let first = mine.iter().map(|r| r.marker).min().expect("non-empty");
-        let mut kinds: Vec<&str> = mine.iter().map(|r| r.kind.label()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        out.push_str(&format!(
-            "    rank {rank}: flags={} kinds={} first_marker={first}\n",
-            mine.len(),
-            kinds.join("+")
-        ));
-    }
-    out
-}
-
 /// Structural diff: `None` when the journals are identical, otherwise a
 /// description of the *first* divergence (header, then rank-major by
 /// event, then counters implied by events).
@@ -411,11 +142,11 @@ pub fn diff(a: &RunJournal, b: &RunJournal) -> Option<String> {
                 continue;
             }
             let what = if x.kind != y.kind {
-                format!("{} vs {}", describe(&x.kind), describe(&y.kind))
+                format!("{} vs {}", x.kind.describe(), y.kind.describe())
             } else {
                 format!(
                     "same event ({}), timestamps differ: vt {:?} vs {:?}, tt {:?} vs {:?}",
-                    describe(&x.kind),
+                    x.kind.describe(),
                     x.vt,
                     y.vt,
                     x.tt,
@@ -433,9 +164,9 @@ pub fn diff(a: &RunJournal, b: &RunJournal) -> Option<String> {
             return Some(format!(
                 "rank {rank}: logs fork at seq {short}: the {which} journal has {} more event(s) (first extra: {})",
                 long - short,
-                describe(
-                    &if ea.len() > eb.len() { &ea[short] } else { &eb[short] }.kind
-                )
+                if ea.len() > eb.len() { &ea[short] } else { &eb[short] }
+                    .kind
+                    .describe()
             ));
         }
     }
@@ -443,16 +174,522 @@ pub fn diff(a: &RunJournal, b: &RunJournal) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------
-// Canonical JSON renderers
+// One answer per query, two sinks
 // ---------------------------------------------------------------------
-//
-// Machine-readable twins of the text reports above. Every renderer
-// produces one canonical JSON object terminated by a newline: fixed key
-// order, `{:?}` floats (shortest round-trip, valid JSON), iteration in
-// deterministic orders only. The `chamtrace journal * --json` CLI and
-// the `chamtrace serve` HTTP endpoints both print these bytes verbatim,
-// which is what makes CLI-vs-daemon answers diffable at the byte level
-// and lets endpoint goldens live next to journal goldens.
+
+/// A query's answer, computed once; [`Answer::render`] turns it into the
+/// text report or the canonical JSON object.
+#[derive(Debug)]
+pub enum Answer<'a> {
+    /// `summarize`: world size, armed flag, event count, event totals per
+    /// label (label order), and each rank's event count.
+    Summarize(usize, bool, usize, BTreeMap<&'static str, u64>, Vec<usize>),
+    /// `timeline`: a rank and its events in sequence order.
+    Timeline(usize, &'a [Event]),
+    /// `spans`: the `merge_level` span count, the spans folded per level
+    /// (level order), and the critical path (`None` without spans).
+    Spans(usize, Vec<LevelSpan>, Option<CriticalPath>),
+    /// `metrics`: every snapshot, and each counter's total over them.
+    Metrics(Vec<SnapshotRow>, [u64; Counter::COUNT]),
+    /// `anomalies`: every flag in journal order, and the per-rank rollup
+    /// in rank order.
+    Anomalies(Vec<AnomalyRow>, Vec<RankFlags>),
+    /// `diff`: the two runs' names and their first divergence, if any.
+    Diff([&'a str; 2], Option<String>),
+}
+
+/// One tree level's `merge_level` spans, folded over the ranks that ran it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LevelSpan {
+    /// Tree level (0 = leaves).
+    pub level: u64,
+    /// Spans folded: one per rank that ran the level.
+    pub ranks: usize,
+    /// Pairwise merges, summed.
+    pub merges: u64,
+    /// LCS cells touched, summed.
+    pub dp_cells: u64,
+    /// Merges served by the fast path, summed.
+    pub fast_path: u64,
+    /// Earliest start, tool time.
+    pub t0: f64,
+    /// Latest end, tool time.
+    pub t1: f64,
+}
+
+/// The critical path of the merge waves: the wall from the earliest span
+/// start to the latest span end, and the single slowest rank-level span,
+/// which bounds it from below.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CriticalPath {
+    /// First start to last end.
+    pub wall: f64,
+    /// Rank that ran the slowest span.
+    pub rank: usize,
+    /// Tree level of the slowest span.
+    pub level: u64,
+    /// Width of the slowest span.
+    pub width: f64,
+}
+
+/// One flagged rank's rollup.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankFlags {
+    /// The flagged rank.
+    pub rank: u64,
+    /// Flags raised against it.
+    pub flags: usize,
+    /// Signals that fired, sorted, each once.
+    pub kinds: Vec<&'static str>,
+    /// The first flagged marker: the detection latency the matrix scorer
+    /// uses.
+    pub first_marker: u64,
+}
+
+/// The two renderings of an [`Answer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sink {
+    /// The human-readable report `chamtrace journal <q>` prints.
+    Text,
+    /// One canonical JSON object on one line: what `--json` prints and
+    /// the daemon serves.
+    Json,
+}
+
+impl Answer<'_> {
+    /// Render this answer through `sink`.
+    pub fn render(&self, sink: Sink) -> String {
+        let mut out = String::new();
+        match sink {
+            Sink::Text => self.write_text(&mut out),
+            Sink::Json => self.write_json(&mut out),
+        }
+        .expect(STRING_WRITE);
+        out
+    }
+
+    fn write_text(&self, out: &mut String) -> fmt::Result {
+        match self {
+            Answer::Summarize(ranks, armed, events, counters, per_rank) => {
+                let armed = if *armed { "yes" } else { "no" };
+                writeln!(
+                    out,
+                    "obs journal: ranks={ranks} armed={armed} events={events}"
+                )?;
+                if !counters.is_empty() {
+                    out.push(' ');
+                    for (label, n) in counters {
+                        write!(out, " {label}={n}")?;
+                    }
+                    out.push('\n');
+                }
+                for (rank, n) in per_rank.iter().enumerate() {
+                    writeln!(out, "  rank {rank}: {n} events")?;
+                }
+            }
+            Answer::Timeline(rank, events) => {
+                writeln!(out, "rank {rank}: {} events", events.len())?;
+                for e in *events {
+                    let what = e.kind.describe();
+                    writeln!(
+                        out,
+                        "  seq {:>4}  vt {:?}  tt {:?}  {what}",
+                        e.seq, e.vt, e.tt
+                    )?;
+                }
+            }
+            Answer::Spans(_, _, None) => out.push_str("no merge_level spans recorded\n"),
+            Answer::Spans(spans, levels, Some(cp)) => {
+                writeln!(out, "{spans} merge spans over {} levels", levels.len())?;
+                for l in levels {
+                    writeln!(
+                        out,
+                        "  level {}: ranks={} merges={} dp_cells={} fast_path={} t0={:?} t1={:?} width={:?}",
+                        l.level, l.ranks, l.merges, l.dp_cells, l.fast_path, l.t0, l.t1, l.t1 - l.t0
+                    )?;
+                }
+                writeln!(
+                    out,
+                    "  critical path: {:?} (first t0 to last t1); slowest span rank {} level {} at {:?}",
+                    cp.wall, cp.rank, cp.level, cp.width
+                )?;
+            }
+            Answer::Metrics(rows, _) if rows.is_empty() => {
+                out.push_str("no snapshot events recorded (run with the recorder on)\n")
+            }
+            Answer::Metrics(rows, totals) => {
+                writeln!(out, "{} snapshots", rows.len())?;
+                for row in rows {
+                    write!(out, "  marker {} (ranks={}):", row.marker, row.ranks)?;
+                    let mut quiet = true;
+                    for c in Counter::ALL.into_iter().filter(|c| row.ctr(*c) != 0) {
+                        write!(out, " {}={}", c.label(), row.ctr(c))?;
+                        quiet = false;
+                    }
+                    out.push_str(if quiet { " (quiet)\n" } else { "\n" });
+                    for h in HistId::ALL {
+                        let Digest([count, p50, p99, max]) = row.digest(h);
+                        if count != 0 {
+                            let label = h.label();
+                            writeln!(
+                                out,
+                                "    {label}: count={count} p50={p50} p99={p99} max={max}"
+                            )?;
+                        }
+                    }
+                }
+                out.push_str("  totals:");
+                for c in Counter::ALL {
+                    write!(out, " {}={}", c.label(), totals[c as usize])?;
+                }
+                out.push('\n');
+            }
+            Answer::Anomalies(flags, _) if flags.is_empty() => {
+                out.push_str("no anomaly events recorded (fault-free run, or detector off)\n")
+            }
+            Answer::Anomalies(flags, per_rank) => {
+                writeln!(out, "{} anomaly flags", flags.len())?;
+                for f in flags {
+                    let kind = f.kind.label();
+                    writeln!(
+                        out,
+                        "  marker {:>4}: rank {} {kind} score={:?} cluster={}",
+                        f.marker, f.rank, f.score, f.cluster
+                    )?;
+                }
+                out.push_str("  per rank:\n");
+                for r in per_rank {
+                    let kinds = r.kinds.join("+");
+                    writeln!(
+                        out,
+                        "    rank {}: flags={} kinds={kinds} first_marker={}",
+                        r.rank, r.flags, r.first_marker
+                    )?;
+                }
+            }
+            Answer::Diff([a, b], None) => writeln!(out, "identical: {a} and {b}")?,
+            Answer::Diff(_, Some(d)) => writeln!(out, "divergence: {d}")?,
+        }
+        Ok(())
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        match self {
+            Answer::Summarize(ranks, armed, events, counters, per_rank) => {
+                let counters = JsonObject(counters.iter().map(|(label, n)| (*label, *n)));
+                write!(
+                    out,
+                    "{{\"query\":\"summarize\",\"ranks\":{ranks},\"armed\":{armed},\"events\":{events},\"counters\":{counters},\"per_rank\":["
+                )?;
+                write_seq(out, per_rank, |out, n| write!(out, "{n}"))?;
+            }
+            Answer::Timeline(rank, events) => {
+                write!(out, "{{\"query\":\"timeline\",\"rank\":{rank},\"events\":[")?;
+                write_seq(out, *events, |out, e| write_event(out, *rank, e))?;
+            }
+            Answer::Spans(spans, levels, critical) => {
+                write!(out, "{{\"query\":\"spans\",\"spans\":{spans},\"levels\":[")?;
+                write_seq(out, levels, |out, l| {
+                    write!(
+                        out,
+                        "{{\"level\":{},\"ranks\":{},\"merges\":{},\"dp_cells\":{},\"fast_path\":{},\"t0\":{:?},\"t1\":{:?},\"width\":{:?}}}",
+                        l.level, l.ranks, l.merges, l.dp_cells, l.fast_path, l.t0, l.t1, l.t1 - l.t0
+                    )
+                })?;
+                out.push_str("],\"critical_path\":");
+                match critical {
+                    None => out.push_str("null"),
+                    Some(cp) => write!(
+                        out,
+                        "{{\"wall\":{:?},\"slowest_rank\":{},\"slowest_level\":{},\"slowest_width\":{:?}}}",
+                        cp.wall, cp.rank, cp.level, cp.width
+                    )?,
+                }
+                return out.write_str("}\n");
+            }
+            Answer::Metrics(rows, totals) => {
+                out.push_str("{\"query\":\"metrics\",\"snapshots\":[");
+                write_seq(out, rows, |out, row| {
+                    let ctrs = JsonObject(Counter::ALL.map(|c| (c.label(), row.ctr(c))));
+                    let hists = JsonObject(HistId::ALL.map(|h| (h.label(), row.digest(h))));
+                    write!(
+                        out,
+                        "{{\"rank\":{},\"marker\":{},\"ranks\":{},\"ctrs\":{ctrs},\"hists\":{hists}}}",
+                        row.rank, row.marker, row.ranks
+                    )
+                })?;
+                let totals = JsonObject(Counter::ALL.map(|c| (c.label(), totals[c as usize])));
+                return writeln!(out, "],\"totals\":{totals}}}");
+            }
+            Answer::Anomalies(flags, per_rank) => {
+                out.push_str("{\"query\":\"anomalies\",\"flags\":[");
+                write_seq(out, flags, |out, f| {
+                    let kind = f.kind.label();
+                    write!(
+                        out,
+                        "{{\"rank\":{},\"marker\":{},\"kind\":\"{kind}\",\"score\":{:?},\"cluster\":{}}}",
+                        f.rank, f.marker, f.score, f.cluster
+                    )
+                })?;
+                out.push_str("],\"per_rank\":[");
+                write_seq(out, per_rank, |out, r| {
+                    write!(
+                        out,
+                        "{{\"rank\":{},\"flags\":{},\"kinds\":[",
+                        r.rank, r.flags
+                    )?;
+                    write_seq(out, &r.kinds, |out, k| write!(out, "\"{k}\""))?;
+                    write!(out, "],\"first_marker\":{}}}", r.first_marker)
+                })?;
+            }
+            Answer::Diff(_, None) => {
+                return out.write_str("{\"query\":\"diff\",\"identical\":true}\n")
+            }
+            Answer::Diff(_, Some(d)) => {
+                let d = json_escape(d);
+                return writeln!(
+                    out,
+                    "{{\"query\":\"diff\",\"identical\":false,\"divergence\":\"{d}\"}}"
+                );
+            }
+        }
+        // The arms that end in a list close it and the object here.
+        out.write_str("]}\n")
+    }
+}
+
+/// `summarize`: the header, event totals per label, events per rank.
+pub fn summarize(journal: &RunJournal) -> Answer<'_> {
+    let mut counters = BTreeMap::new();
+    for (_, e) in journal.events() {
+        *counters.entry(e.kind.label()).or_insert(0) += 1;
+    }
+    let per_rank: Vec<usize> = journal.logs.iter().map(|l| l.events.len()).collect();
+    let events = per_rank.iter().sum();
+    Answer::Summarize(journal.ranks, journal.armed, events, counters, per_rank)
+}
+
+/// `timeline`: one rank's events; a rank outside the world is an error.
+fn timeline(journal: &RunJournal, rank: usize) -> Result<Answer<'_>, String> {
+    let log = journal
+        .rank_log(rank)
+        .ok_or_else(|| format!("rank {rank} out of range (world size {})", journal.ranks))?;
+    Ok(Answer::Timeline(rank, &log.events))
+}
+
+/// `spans`: every `merge_level` event folded into its tree level, and the
+/// critical path. On a tie for the slowest span the later one (rank-major
+/// journal order) wins.
+fn spans(journal: &RunJournal) -> Answer<'_> {
+    let mut levels = BTreeMap::new();
+    let mut slowest: Option<(usize, u64, f64)> = None;
+    let (mut first, mut last) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (rank, e) in journal.events() {
+        let EventKind::MergeLevel {
+            level,
+            merges,
+            dp_cells,
+            fast_path,
+            t0,
+            t1,
+        } = e.kind
+        else {
+            continue;
+        };
+        let l = levels.entry(level).or_insert_with(|| LevelSpan {
+            level,
+            t0,
+            t1,
+            ..LevelSpan::default()
+        });
+        l.ranks += 1;
+        l.merges += merges;
+        l.dp_cells += dp_cells;
+        l.fast_path += fast_path;
+        (l.t0, l.t1) = (l.t0.min(t0), l.t1.max(t1));
+        (first, last) = (first.min(t0), last.max(t1));
+        if slowest.is_none_or(|(_, _, width)| (t1 - t0).total_cmp(&width).is_ge()) {
+            slowest = Some((rank, level, t1 - t0));
+        }
+    }
+    let levels: Vec<LevelSpan> = levels.into_values().collect();
+    let spans = levels.iter().map(|l| l.ranks).sum();
+    let critical = slowest.map(|(rank, level, width)| CriticalPath {
+        wall: last - first,
+        rank,
+        level,
+        width,
+    });
+    Answer::Spans(spans, levels, critical)
+}
+
+/// `metrics`: every snapshot, and each counter's saturating total.
+fn metrics(journal: &RunJournal) -> Answer<'_> {
+    let rows = snapshots(journal);
+    let mut totals = [0u64; Counter::COUNT];
+    for (row, c) in rows.iter().flat_map(|row| Counter::ALL.map(|c| (row, c))) {
+        totals[c as usize] = totals[c as usize].saturating_add(row.ctr(c));
+    }
+    Answer::Metrics(rows, totals)
+}
+
+/// `anomalies`: every flag, and per flagged rank its count, its kinds and
+/// its first marker.
+fn rollup(journal: &RunJournal) -> Answer<'_> {
+    let flags = anomalies(journal);
+    let mut per_rank = BTreeMap::new();
+    for f in &flags {
+        let r = per_rank.entry(f.rank).or_insert_with(|| RankFlags {
+            rank: f.rank,
+            first_marker: f.marker,
+            ..RankFlags::default()
+        });
+        r.flags += 1;
+        r.first_marker = r.first_marker.min(f.marker);
+        if !r.kinds.contains(&f.kind.label()) {
+            r.kinds.push(f.kind.label());
+            r.kinds.sort_unstable();
+        }
+    }
+    Answer::Anomalies(flags, per_rank.into_values().collect())
+}
+
+/// `diff`: the first divergence of `a` from `b`.
+fn verdict<'a>(a: &'a RunJournal, b: &'a RunJournal, names: [&'a str; 2]) -> Answer<'a> {
+    Answer::Diff(names, diff(a, b))
+}
+
+// ---------------------------------------------------------------------
+// The query table
+// ---------------------------------------------------------------------
+
+/// What a query reads besides its run, with the function answering it.
+#[derive(Clone, Copy)]
+pub enum ArgKind {
+    /// The run alone.
+    None(fn(&RunJournal) -> Answer<'_>),
+    /// A rank of the run.
+    Rank(fn(&RunJournal, usize) -> Result<Answer<'_>, String>),
+    /// A second run; the answer names both.
+    Run(for<'a> fn(&'a RunJournal, &'a RunJournal, [&'a str; 2]) -> Answer<'a>),
+}
+
+impl ArgKind {
+    /// The argument as it follows the query in a route: `""`, `"/<rank>"`
+    /// or `"/<other>"`.
+    pub fn placeholder(self) -> &'static str {
+        match self {
+            ArgKind::None(_) => "",
+            ArgKind::Rank(_) => "/<rank>",
+            ArgKind::Run(_) => "/<other>",
+        }
+    }
+}
+
+/// One row of the query table.
+pub struct Query {
+    /// The `chamtrace journal` subcommand and the route segment.
+    pub name: &'static str,
+    /// Its argument, and how it is answered.
+    pub arg: ArgKind,
+}
+
+/// Every journal query, in the order `GET /` lists them: the one table
+/// `chamtrace journal` and the daemon's query routes dispatch through.
+pub static QUERIES: [Query; 6] = [
+    Query::new("summarize", ArgKind::None(summarize)),
+    Query::new("timeline", ArgKind::Rank(timeline)),
+    Query::new("spans", ArgKind::None(spans)),
+    Query::new("metrics", ArgKind::None(metrics)),
+    Query::new("anomalies", ArgKind::None(rollup)),
+    Query::new("diff", ArgKind::Run(verdict)),
+];
+
+/// The query called `name`, if `args` (what follows its run) holds the
+/// one argument it takes, or none when it takes none; with that argument.
+pub fn find<'a, S: AsRef<str>>(
+    name: &str,
+    args: &'a [S],
+) -> Option<(&'static Query, Option<&'a str>)> {
+    let q = QUERIES.iter().find(|q| q.name == name)?;
+    let arity = usize::from(!q.arg.placeholder().is_empty());
+    (args.len() == arity).then(|| (q, args.first().map(AsRef::as_ref)))
+}
+
+/// Why [`Query::serve`] has no answer.
+#[derive(Debug, PartialEq, Eq)]
+pub enum QueryError<E> {
+    /// The argument is not a rank, or the rank is outside the world: a
+    /// client error (CLI exit 2, HTTP 400).
+    Bad(String),
+    /// A run could not be loaded: the loader's own error.
+    Load(E),
+}
+
+impl Query {
+    const fn new(name: &'static str, arg: ArgKind) -> Query {
+        Query { name, arg }
+    }
+
+    /// Answer this query on the run called `name` and render it through
+    /// `sink`. `arg` is the argument [`find`] returned; runs come from
+    /// `load` (files for the CLI, the store for the daemon), and a rank is
+    /// parsed before any run is loaded. Also says whether the answer is a
+    /// divergence, which `chamtrace` exits 1 on.
+    pub fn serve<J: Borrow<RunJournal>, E>(
+        &self,
+        name: &str,
+        arg: Option<&str>,
+        sink: Sink,
+        load: impl Fn(&str) -> Result<J, E>,
+    ) -> Result<(String, bool), QueryError<E>> {
+        let arg = arg.unwrap_or_default();
+        let load = |run: &str| load(run).map_err(QueryError::Load);
+        let out = match self.arg {
+            ArgKind::None(answer) => (answer(load(name)?.borrow()).render(sink), false),
+            ArgKind::Rank(answer) => {
+                let bad = |_| QueryError::Bad(format!("invalid rank {arg:?}"));
+                let rank = arg.parse().map_err(bad)?;
+                let journal = load(name)?;
+                let answer = answer(journal.borrow(), rank).map_err(QueryError::Bad)?;
+                (answer.render(sink), false)
+            }
+            ArgKind::Run(answer) => {
+                let (a, b) = (load(name)?, load(arg)?);
+                let answer = answer(a.borrow(), b.borrow(), [name, arg]);
+                (
+                    answer.render(sink),
+                    matches!(answer, Answer::Diff(_, Some(_))),
+                )
+            }
+        };
+        Ok(out)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Canonical JSON
+// ---------------------------------------------------------------------
+
+/// `{"label":value,…}`, the one spelling of a labeled JSON object — a
+/// counter set, or a family of histogram [`Digest`]s — displayed from
+/// any re-iterable sequence of `(label, value)` pairs. Labels are static
+/// identifiers and are written unescaped.
+pub struct JsonObject<I>(pub I);
+
+impl<'l, I, V> fmt::Display for JsonObject<I>
+where
+    I: IntoIterator<Item = (&'l str, V)> + Clone,
+    V: fmt::Display,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('{')?;
+        write_seq(f, self.0.clone(), |f, (label, v)| {
+            write!(f, "\"{label}\":{v}")
+        })?;
+        f.write_char('}')
+    }
+}
 
 /// Escape a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -471,208 +708,39 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// `summarize` as canonical JSON: header fields, per-label event totals,
-/// and the per-rank event counts.
+// The six `*_json` functions below keep their names and signatures only
+// because `benchmark/` renders its expected daemon answers and times the
+// query layer through them. Each is one call into the core; everything
+// else dispatches through [`QUERIES`].
+
+/// `summarize` as canonical JSON; kept for `benchmark/`.
 pub fn summarize_json(journal: &RunJournal) -> String {
-    let mut totals: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let mut events = 0usize;
-    for log in &journal.logs {
-        events += log.events.len();
-        for (label, n) in log.counters() {
-            *totals.entry(label).or_insert(0) += n;
-        }
-    }
-    let mut out = format!(
-        "{{\"query\":\"summarize\",\"ranks\":{},\"armed\":{},\"events\":{events},\"counters\":{{",
-        journal.ranks, journal.armed
-    );
-    for (i, (label, n)) in totals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{label}\":{n}"));
-    }
-    out.push_str("},\"per_rank\":[");
-    for (i, log) in journal.logs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&log.events.len().to_string());
-    }
-    out.push_str("]}\n");
-    out
+    summarize(journal).render(Sink::Json)
 }
 
-/// `timeline` as canonical JSON: one rank's events, each embedded as the
-/// exact object its journal line carries.
+/// `timeline` as canonical JSON; kept for `benchmark/`.
 pub fn timeline_json(journal: &RunJournal, rank: usize) -> Result<String, String> {
-    let log = journal
-        .rank_log(rank)
-        .ok_or_else(|| format!("rank {rank} out of range (world size {})", journal.ranks))?;
-    let mut out = format!("{{\"query\":\"timeline\",\"rank\":{rank},\"events\":[");
-    for (i, e) in log.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&crate::journal::event_json(rank, e));
-    }
-    out.push_str("]}\n");
-    Ok(out)
+    timeline(journal, rank).map(|a| a.render(Sink::Json))
 }
 
-/// `spans` as canonical JSON: per-level aggregates plus the critical
-/// path (`null` when no merge spans were recorded).
+/// `spans` as canonical JSON; kept for `benchmark/`.
 pub fn spans_json(journal: &RunJournal) -> String {
-    let spans = merge_spans(journal);
-    let mut out = format!(
-        "{{\"query\":\"spans\",\"spans\":{},\"levels\":[",
-        spans.len()
-    );
-    let mut levels: Vec<u64> = spans.iter().map(|s| s.level).collect();
-    levels.sort_unstable();
-    levels.dedup();
-    for (i, lvl) in levels.iter().enumerate() {
-        let at: Vec<&MergeSpan> = spans.iter().filter(|s| s.level == *lvl).collect();
-        let merges: u64 = at.iter().map(|s| s.merges).sum();
-        let dp: u64 = at.iter().map(|s| s.dp_cells).sum();
-        let fast: u64 = at.iter().map(|s| s.fast_path).sum();
-        let t0 = at.iter().map(|s| s.t0).fold(f64::INFINITY, f64::min);
-        let t1 = at.iter().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"level\":{lvl},\"ranks\":{},\"merges\":{merges},\"dp_cells\":{dp},\"fast_path\":{fast},\"t0\":{t0:?},\"t1\":{t1:?},\"width\":{:?}}}",
-            at.len(),
-            t1 - t0
-        ));
-    }
-    out.push_str("],\"critical_path\":");
-    match spans
-        .iter()
-        .max_by(|a, b| (a.t1 - a.t0).total_cmp(&(b.t1 - b.t0)))
-    {
-        None => out.push_str("null"),
-        Some(slowest) => {
-            let first = spans.iter().map(|s| s.t0).fold(f64::INFINITY, f64::min);
-            let last = spans.iter().map(|s| s.t1).fold(f64::NEG_INFINITY, f64::max);
-            out.push_str(&format!(
-                "{{\"wall\":{:?},\"slowest_rank\":{},\"slowest_level\":{},\"slowest_width\":{:?}}}",
-                last - first,
-                slowest.rank,
-                slowest.level,
-                slowest.t1 - slowest.t0
-            ));
-        }
-    }
-    out.push_str("}\n");
-    out
+    spans(journal).render(Sink::Json)
 }
 
-/// `metrics` as canonical JSON: every snapshot delta with labeled
-/// counters and histogram digests, plus the cumulative totals.
+/// `metrics` as canonical JSON; kept for `benchmark/`.
 pub fn metrics_json(journal: &RunJournal) -> String {
-    let rows = snapshots(journal);
-    let mut totals = [0u64; Counter::COUNT];
-    let mut out = String::from("{\"query\":\"metrics\",\"snapshots\":[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rank\":{},\"marker\":{},\"ranks\":{},\"ctrs\":{{",
-            row.rank, row.marker, row.ranks
-        ));
-        for (k, c) in Counter::ALL.iter().enumerate() {
-            let v = row.ctrs.get(*c as usize).copied().unwrap_or(0);
-            totals[*c as usize] = totals[*c as usize].saturating_add(v);
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{v}", c.label()));
-        }
-        out.push_str("},\"hists\":{");
-        for (k, h) in HistId::ALL.iter().enumerate() {
-            let base = (*h as usize) * HIST_DIGEST_STRIDE;
-            let slot = |off: usize| row.hists.get(base + off).copied().unwrap_or(0);
-            if k > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                h.label(),
-                slot(0),
-                slot(1),
-                slot(2),
-                slot(3)
-            ));
-        }
-        out.push_str("}}");
-    }
-    out.push_str("],\"totals\":{");
-    for (k, c) in Counter::ALL.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", c.label(), totals[*c as usize]));
-    }
-    out.push_str("}}\n");
-    out
+    metrics(journal).render(Sink::Json)
 }
 
-/// `anomalies` as canonical JSON: every flag in journal order plus the
-/// per-rank rollup the text report prints.
+/// `anomalies` as canonical JSON; kept for `benchmark/`.
 pub fn anomalies_json(journal: &RunJournal) -> String {
-    let rows = anomalies(journal);
-    let mut out = String::from("{\"query\":\"anomalies\",\"flags\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rank\":{},\"marker\":{},\"kind\":\"{}\",\"score\":{:?},\"cluster\":{}}}",
-            r.rank,
-            r.marker,
-            r.kind.label(),
-            r.score,
-            r.cluster
-        ));
-    }
-    out.push_str("],\"per_rank\":[");
-    let mut ranks: Vec<u64> = rows.iter().map(|r| r.rank).collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    for (i, rank) in ranks.iter().enumerate() {
-        let mine: Vec<&AnomalyRow> = rows.iter().filter(|r| r.rank == *rank).collect();
-        let first = mine.iter().map(|r| r.marker).min().expect("non-empty");
-        let mut kinds: Vec<&str> = mine.iter().map(|r| r.kind.label()).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        if i > 0 {
-            out.push(',');
-        }
-        let kind_list: Vec<String> = kinds.iter().map(|k| format!("\"{k}\"")).collect();
-        out.push_str(&format!(
-            "{{\"rank\":{rank},\"flags\":{},\"kinds\":[{}],\"first_marker\":{first}}}",
-            mine.len(),
-            kind_list.join(",")
-        ));
-    }
-    out.push_str("]}\n");
-    out
+    rollup(journal).render(Sink::Json)
 }
 
-/// `diff` as canonical JSON: identity verdict plus, on divergence, the
-/// same first-divergence description the text report prints.
+/// `diff` as canonical JSON; kept for `benchmark/`.
 pub fn diff_json(a: &RunJournal, b: &RunJournal) -> String {
-    match diff(a, b) {
-        None => "{\"query\":\"diff\",\"identical\":true}\n".to_string(),
-        Some(d) => format!(
-            "{{\"query\":\"diff\",\"identical\":false,\"divergence\":\"{}\"}}\n",
-            json_escape(&d)
-        ),
-    }
+    verdict(a, b, ["", ""]).render(Sink::Json)
 }
 
 #[cfg(test)]
@@ -680,12 +748,15 @@ mod tests {
     use super::*;
     use crate::metrics::MetricSet;
     use crate::recorder::RankLog;
+    use crate::wire::fnv64;
 
     fn push(log: &mut RankLog, vt: f64, tt: f64, kind: EventKind) {
         let seq = log.events.len() as u64;
         log.events.push(Event { seq, vt, tt, kind });
     }
 
+    /// Two ranks: a marker and a merge span each, one snapshot, and three
+    /// anomaly flags against rank 3 — two `slow`, one `flaky` — on rank 0.
     fn sample() -> RunJournal {
         let mut a = RankLog::new(0);
         push(&mut a, 0.0, 0.0, EventKind::Marker { n: 1 });
@@ -718,6 +789,24 @@ mod tests {
                 hists: m.hist_digest(),
             },
         );
+        for (marker, kind, score) in [
+            (4u64, AnomalyKind::Slow, 5.5),
+            (5, AnomalyKind::Slow, 6.0),
+            (5, AnomalyKind::Flaky, 9.0),
+        ] {
+            push(
+                &mut a,
+                1e-5,
+                1e-6,
+                EventKind::Anomaly {
+                    rank: 3,
+                    marker,
+                    kind,
+                    score,
+                    cluster: 0,
+                },
+            );
+        }
         let mut b = RankLog::new(1);
         push(&mut b, 0.0, 0.0, EventKind::Marker { n: 1 });
         push(
@@ -736,52 +825,110 @@ mod tests {
         RunJournal::gather(2, false, vec![a, b])
     }
 
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    /// [`sample`] with rank 1's first marker changed.
+    fn divergent() -> RunJournal {
+        let mut j = sample();
+        j.logs[1].events[0].kind = EventKind::Marker { n: 2 };
+        j
+    }
+
+    fn empty() -> RunJournal {
+        RunJournal::gather(1, false, Vec::new())
+    }
+
+    // The renderings of `sample()` (and of `empty()`), byte for byte as
+    // the separate text reports and `*_json` renderers wrote them before
+    // the two sinks shared one answer.
+
+    const SUMMARIZE_TXT: &str = r#"obs journal: ranks=2 armed=no events=8
+  anomaly=3 marker=2 merge_level=2 snapshot=1
+  rank 0: 6 events
+  rank 1: 2 events
+"#;
+    const SUMMARIZE_JSON: &str = r#"{"query":"summarize","ranks":2,"armed":false,"events":8,"counters":{"anomaly":3,"marker":2,"merge_level":2,"snapshot":1},"per_rank":[6,2]}
+"#;
+    const TIMELINE_TXT: &str = r#"rank 0: 6 events
+  seq    0  vt 0.0  tt 0.0  marker n=1
+  seq    1  vt 1e-5  tt 1e-7  merge_level level=0 merges=2 dp_cells=80 fast_path=1 t0=1e-7 t1=3e-7
+  seq    2  vt 1e-5  tt 4e-7  snapshot marker=1 ranks=2
+  seq    3  vt 1e-5  tt 1e-6  anomaly rank=3 marker=4 kind=slow score=5.5 cluster=0
+  seq    4  vt 1e-5  tt 1e-6  anomaly rank=3 marker=5 kind=slow score=6.0 cluster=0
+  seq    5  vt 1e-5  tt 1e-6  anomaly rank=3 marker=5 kind=flaky score=9.0 cluster=0
+"#;
+    const TIMELINE_JSON: &str = r#"{"query":"timeline","rank":0,"events":[{"rank":0,"seq":0,"vt":0.0,"tt":0.0,"ev":"marker","n":1},{"rank":0,"seq":1,"vt":1e-5,"tt":1e-7,"ev":"merge_level","level":0,"merges":2,"dp_cells":80,"fast_path":1,"t0":1e-7,"t1":3e-7},{"rank":0,"seq":2,"vt":1e-5,"tt":4e-7,"ev":"snapshot","marker":1,"ranks":2,"ctrs":[0,0,2,80,0,0,0,0,0,0],"hists":[0,0,0,0,2,40,40,40,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},{"rank":0,"seq":3,"vt":1e-5,"tt":1e-6,"ev":"anomaly","flagged":3,"marker":4,"kind":"slow","score":5.5,"cluster":0},{"rank":0,"seq":4,"vt":1e-5,"tt":1e-6,"ev":"anomaly","flagged":3,"marker":5,"kind":"slow","score":6.0,"cluster":0},{"rank":0,"seq":5,"vt":1e-5,"tt":1e-6,"ev":"anomaly","flagged":3,"marker":5,"kind":"flaky","score":9.0,"cluster":0}]}
+"#;
+    const SPANS_TXT: &str = r#"2 merge spans over 2 levels
+  level 0: ranks=1 merges=2 dp_cells=80 fast_path=1 t0=1e-7 t1=3e-7 width=2e-7
+  level 1: ranks=1 merges=1 dp_cells=40 fast_path=0 t0=2e-7 t1=8e-7 width=6e-7
+  critical path: 7e-7 (first t0 to last t1); slowest span rank 1 level 1 at 6e-7
+"#;
+    const SPANS_JSON: &str = r#"{"query":"spans","spans":2,"levels":[{"level":0,"ranks":1,"merges":2,"dp_cells":80,"fast_path":1,"t0":1e-7,"t1":3e-7,"width":2e-7},{"level":1,"ranks":1,"merges":1,"dp_cells":40,"fast_path":0,"t0":2e-7,"t1":8e-7,"width":6e-7}],"critical_path":{"wall":7e-7,"slowest_rank":1,"slowest_level":1,"slowest_width":6e-7}}
+"#;
+    const METRICS_TXT: &str = r#"1 snapshots
+  marker 1 (ranks=2): merges=2 dp_cells=80
+    dp_cells_per_merge: count=2 p50=40 p99=40 max=40
+  totals: signatures=0 sig_events=0 merges=2 dp_cells=80 fast_path=0 retries=0 nacks=0 giveups=0 cluster_rounds=0 reelections=0
+"#;
+    const METRICS_JSON: &str = r#"{"query":"metrics","snapshots":[{"rank":0,"marker":1,"ranks":2,"ctrs":{"signatures":0,"sig_events":0,"merges":2,"dp_cells":80,"fast_path":0,"retries":0,"nacks":0,"giveups":0,"cluster_rounds":0,"reelections":0},"hists":{"recv_wait_ns":{"count":0,"p50":0,"p99":0,"max":0},"dp_cells_per_merge":{"count":2,"p50":40,"p99":40,"max":40},"state_at_ns":{"count":0,"p50":0,"p99":0,"max":0},"state_c_ns":{"count":0,"p50":0,"p99":0,"max":0},"state_l_ns":{"count":0,"p50":0,"p99":0,"max":0},"state_f_ns":{"count":0,"p50":0,"p99":0,"max":0}}}],"totals":{"signatures":0,"sig_events":0,"merges":2,"dp_cells":80,"fast_path":0,"retries":0,"nacks":0,"giveups":0,"cluster_rounds":0,"reelections":0}}
+"#;
+    const ANOMALIES_TXT: &str = r#"3 anomaly flags
+  marker    4: rank 3 slow score=5.5 cluster=0
+  marker    5: rank 3 slow score=6.0 cluster=0
+  marker    5: rank 3 flaky score=9.0 cluster=0
+  per rank:
+    rank 3: flags=3 kinds=flaky+slow first_marker=4
+"#;
+    const ANOMALIES_JSON: &str = r#"{"query":"anomalies","flags":[{"rank":3,"marker":4,"kind":"slow","score":5.5,"cluster":0},{"rank":3,"marker":5,"kind":"slow","score":6.0,"cluster":0},{"rank":3,"marker":5,"kind":"flaky","score":9.0,"cluster":0}],"per_rank":[{"rank":3,"flags":3,"kinds":["flaky","slow"],"first_marker":4}]}
+"#;
+    const DIFF_TXT: &str = "divergence: rank 1 seq 0: marker n=1 vs marker n=2\n";
+    const DIFF_JSON: &str = r#"{"query":"diff","identical":false,"divergence":"rank 1 seq 0: marker n=1 vs marker n=2"}
+"#;
+    const EMPTY_METRICS_JSON: &str = r#"{"query":"metrics","snapshots":[],"totals":{"signatures":0,"sig_events":0,"merges":0,"dp_cells":0,"fast_path":0,"retries":0,"nacks":0,"giveups":0,"cluster_rounds":0,"reelections":0}}
+"#;
+
+    /// Both renderings of `answer` against their pinned bytes.
+    fn assert_renders(answer: Answer<'_>, text: &str, json: &str) {
+        assert_eq!(answer.render(Sink::Text), text);
+        assert_eq!(answer.render(Sink::Json), json);
     }
 
     #[test]
     fn journal_digest_tracks_canonical_bytes() {
         let j = sample();
-        assert_eq!(journal_digest(&j), fnv64(j.to_jsonl().as_bytes()));
+        let digest = |j: &RunJournal| fnv64(j.to_jsonl().as_bytes());
         let mut other = sample();
         other.logs[0].events[0].kind = EventKind::Marker { n: 2 };
-        assert_ne!(journal_digest(&j), journal_digest(&other));
+        assert_ne!(digest(&j), digest(&other));
         assert!(diff(&j, &other).is_some(), "digest and diff must agree");
+        assert_eq!(digest(&j), digest(&sample()));
     }
 
     #[test]
-    fn filter_selects_by_rank_and_label() {
-        let j = sample();
-        assert_eq!(filter(&j, None, Some("marker")).len(), 2);
-        assert_eq!(filter(&j, Some(0), Some("marker")).len(), 1);
-        assert_eq!(filter(&j, Some(1), Some("snapshot")).len(), 0);
-        assert_eq!(filter(&j, None, None).len(), 5);
+    fn summarize_totals_labels_and_ranks() {
+        assert_renders(summarize(&sample()), SUMMARIZE_TXT, SUMMARIZE_JSON);
+        assert_renders(
+            summarize(&empty()),
+            "obs journal: ranks=1 armed=no events=0\n  rank 0: 0 events\n",
+            "{\"query\":\"summarize\",\"ranks\":1,\"armed\":false,\"events\":0,\"counters\":{},\"per_rank\":[0]}\n",
+        );
     }
 
     #[test]
     fn timeline_lists_each_event_once() {
         let j = sample();
-        let t = timeline(&j, 0).unwrap();
-        assert_eq!(t.lines().count(), 1 + 3, "{t}");
-        assert!(t.contains("snapshot marker=1 ranks=2"), "{t}");
-        assert!(timeline(&j, 9).is_err());
+        assert_renders(timeline(&j, 0).unwrap(), TIMELINE_TXT, TIMELINE_JSON);
+        assert_eq!(
+            timeline(&j, 9).unwrap_err(),
+            "rank 9 out of range (world size 2)"
+        );
     }
 
     #[test]
     fn span_report_aggregates_levels_and_critical_path() {
         let j = sample();
-        let spans = merge_spans(&j);
-        assert_eq!(spans.len(), 2);
-        let r = span_report(&j);
-        assert!(r.contains("level 0: ranks=1 merges=2 dp_cells=80"), "{r}");
-        assert!(r.contains("level 1: ranks=1 merges=1"), "{r}");
-        // Wave runs 1e-7 .. 8e-7; the slowest single span is rank 1 level 1.
-        assert!(r.contains("slowest span rank 1 level 1"), "{r}");
+        // The wave runs 1e-7 .. 8e-7; the slowest single span is rank 1
+        // level 1.
+        assert_renders(spans(&j), SPANS_TXT, SPANS_JSON);
     }
 
     #[test]
@@ -789,48 +936,24 @@ mod tests {
         let j = sample();
         let rows = snapshots(&j);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].ctrs[Counter::Merges as usize], 2);
-        let r = metrics_report(&j);
-        assert!(
-            r.contains("marker 1 (ranks=2): merges=2 dp_cells=80"),
-            "{r}"
+        assert_eq!(rows[0].ctr(Counter::Merges), 2);
+        assert_renders(metrics(&j), METRICS_TXT, METRICS_JSON);
+        assert_renders(
+            metrics(&empty()),
+            "no snapshot events recorded (run with the recorder on)\n",
+            EMPTY_METRICS_JSON,
         );
-        assert!(r.contains("dp_cells_per_merge: count=2"), "{r}");
-        assert!(r.contains("totals:"), "{r}");
     }
 
     #[test]
     fn anomaly_report_rolls_up_per_rank() {
-        use crate::event::AnomalyKind;
-        let mut j = sample();
-        assert!(anomaly_report(&j).contains("no anomaly events"));
-        let log = &mut j.logs[0];
-        for (marker, kind, score) in [
-            (4u64, AnomalyKind::Slow, 5.5),
-            (5, AnomalyKind::Slow, 6.0),
-            (5, AnomalyKind::Flaky, 9.0),
-        ] {
-            push(
-                log,
-                1e-5,
-                1e-6,
-                EventKind::Anomaly {
-                    rank: 3,
-                    marker,
-                    kind,
-                    score,
-                    cluster: 0,
-                },
-            );
-        }
-        let rows = anomalies(&j);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].marker, 4);
-        let r = anomaly_report(&j);
-        assert!(r.contains("3 anomaly flags"), "{r}");
-        assert!(
-            r.contains("rank 3: flags=3 kinds=flaky+slow first_marker=4"),
-            "{r}"
+        let j = sample();
+        assert_eq!(anomalies(&j)[0].marker, 4);
+        assert_renders(rollup(&j), ANOMALIES_TXT, ANOMALIES_JSON);
+        assert_renders(
+            rollup(&empty()),
+            "no anomaly events recorded (fault-free run, or detector off)\n",
+            "{\"query\":\"anomalies\",\"flags\":[],\"per_rank\":[]}\n",
         );
     }
 
@@ -838,30 +961,37 @@ mod tests {
     fn diff_reports_first_divergence_only() {
         let j = sample();
         assert_eq!(diff(&j, &j), None, "self-diff is clean");
-
-        // Mutate one payload: kinds differ at rank 1 seq 0.
-        let mut other = sample();
-        other.logs[1].events[0].kind = EventKind::Marker { n: 2 };
-        let d = diff(&j, &other).unwrap();
-        assert!(d.contains("rank 1 seq 0"), "{d}");
-        assert!(d.contains("marker n=1 vs marker n=2"), "{d}");
+        assert_renders(
+            verdict(&j, &j, ["a", "b"]),
+            "identical: a and b\n",
+            "{\"query\":\"diff\",\"identical\":true}\n",
+        );
+        // Kinds differ at rank 1 seq 0.
+        assert_renders(verdict(&j, &divergent(), ["a", "b"]), DIFF_TXT, DIFF_JSON);
 
         // Same kind, different stamp.
         let mut other = sample();
         other.logs[0].events[1].tt = 9e-7;
-        let d = diff(&j, &other).unwrap();
-        assert!(d.contains("timestamps differ"), "{d}");
+        assert_eq!(
+            diff(&j, &other).unwrap(),
+            "rank 0 seq 1: same event (merge_level level=0 merges=2 dp_cells=80 fast_path=1 t0=1e-7 t1=3e-7), timestamps differ: vt 1e-5 vs 1e-5, tt 1e-7 vs 9e-7"
+        );
 
         // One log is a strict prefix of the other.
         let mut other = sample();
         other.logs[1].events.pop();
-        let d = diff(&j, &other).unwrap();
-        assert!(d.contains("rank 1: logs fork at seq 1"), "{d}");
+        assert_eq!(
+            diff(&j, &other).unwrap(),
+            "rank 1: logs fork at seq 1: the first journal has 1 more event(s) (first extra: merge_level level=1 merges=1 dp_cells=40 fast_path=0 t0=2e-7 t1=8e-7)"
+        );
 
         // Header mismatches win over event mismatches.
-        let mut other = sample();
+        let mut other = divergent();
         other.armed = true;
-        assert!(diff(&j, &other).unwrap().contains("armed flag differs"));
+        assert_eq!(
+            diff(&j, &other).unwrap(),
+            "armed flag differs: false vs true"
+        );
     }
 
     #[test]
@@ -881,53 +1011,104 @@ mod tests {
             spans_json(&j),
             metrics_json(&j),
             anomalies_json(&j),
-            diff_json(&j, &j),
+            diff_json(&j, &divergent()),
         ];
-        for o in &outs {
+        for (o, want) in outs.iter().zip([
+            SUMMARIZE_JSON,
+            TIMELINE_JSON,
+            SPANS_JSON,
+            METRICS_JSON,
+            ANOMALIES_JSON,
+            DIFF_JSON,
+        ]) {
+            assert_eq!(o, want);
             assert!(o.starts_with("{\"query\":\""), "{o}");
             assert!(o.ends_with("}\n"), "{o}");
             assert_eq!(o.matches('\n').count(), 1, "single line: {o}");
         }
-        assert!(
-            outs[0].contains("\"counters\":{\"marker\":2,"),
-            "{}",
-            outs[0]
-        );
-        assert!(outs[0].contains("\"per_rank\":[3,2]"), "{}", outs[0]);
-        // Timeline embeds the exact journal-line object for each event.
-        let line1 = crate::journal::event_json(0, &j.logs[0].events[0]);
-        assert!(outs[1].contains(&line1), "{}", outs[1]);
-        assert!(
-            outs[2].contains("\"critical_path\":{\"wall\":"),
-            "{}",
-            outs[2]
-        );
-        assert!(
-            outs[3].contains("\"totals\":{\"signatures\":0,"),
-            "{}",
-            outs[3]
-        );
-        assert!(outs[4].contains("\"flags\":[]"), "{}", outs[4]);
-        assert_eq!(outs[5], "{\"query\":\"diff\",\"identical\":true}\n");
         assert!(timeline_json(&j, 9).is_err());
     }
 
     #[test]
     fn diff_json_reports_divergence_with_escaping() {
-        let j = sample();
-        let mut other = sample();
-        other.logs[1].events[0].kind = EventKind::Marker { n: 2 };
-        let d = diff_json(&j, &other);
-        assert!(d.contains("\"identical\":false"), "{d}");
-        assert!(d.contains("rank 1 seq 0"), "{d}");
+        assert_eq!(diff_json(&sample(), &divergent()), DIFF_JSON);
+        let quoted = Answer::Diff(["a", "b"], Some("say \"hi\"\n".to_string()));
+        assert_eq!(
+            quoted.render(Sink::Json),
+            "{\"query\":\"diff\",\"identical\":false,\"divergence\":\"say \\\"hi\\\"\\n\"}\n"
+        );
     }
 
     #[test]
     fn spans_json_empty_has_null_critical_path() {
-        let j = RunJournal::gather(1, false, Vec::new());
+        assert_renders(
+            spans(&empty()),
+            "no merge_level spans recorded\n",
+            "{\"query\":\"spans\",\"spans\":0,\"levels\":[],\"critical_path\":null}\n",
+        );
+    }
+
+    #[test]
+    fn the_table_finds_queries_by_name_and_arity_and_serves_them() {
+        let names: Vec<&str> = QUERIES.iter().map(|q| q.name).collect();
         assert_eq!(
-            spans_json(&j),
-            "{\"query\":\"spans\",\"spans\":0,\"levels\":[],\"critical_path\":null}\n"
+            names,
+            [
+                "summarize",
+                "timeline",
+                "spans",
+                "metrics",
+                "anomalies",
+                "diff"
+            ]
+        );
+        assert!(find("spans", &[] as &[&str]).is_some());
+        assert!(find("spans", &["x"]).is_none());
+        assert!(find("timeline", &[] as &[&str]).is_none());
+        assert!(find("timeline", &["0", "1"]).is_none());
+        assert!(find("bogus", &[] as &[&str]).is_none());
+        let (q, arg) = find("timeline", &["0"]).unwrap();
+        assert_eq!((q.name, arg), ("timeline", Some("0")));
+
+        // Runs come from the loader, by name; its error passes through.
+        let load = |name: &str| match name {
+            "a" => Ok(sample()),
+            "b" => Ok(divergent()),
+            other => Err(format!("no run {other}")),
+        };
+        let serve = |q: &str, run: &str, arg: &[&str], sink| {
+            let (q, arg) = find(q, arg).unwrap();
+            q.serve(run, arg, sink, load)
+        };
+        assert_eq!(
+            serve("timeline", "a", &["0"], Sink::Text),
+            Ok((TIMELINE_TXT.to_string(), false))
+        );
+        assert_eq!(
+            serve("diff", "a", &["b"], Sink::Text),
+            Ok((DIFF_TXT.to_string(), true))
+        );
+        assert_eq!(
+            serve("diff", "a", &["a"], Sink::Json),
+            Ok((
+                "{\"query\":\"diff\",\"identical\":true}\n".to_string(),
+                false
+            ))
+        );
+        assert_eq!(
+            serve("diff", "a", &["c"], Sink::Json),
+            Err(QueryError::Load("no run c".to_string()))
+        );
+        // The rank is checked before the run is loaded.
+        assert_eq!(
+            serve("timeline", "c", &["x"], Sink::Json),
+            Err(QueryError::Bad("invalid rank \"x\"".to_string()))
+        );
+        assert_eq!(
+            serve("timeline", "a", &["9"], Sink::Json),
+            Err(QueryError::Bad(
+                "rank 9 out of range (world size 2)".to_string()
+            ))
         );
     }
 }

@@ -1,5 +1,6 @@
 //! The wire primitives every layer of the stack shares: the CRC-32 that
 //! guards reliable frames, CKPT1 blobs and `Content-Crc32` uploads, the
+//! FNV-64 that digests canonical artifacts into one comparable word, the
 //! SplitMix64 mix behind every seeded fault coin, and the seeded-jitter
 //! exponential backoff both retry loops (virtual-time retransmits in
 //! `mpisim`, wall-time pushes in `chamserve`) scale their base delay by.
@@ -76,6 +77,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
+/// 64-bit FNV-1a over a byte string. Digests deterministic artifacts
+/// (canonical journals, trace text) into a single comparable word for
+/// regression tables and the daemon's run listing — not a cryptographic
+/// hash. Two journals share a digest of their `to_jsonl` bytes iff
+/// `obs::query::diff` finds no divergence between them (up to collisions).
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// SplitMix64 mixing step: the stateless 64-bit hash every seeded fault
 /// coin and jitter draw is cut from.
 #[inline]
@@ -124,6 +139,14 @@ mod tests {
 
     fn seeded_bytes(n: usize) -> Vec<u8> {
         (0..n as u64).map(|i| splitmix64(42 ^ i) as u8).collect()
+    }
+
+    #[test]
+    fn fnv64_matches_reference_vectors() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

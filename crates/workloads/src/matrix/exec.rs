@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use chameleon::ChameleonConfig;
 use mpisim::{Comm, FaultPlan};
-use obs::query::fnv64;
+use obs::wire::fnv64;
 use scalatrace::merge::{merge_traces, merge_traces_reference};
 use scalatrace::{format as trace_format, CompressedTrace, Endpoint, EventRecord, MpiOp};
 use sigkit::StackSig;
@@ -102,7 +102,7 @@ fn journal_fields(
         );
         fields.insert(
             "journal_digest".to_string(),
-            hex64(obs::query::journal_digest(journal)),
+            hex64(fnv64(journal.to_jsonl().as_bytes())),
         );
         let _ = std::fs::write(dir.join("journal.jsonl"), journal.to_jsonl());
     }

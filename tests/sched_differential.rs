@@ -17,7 +17,7 @@
 
 use chameleon_repro::chameleon::ChameleonConfig;
 use chameleon_repro::mpisim::FaultPlan;
-use chameleon_repro::obs::query::{fnv64, journal_digest};
+use chameleon_repro::obs::wire::fnv64;
 use chameleon_repro::scalatrace::format as trace_format;
 use chameleon_repro::workloads::chaos::{
     chaos_plan, marker_entry_ops, root_crash_plan, run_chaos_result_on,
@@ -174,8 +174,8 @@ fn assert_chaos_parity(
         threads.journal.expect("recorded"),
     );
     assert_eq!(
-        journal_digest(&ja),
-        journal_digest(&jb),
+        fnv64(ja.to_jsonl().as_bytes()),
+        fnv64(jb.to_jsonl().as_bytes()),
         "{label}: journal digests"
     );
     assert_eq!(

@@ -26,7 +26,10 @@
 //! → 408, full backlog → 429 — each visible in `/metrics`. Section 14
 //! pins the one-pass ingest path: first pushes never rehydrate, a
 //! loosely spelled body is committed in canonical form, and the session
-//! folded at ingest equals the one rebuilt from its spill.
+//! folded at ingest equals the one rebuilt from its spill. Section 15
+//! pins what the query table routes: the `GET /` list, the status and
+//! body of every way a query route fails, and that `queries_served`
+//! counts only the 200 answers.
 //!
 //! Regenerate endpoint goldens with:
 //!
@@ -42,6 +45,7 @@ use chamserve::{
     RetryPolicy, ServeConfig, Server, SessionStore, SvcCounter, SvcFaultPlan, Telemetry,
 };
 use obs::metrics::{Counter, HistId, MetricSet};
+use obs::wire::fnv64;
 use obs::{query, Event, EventKind, RankLog, RunJournal};
 use sigkit::CallPathSig;
 
@@ -904,7 +908,7 @@ fn first_pushes_never_rehydrate_and_an_evicted_run_rehydrates_once() {
     let run0 = store.session("run0").unwrap();
     assert_eq!(
         run0.journal_digest,
-        Some(query::journal_digest(&mini_journal(0)))
+        Some(fnv64(mini_journal(0).to_jsonl().as_bytes()))
     );
     assert_eq!(run0.ckpt_markers, vec![3]);
     // A checkpoint-first run starts from the empty session too.
@@ -951,10 +955,7 @@ fn non_canonical_upload_is_committed_in_canonical_form() {
     );
     assert!(manifest.ends_with(&stamp), "{manifest}");
     let (_, listing) = get(&addr, "/runs");
-    let digest = format!(
-        "\"journal_digest\":\"{:#x}\"",
-        query::journal_digest(&journal)
-    );
+    let digest = format!("\"journal_digest\":\"{:#x}\"", fnv64(canonical.as_bytes()));
     assert!(listing.contains(&digest), "{listing}");
     // The canonical body now dedupes; the loose spelling is a new body.
     let again = push_journal(&addr, "loose", canonical.as_bytes()).unwrap();
@@ -989,7 +990,7 @@ fn ingested_session_equals_the_one_rebuilt_from_its_spill() {
     let journal = RunJournal::from_jsonl(&text).unwrap();
     assert_eq!(
         ingested.journal_digest,
-        Some(query::journal_digest(&journal))
+        Some(fnv64(journal.to_jsonl().as_bytes()))
     );
     assert_eq!(
         ingested.journal_body,
@@ -1000,4 +1001,81 @@ fn ingested_session_equals_the_one_rebuilt_from_its_spill() {
         .session("bt4")
         .unwrap();
     assert_eq!(format!("{ingested:?}"), format!("{rebuilt:?}"));
+}
+
+// ---------------------------------------------------------------------
+// 15. The routes the query table answers, and the ones it does not
+// ---------------------------------------------------------------------
+
+/// `GET /` and every way a query route can fail, pinned to status and
+/// body; `queries_served` counts the 200 query answers and nothing else.
+#[test]
+fn route_error_table_is_pinned_and_only_answers_count_as_queries() {
+    let (server, addr) = start("routes", 8);
+    push_journal(&addr, "bt4", bt4_text().as_bytes()).expect("push");
+    let (status, body) = get(&addr, "/");
+    assert_eq!(status, 200);
+    assert_eq!(
+        body,
+        format!(
+            r#"{{"service":"chamserve","addr":"{addr}","endpoints":["GET /healthz","GET /metrics","GET /runs","POST /runs/<id>/journal","POST /runs/<id>/checkpoint","GET /runs/<id>/summarize","GET /runs/<id>/timeline/<rank>","GET /runs/<id>/spans","GET /runs/<id>/metrics","GET /runs/<id>/anomalies","GET /runs/<id>/diff/<other>","POST /shutdown"]}}"#
+        ) + "\n"
+    );
+    let table = [
+        (
+            "GET",
+            "/runs/bt4/timeline/abc",
+            400,
+            r#"invalid rank \"abc\""#,
+        ),
+        (
+            "GET",
+            "/runs/bt4/timeline/99",
+            400,
+            "rank 99 out of range (world size 4)",
+        ),
+        (
+            "GET",
+            "/runs/bt4/timeline",
+            404,
+            "no route for GET /runs/bt4/timeline",
+        ),
+        (
+            "GET",
+            "/runs/bt4/bogus",
+            404,
+            "no route for GET /runs/bt4/bogus",
+        ),
+        (
+            "GET",
+            "/runs/bt4/diff/nosuch",
+            404,
+            r#"unknown run \"nosuch\""#,
+        ),
+        (
+            "POST",
+            "/runs/bt4/spans",
+            404,
+            "no route for POST /runs/bt4/spans",
+        ),
+    ];
+    for (method, path, want_status, want_error) in table {
+        let (status, body) = http::request(&addr, method, path, &[], TIMEOUT).expect(path);
+        let body = String::from_utf8(body).expect("UTF-8 body");
+        assert_eq!(
+            (status, body),
+            (want_status, format!("{{\"error\":\"{want_error}\"}}\n")),
+            "{method} {path}"
+        );
+    }
+    for path in [
+        "/runs/bt4/summarize",
+        "/runs/bt4/timeline/0",
+        "/runs/bt4/diff/bt4",
+    ] {
+        assert_eq!(get(&addr, path).0, 200, "{path}");
+    }
+    let (_, m) = get(&addr, "/metrics");
+    assert_eq!(json_u64(&m, "queries_served"), 3, "{m}");
+    server.shutdown();
 }
