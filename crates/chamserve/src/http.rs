@@ -72,16 +72,10 @@ fn read_error(what: &str, e: &std::io::Error) -> HttpError {
 
 /// Read and parse one request from the stream. `max_body` bounds the
 /// `Content-Length` the server will buffer — an oversized claim is
-/// rejected with 413 *before* any body byte is read or buffered.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    read_request_with(stream, max_body, None)
-}
-
-/// [`read_request`] with a distinct per-read deadline for the body
-/// phase: the stream's current read timeout governs the head, and
-/// `body_timeout` (when set) is installed on the socket once the head
-/// has parsed, so slow header writers and slow body writers each hit
-/// their own 408.
+/// rejected with 413 *before* any body byte is read or buffered. The
+/// stream's current read timeout governs the head, and `body_timeout`
+/// (when set) is installed on the socket once the head has parsed, so
+/// slow header writers and slow body writers each hit their own 408.
 pub fn read_request_with(
     stream: &mut TcpStream,
     max_body: usize,
@@ -245,19 +239,10 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write one canonical response and flush. The header set is fixed so
-/// response bytes are reproducible end to end.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    write_response_with(stream, status, content_type, &[], body)
-}
-
-/// [`write_response`] with extra canonical headers (e.g. the
-/// `retry-after` a 503/429 carries). Header names must be lowercase.
+/// Write one canonical response and flush, with extra canonical headers
+/// (e.g. the `retry-after` a 503/429 carries). The header set is fixed
+/// so response bytes are reproducible end to end. Header names must be
+/// lowercase.
 pub fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
@@ -379,7 +364,7 @@ mod tests {
         }
     }
 
-    /// Run `read_request` against one raw client payload and return the
+    /// Run `read_request_with` against one raw client payload and return the
     /// outcome plus how long the parse itself took. The client never
     /// sends a body, so any attempt to buffer one would block until the
     /// read deadline instead of failing fast.
@@ -400,7 +385,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         let started = std::time::Instant::now();
-        let out = read_request(&mut stream, max_body);
+        let out = read_request_with(&mut stream, max_body, None);
         let took = started.elapsed();
         client.join().unwrap();
         (out, took)
@@ -464,7 +449,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
-        let err = read_request(&mut stream, 1024).unwrap_err();
+        let err = read_request_with(&mut stream, 1024, None).unwrap_err();
         assert_eq!(err.status, 408, "{}", err.detail);
         assert!(err.detail.contains("deadline"), "{}", err.detail);
         client.join().unwrap();

@@ -44,10 +44,10 @@
 //! `GET /metrics`. Pushes carry a `Content-Crc32` claim the server
 //! verifies before touching session state, retries ride a seeded-jitter
 //! exponential backoff ([`RetryPolicy`]), and the store dedupes retried
-//! bodies by content digest — so "response lost after commit" converges
-//! instead of double-ingesting. A deterministic [`SvcFaultPlan`] can
-//! inject torn writes, connection drops, delays, and ENOSPC to prove all
-//! of it under test. See `OBSERVABILITY.md` "Durability & degraded
+//! journals by content digest and checkpoints by marker — so "response
+//! lost after commit" converges instead of double-ingesting. A
+//! deterministic [`SvcFaultPlan`] can inject torn writes, connection
+//! drops, delays, and ENOSPC to prove all of it under test. See `OBSERVABILITY.md` "Durability & degraded
 //! modes" and the service rows of `FAULTS.md`.
 
 pub mod fault;
@@ -63,8 +63,7 @@ pub use fault::SvcFaultPlan;
 pub use retry::{post_with_retry, PushError, RetryPolicy};
 pub use routes::{ServeConfig, Server};
 pub use store::{
-    validate_run_id, QuarantineCounts, QuarantineReason, QuarantineRecord, Session, SessionStore,
-    StoreError,
+    validate_run_id, QuarantineReason, QuarantineRecord, Session, SessionStore, StoreError,
 };
 pub use telemetry::{SvcCounter, SvcHist, Telemetry};
 

@@ -12,10 +12,10 @@
 //!   and retryable statuses (408/422/429/500/503) are retried under a
 //!   seeded-jitter exponential backoff [`RetryPolicy`] — the same shape
 //!   as the mpisim reliable protocol's retransmit backoff, on wall time;
-//! - retrying is *safe* because the server dedupes by content digest: a
-//!   duplicate of an already-accepted body is a cheap 200 with the
-//!   original receipt, so "response lost after commit" converges instead
-//!   of double-ingesting.
+//! - retrying is *safe* because the server dedupes a journal by content
+//!   digest and a checkpoint by marker: a duplicate of an
+//!   already-accepted upload is a 200 with the original receipt, so
+//!   "response lost after commit" converges instead of double-ingesting.
 //!
 //! Semantic rejections (a 400 with a parser diagnostic) are never
 //! retried — resending a malformed journal cannot fix it.

@@ -338,67 +338,43 @@ fn route(req: &Request, state: &State, local: SocketAddr) -> (u16, String) {
             state.telemetry.render(
                 state.store.sessions_live(),
                 state.store.cached_journals(),
-                &state.store.quarantine_counts(),
+                &state.store.quarantined(),
                 state.store.read_only(),
             ),
         ),
         ("GET", ["runs"]) => (200, render_runs(&state.store.sessions())),
-        ("POST", ["runs", id, "journal"]) => match std::str::from_utf8(&req.body) {
-            Err(_) => {
-                state.telemetry.add(SvcCounter::IngestRejected, 1);
-                (400, error_body("journal body is not UTF-8"))
-            }
-            Ok(text) => match state.store.ingest_journal(id, text, Some(&state.telemetry)) {
-                Ok(r) => {
-                    if r.deduped {
-                        state.telemetry.add(SvcCounter::IngestDeduped, 1);
-                    } else {
-                        state.telemetry.add(SvcCounter::JournalsIngested, 1);
-                        state
-                            .telemetry
-                            .add(SvcCounter::IngestBytes, req.body.len() as u64);
-                        state
-                            .telemetry
-                            .observe(SvcHist::IngestBodyBytes, req.body.len() as u64);
-                    }
-                    (
-                        200,
-                        format!(
-                            "{{\"ok\":true,\"run\":\"{}\",\"ranks\":{},\"events\":{}}}\n",
-                            query::json_escape(id),
-                            r.ranks,
-                            r.events
-                        ),
-                    )
+        ("POST", ["runs", id, kind @ ("journal" | "checkpoint")]) => {
+            let t = Some(&state.telemetry);
+            // Each kind answers (deduped, ingest counter, receipt fields).
+            let ingested = if *kind == "journal" {
+                match std::str::from_utf8(&req.body) {
+                    Err(_) => Err(StoreError {
+                        status: 400,
+                        detail: "journal body is not UTF-8".to_string(),
+                    }),
+                    Ok(text) => state.store.ingest_journal(id, text, t).map(|r| {
+                        let fields = format!(",\"ranks\":{},\"events\":{}", r.ranks, r.events);
+                        (r.deduped, SvcCounter::JournalsIngested, fields)
+                    }),
                 }
-                Err(e) => ingest_error(state, &e),
-            },
-        },
-        ("POST", ["runs", id, "checkpoint"]) => {
-            match state
-                .store
-                .ingest_checkpoint(id, &req.body, Some(&state.telemetry))
-            {
-                Ok(r) => {
-                    if r.deduped {
+            } else {
+                state.store.ingest_checkpoint(id, &req.body, t).map(|r| {
+                    let fields = format!(",\"marker\":{}", r.marker);
+                    (r.deduped, SvcCounter::CkptsIngested, fields)
+                })
+            };
+            match ingested {
+                Ok((deduped, counter, fields)) => {
+                    let bytes = req.body.len() as u64;
+                    if deduped {
                         state.telemetry.add(SvcCounter::IngestDeduped, 1);
                     } else {
-                        state.telemetry.add(SvcCounter::CkptsIngested, 1);
-                        state
-                            .telemetry
-                            .add(SvcCounter::IngestBytes, req.body.len() as u64);
-                        state
-                            .telemetry
-                            .observe(SvcHist::IngestBodyBytes, req.body.len() as u64);
+                        state.telemetry.add(counter, 1);
+                        state.telemetry.add(SvcCounter::IngestBytes, bytes);
+                        state.telemetry.observe(SvcHist::IngestBodyBytes, bytes);
                     }
-                    (
-                        200,
-                        format!(
-                            "{{\"ok\":true,\"run\":\"{}\",\"marker\":{}}}\n",
-                            query::json_escape(id),
-                            r.marker
-                        ),
-                    )
+                    let run = query::json_escape(id);
+                    (200, format!("{{\"ok\":true,\"run\":\"{run}\"{fields}}}\n"))
                 }
                 Err(e) => ingest_error(state, &e),
             }

@@ -9,27 +9,34 @@
 //!   user-visible (the `/runs` listing, aggregate gauges) is produced in
 //!   run-ID order regardless of sharding, so responses stay
 //!   byte-deterministic under any ingest interleaving.
-//! - **Durable**: every spill is write-to-temp → fsync → rename →
-//!   parent-dir fsync, and a per-session CRC-stamped `MANIFEST` records
-//!   which artifacts are *committed*. A crash (or `kill -9`) mid-write
-//!   leaves a torn `.tmp` or an uncommitted artifact — never a half-new
-//!   `journal.jsonl` the next daemon would trust. Rehydration believes
-//!   only manifest-committed files whose length and CRC-32 check out;
-//!   everything else is moved to `<data>/quarantine/<run>/` with a typed
-//!   [`QuarantineReason`], counted in `GET /metrics`, and the daemon
-//!   comes up serving every healthy session.
+//! - **Durable**: a journal and a checkpoint are two kinds of one
+//!   committed artifact, and both go through one commit sequence under
+//!   the run's shard lock: spill (write-to-temp → fsync → rename →
+//!   parent-dir fsync), stamp the artifact into the per-session
+//!   CRC-stamped `MANIFEST`, install it into the hot session. A crash (or
+//!   `kill -9`) mid-write leaves a torn `.tmp` or an uncommitted artifact
+//!   — never a half-new `journal.jsonl` the next daemon would trust.
+//!   Rehydration believes only manifest-committed files whose length and
+//!   CRC-32 check out; everything else is moved to
+//!   `<data>/quarantine/<run>/` with a typed [`QuarantineReason`],
+//!   counted in `GET /metrics`, and the daemon comes up serving every
+//!   healthy session.
 //! - **Bounded memory**: journals are spilled to disk on ingest
 //!   (canonical bytes, so re-reads round-trip exactly); the fixed-size
 //!   per-session hot state (counter sums, sketch digests) is itself
 //!   evictable — idle sessions demote to a cold stub and rehydrate from
-//!   their manifest-backed spill on demand. Decoded journals live in a
+//!   their manifest-backed spill on demand, through the same per-kind
+//!   decode and install the ingest path uses. Decoded journals live in a
 //!   shared LRU cache with a configurable entry cap.
 //! - **Strict, idempotent ingest**: uploads go through the same parsers
 //!   the CLI uses; a malformed body is rejected *before* any session
-//!   state is touched. Accepted bodies are deduplicated by content
-//!   digest `(crc32, len)` — a retried duplicate upload is a cheap 200
-//!   re-emitting the original receipt, which is what makes the client's
-//!   retry-after-ambiguous-failure loop safe.
+//!   state is touched. A journal is deduplicated by content digest
+//!   `(crc32, len)` before it is parsed — a retried duplicate is a cheap
+//!   200 re-emitting the original receipt. A checkpoint is decoded first
+//!   and deduplicated by its marker under the commit lock: committed
+//!   blobs are immutable per marker, so any re-push of a committed
+//!   marker answers with that marker and changes nothing. That is what
+//!   makes the client's retry-after-ambiguous-failure loop safe.
 //!
 //! Degraded mode: a write failing with ENOSPC (real or injected by the
 //! [`SvcFaultPlan`]) flips the store **read-only** — ingest answers 503
@@ -65,6 +72,9 @@ pub const MANIFEST: &str = "MANIFEST";
 /// First line of every manifest — versioned so a future format bump can
 /// tell an old manifest from a garbled one.
 const MANIFEST_MAGIC: &str = "chamserve-manifest-v1";
+
+/// The file a run's journal is committed under.
+const JOURNAL: &str = "journal.jsonl";
 
 /// Why a store operation failed, with the HTTP status that describes it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,6 +160,14 @@ pub enum QuarantineReason {
 }
 
 impl QuarantineReason {
+    /// Every reason, in the order `GET /metrics` lists them.
+    pub const ALL: [QuarantineReason; 4] = [
+        QuarantineReason::Torn,
+        QuarantineReason::Corrupt,
+        QuarantineReason::Orphaned,
+        QuarantineReason::BadManifest,
+    ];
+
     /// Stable label, used in logs and the `/metrics` quarantine object.
     pub fn label(self) -> &'static str {
         match self {
@@ -170,26 +188,6 @@ pub struct QuarantineRecord {
     pub file: String,
     /// The typed reason.
     pub reason: QuarantineReason,
-}
-
-/// Quarantine totals by reason, rendered into `GET /metrics`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuarantineCounts {
-    /// [`QuarantineReason::Torn`] artifacts.
-    pub torn: u64,
-    /// [`QuarantineReason::Corrupt`] artifacts.
-    pub corrupt: u64,
-    /// [`QuarantineReason::Orphaned`] artifacts.
-    pub orphaned: u64,
-    /// [`QuarantineReason::BadManifest`] artifacts.
-    pub bad_manifest: u64,
-}
-
-impl QuarantineCounts {
-    /// Sum over all reasons.
-    pub fn total(&self) -> u64 {
-        self.torn + self.corrupt + self.orphaned + self.bad_manifest
-    }
 }
 
 /// The committed-artifact table of one session: file name → (CRC-32,
@@ -240,6 +238,18 @@ impl Manifest {
     }
 }
 
+/// Check spilled bytes against their manifest stamp `(crc32, len)`: a
+/// length mismatch is a write cut short, a CRC mismatch is corruption.
+fn check_stamp(bytes: &[u8], (crc, len): (u32, u64)) -> Result<(), QuarantineReason> {
+    if bytes.len() as u64 != len {
+        Err(QuarantineReason::Torn)
+    } else if crc32(bytes) != crc {
+        Err(QuarantineReason::Corrupt)
+    } else {
+        Ok(())
+    }
+}
+
 /// Receipt for an accepted journal upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalReceipt {
@@ -252,13 +262,80 @@ pub struct JournalReceipt {
     pub deduped: bool,
 }
 
+impl JournalReceipt {
+    fn of(session: &Session, deduped: bool) -> Self {
+        JournalReceipt {
+            ranks: session.ranks,
+            events: session.events,
+            deduped,
+        }
+    }
+}
+
 /// Receipt for an accepted checkpoint upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CkptReceipt {
     /// The checkpoint's marker.
     pub marker: u64,
-    /// Whether this upload was a content-digest duplicate.
+    /// Whether this marker was already committed (nothing was written).
     pub deduped: bool,
+}
+
+/// One decoded artifact of a run, the unit a session is folded from —
+/// at ingest and at demand rehydration alike.
+enum Artifact {
+    /// The run's journal, committed as [`JOURNAL`].
+    Journal(Arc<RunJournal>),
+    /// A CKPT1 checkpoint, committed as `ckpt-<marker>.bin`, with its
+    /// metric sketch and the rank count the sketch carries.
+    Ckpt {
+        marker: u64,
+        sketch: Option<Box<(MetricSet, u64)>>,
+    },
+}
+
+impl Artifact {
+    /// Total decode of a checkpoint blob, metric payload included, so a
+    /// bad blob leaves neither an artifact nor a manifest entry.
+    fn checkpoint(bytes: &[u8]) -> Result<Artifact, String> {
+        let ckpt = Checkpoint::decode(bytes).map_err(|e| e.to_string())?;
+        let sketch = (!ckpt.metrics.is_empty())
+            .then(|| MetricSet::decode_with_count(&ckpt.metrics).map(Box::new))
+            .transpose()
+            .map_err(|e| format!("checkpoint metric payload: {e}"))?;
+        Ok(Artifact::Ckpt {
+            marker: ckpt.marker,
+            sketch,
+        })
+    }
+
+    /// Decode a committed file by name; `None` for a name no kind owns.
+    fn decode(name: &str, bytes: &[u8]) -> Result<Option<Artifact>, String> {
+        if name == JOURNAL {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            let journal = RunJournal::from_jsonl(text).map_err(|e| e.to_string())?;
+            Ok(Some(Artifact::Journal(Arc::new(journal))))
+        } else if name.starts_with("ckpt-") && name.ends_with(".bin") {
+            Artifact::checkpoint(bytes).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// The file the artifact is committed under.
+    fn name(&self) -> String {
+        match self {
+            Artifact::Journal(_) => JOURNAL.to_string(),
+            Artifact::Ckpt { marker, .. } => format!("ckpt-{marker}.bin"),
+        }
+    }
+
+    /// Whether `session` already holds this artifact. A checkpoint's key
+    /// is its marker (a committed blob is immutable); a journal has none
+    /// here, since a different body replaces the committed one.
+    fn committed_in(&self, session: &Session) -> bool {
+        matches!(self, Artifact::Ckpt { marker, .. } if session.ckpt_markers.contains(marker))
+    }
 }
 
 /// Fixed-size hot state for one run.
@@ -288,11 +365,9 @@ pub struct Session {
     pub ckpt_sketch: MetricSet,
     /// Rank contributions carried by the merged checkpoint sketches.
     pub ckpt_ranks: u64,
-    /// Markers of ingested checkpoints, ascending, deduplicated.
+    /// Markers of ingested checkpoints, ascending, deduplicated — the
+    /// checkpoint dedupe key.
     pub ckpt_markers: Vec<u64>,
-    /// `(crc32, len, marker)` of every committed checkpoint body, for
-    /// content-digest dedupe.
-    pub ckpt_digests: Vec<(u32, u64, u64)>,
 }
 
 impl Session {
@@ -301,16 +376,29 @@ impl Session {
         self.journal_digest.is_some()
     }
 
-    /// Fold one parsed journal into the session's journal-side state.
-    /// `canonical` is the journal's canonical JSONL (the bytes spilled),
-    /// `body` their `(crc32, len)`; the digest is taken over those bytes
-    /// as they stand, so it equals `fnv64` of the journal's `to_jsonl`.
-    fn install_journal(&mut self, journal: &RunJournal, canonical: &[u8], body: (u32, u64)) {
+    /// Fold one artifact not yet in the session into it. `bytes` are the
+    /// artifact's committed bytes and `stamp` their `(crc32, len)`; a
+    /// journal's digest is taken over those bytes as they stand, so it
+    /// equals `fnv64` of the journal's `to_jsonl`.
+    fn install(&mut self, artifact: &Artifact, bytes: &[u8], stamp: (u32, u64)) {
+        let journal = match artifact {
+            Artifact::Journal(journal) => journal,
+            Artifact::Ckpt { marker, sketch } => {
+                if let Some(sketch) = sketch {
+                    let (set, ranks) = &**sketch;
+                    self.ckpt_sketch.merge(set);
+                    self.ckpt_ranks = self.ckpt_ranks.saturating_add(*ranks);
+                }
+                self.ckpt_markers.push(*marker);
+                self.ckpt_markers.sort_unstable();
+                return;
+            }
+        };
         self.ranks = journal.ranks;
         self.armed = journal.armed;
         self.events = journal.events().count() as u64;
-        self.journal_digest = Some(fnv64(canonical));
-        self.journal_body = Some(body);
+        self.journal_digest = Some(fnv64(bytes));
+        self.journal_body = Some(stamp);
         let mut ctrs = [0u64; Counter::COUNT];
         let mut hist_peaks = [0u64; HistId::COUNT * HIST_DIGEST_STRIDE];
         let mut snapshots = 0u64;
@@ -336,24 +424,6 @@ impl Session {
         self.journal_ctrs = ctrs;
         self.snapshot_hist_peaks = hist_peaks;
     }
-
-    /// Fold one decoded checkpoint into the session (idempotent per
-    /// marker). Returns an error only for a malformed metric payload.
-    fn install_ckpt(&mut self, ckpt: &Checkpoint, body: (u32, u64)) -> Result<(), StoreError> {
-        if self.ckpt_markers.contains(&ckpt.marker) {
-            return Ok(());
-        }
-        if !ckpt.metrics.is_empty() {
-            let (set, ranks) = MetricSet::decode_with_count(&ckpt.metrics)
-                .map_err(|e| StoreError::bad(format!("checkpoint metric payload: {e}")))?;
-            self.ckpt_sketch.merge(&set);
-            self.ckpt_ranks = self.ckpt_ranks.saturating_add(ranks);
-        }
-        self.ckpt_markers.push(ckpt.marker);
-        self.ckpt_markers.sort_unstable();
-        self.ckpt_digests.push((body.0, body.1, ckpt.marker));
-        Ok(())
-    }
 }
 
 /// A session slot: hot state resident, or demoted to a cold stub whose
@@ -368,23 +438,60 @@ struct Shard {
     runs: BTreeMap<String, Slot>,
 }
 
-struct JournalCache {
+/// Least-recently-used order over run IDs, for the decoded-journal cache
+/// and the hot-session set alike: every access stamps a fresh tick, and
+/// once more than `cap` entries are held the oldest tick is the victim
+/// (`cap` 0 holds nothing).
+struct Lru<V> {
     cap: usize,
     tick: u64,
-    entries: BTreeMap<String, (u64, Arc<RunJournal>)>,
+    entries: BTreeMap<String, (u64, V)>,
 }
 
-struct HotLru {
-    cap: usize,
-    tick: u64,
-    ticks: BTreeMap<String, u64>,
+impl<V> Lru<V> {
+    fn new(cap: usize) -> Self {
+        Lru {
+            cap,
+            tick: 0,
+            entries: BTreeMap::new(),
+        }
+    }
+
+    /// Look `id` up, marking it most recently used.
+    fn get(&mut self, id: &str) -> Option<&V> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = self.entries.get_mut(id)?;
+        entry.0 = tick;
+        Some(&entry.1)
+    }
+
+    /// Insert or refresh `id` as most recently used; returns the key it
+    /// pushed out, if the cap was exceeded.
+    fn insert(&mut self, id: &str, value: V) -> Option<String> {
+        if self.cap == 0 {
+            return None;
+        }
+        self.tick += 1;
+        self.entries.insert(id.to_string(), (self.tick, value));
+        if self.entries.len() <= self.cap {
+            return None;
+        }
+        let victim = self
+            .entries
+            .iter()
+            .min_by_key(|(_, (t, _))| *t)
+            .map(|(k, _)| k.clone())?;
+        self.entries.remove(&victim);
+        Some(victim)
+    }
 }
 
 /// The sharded, disk-backed, crash-safe session store.
 pub struct SessionStore {
     shards: Vec<Mutex<Shard>>,
-    cache: Mutex<JournalCache>,
-    hot: Mutex<HotLru>,
+    cache: Mutex<Lru<Arc<RunJournal>>>,
+    hot: Mutex<Lru<()>>,
     quarantine: Mutex<Vec<QuarantineRecord>>,
     read_only: AtomicBool,
     faults: Option<SvcFaultPlan>,
@@ -417,16 +524,8 @@ impl SessionStore {
             .map_err(|e| StoreError::io(format!("create {}: {e}", runs_dir.display())))?;
         let store = SessionStore {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            cache: Mutex::new(JournalCache {
-                cap: cache_cap,
-                tick: 0,
-                entries: BTreeMap::new(),
-            }),
-            hot: Mutex::new(HotLru {
-                cap: hot_cap.max(1),
-                tick: 0,
-                ticks: BTreeMap::new(),
-            }),
+            cache: Mutex::new(Lru::new(cache_cap)),
+            hot: Mutex::new(Lru::new(hot_cap.max(1))),
             quarantine: Mutex::new(Vec::new()),
             read_only: AtomicBool::new(false),
             faults,
@@ -515,27 +614,23 @@ impl SessionStore {
                 self.quarantine_file(id, &dir, name, QuarantineReason::Torn);
                 continue;
             }
-            let Some(&(want_crc, want_len)) = manifest.entries.get(name) else {
+            let Some(&stamp) = manifest.entries.get(name) else {
                 self.quarantine_file(id, &dir, name, QuarantineReason::Orphaned);
                 continue;
             };
-            let bytes = match std::fs::read(dir.join(name)) {
-                Ok(b) => b,
+            let checked = match std::fs::read(dir.join(name)) {
+                Ok(bytes) => check_stamp(&bytes, stamp),
                 Err(e) => {
                     eprintln!("chamserve: run {id}: cannot read {name}: {e}");
-                    self.quarantine_file(id, &dir, name, QuarantineReason::Torn);
-                    continue;
+                    Err(QuarantineReason::Torn)
                 }
             };
-            if bytes.len() as u64 != want_len {
-                self.quarantine_file(id, &dir, name, QuarantineReason::Torn);
-                continue;
+            match checked {
+                Ok(()) => {
+                    survivors.entries.insert(name.clone(), stamp);
+                }
+                Err(reason) => self.quarantine_file(id, &dir, name, reason),
             }
-            if crc32(&bytes) != want_crc {
-                self.quarantine_file(id, &dir, name, QuarantineReason::Corrupt);
-                continue;
-            }
-            survivors.entries.insert(name.clone(), (want_crc, want_len));
         }
         // Manifest entries whose file vanished are recorded (nothing to
         // move) so the loss is visible in /metrics.
@@ -595,20 +690,6 @@ impl SessionStore {
     /// Every quarantine record, in occurrence order.
     pub fn quarantined(&self) -> Vec<QuarantineRecord> {
         self.quarantine.lock().expect("quarantine lock").clone()
-    }
-
-    /// Quarantine totals by reason, for `GET /metrics`.
-    pub fn quarantine_counts(&self) -> QuarantineCounts {
-        let mut c = QuarantineCounts::default();
-        for r in self.quarantine.lock().expect("quarantine lock").iter() {
-            match r.reason {
-                QuarantineReason::Torn => c.torn += 1,
-                QuarantineReason::Corrupt => c.corrupt += 1,
-                QuarantineReason::Orphaned => c.orphaned += 1,
-                QuarantineReason::BadManifest => c.bad_manifest += 1,
-            }
-        }
-        c
     }
 
     /// Whether the store has degraded to read-only (disk full).
@@ -682,13 +763,7 @@ impl SessionStore {
 
     /// Stamp `name` into the session's manifest (read-modify-write, both
     /// writes atomic). Call with the session's shard lock held.
-    fn commit_artifact(
-        &self,
-        dir: &Path,
-        name: &str,
-        crc: u32,
-        len: u64,
-    ) -> Result<(), StoreError> {
+    fn commit_artifact(&self, dir: &Path, name: &str, stamp: (u32, u64)) -> Result<(), StoreError> {
         let path = dir.join(MANIFEST);
         let mut manifest = match std::fs::read_to_string(&path) {
             Ok(text) => Manifest::parse(&text)
@@ -696,7 +771,7 @@ impl SessionStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Manifest::default(),
             Err(e) => return Err(StoreError::io(format!("read manifest: {e}"))),
         };
-        manifest.entries.insert(name.to_string(), (crc, len));
+        manifest.entries.insert(name.to_string(), stamp);
         self.spill(&path, manifest.render().as_bytes())
     }
 
@@ -719,9 +794,10 @@ impl SessionStore {
     // -----------------------------------------------------------------
 
     /// Rebuild one session's hot state purely from its manifest-backed
-    /// spill. Strict: any mismatch is a 500 (rehydration at open() is the
-    /// layer that quarantines; a file rotting *while* the daemon runs is
-    /// an I/O error, not a policy decision).
+    /// spill, through the same decode and install as ingest. Strict: any
+    /// mismatch is a 500 (rehydration at open() is the layer that
+    /// quarantines; a file rotting *while* the daemon runs is an I/O
+    /// error, not a policy decision).
     fn load_session_from_disk(&self, id: &str) -> Result<Session, StoreError> {
         let dir = self.run_dir(id);
         let text = std::fs::read_to_string(dir.join(MANIFEST))
@@ -729,24 +805,18 @@ impl SessionStore {
         let manifest =
             Manifest::parse(&text).map_err(|e| StoreError::io(format!("manifest: {e}")))?;
         let mut session = Session::default();
-        for (name, &(crc, len)) in &manifest.entries {
+        for (name, &stamp) in &manifest.entries {
             let bytes = std::fs::read(dir.join(name))
                 .map_err(|e| StoreError::io(format!("read {name}: {e}")))?;
-            if bytes.len() as u64 != len || crc32(&bytes) != crc {
+            if check_stamp(&bytes, stamp).is_err() {
                 return Err(StoreError::io(format!(
                     "spilled {name} no longer matches its manifest stamp"
                 )));
             }
-            if name == "journal.jsonl" {
-                let text = std::str::from_utf8(&bytes)
-                    .map_err(|_| StoreError::io("spilled journal is not UTF-8".to_string()))?;
-                let journal = RunJournal::from_jsonl(text)
-                    .map_err(|e| StoreError::io(format!("spilled journal corrupt: {e}")))?;
-                session.install_journal(&journal, &bytes, (crc, len));
-            } else if name.starts_with("ckpt-") && name.ends_with(".bin") {
-                let ckpt = Checkpoint::decode(&bytes)
-                    .map_err(|e| StoreError::io(format!("spilled {name} corrupt: {e}")))?;
-                session.install_ckpt(&ckpt, (crc, len))?;
+            let artifact = Artifact::decode(name, &bytes)
+                .map_err(|e| StoreError::io(format!("spilled {name} corrupt: {e}")))?;
+            if let Some(a) = artifact.filter(|a| !a.committed_in(&session)) {
+                session.install(&a, &bytes, stamp);
             }
         }
         Ok(session)
@@ -779,59 +849,19 @@ impl SessionStore {
         }
     }
 
-    /// The hot session an ingest folds its just-committed artifact into,
-    /// under the shard lock it spilled under. A run with no slot has
-    /// nothing committed besides that artifact (`open` registers every run
-    /// that has, and so does every ingest that succeeds), so it starts
-    /// from the empty session instead of reading its own spill back. An
-    /// occupied slot found cold — evicted since this ingest's dedupe
-    /// check — rehydrates like any demand access and is counted as one.
-    fn hot_or_new<'a>(
-        &self,
-        shard: &'a mut Shard,
-        id: &str,
-        telemetry: Option<&Telemetry>,
-    ) -> Result<&'a mut Session, StoreError> {
-        if !shard.runs.contains_key(id) {
-            shard.runs.insert(id.to_string(), Slot::Hot(Box::default()));
-        }
-        Ok(self
-            .hot_entry(shard, id, telemetry)?
-            .expect("slot just ensured"))
-    }
-
     /// Mark `id` most-recently-used and demote the least-recently-used
     /// hot session beyond the cap to a cold stub (its state is already on
     /// disk behind the manifest).
     fn touch_hot(&self, id: &str, telemetry: Option<&Telemetry>) {
-        let victim = {
-            let mut hot = self.hot.lock().expect("hot lock");
-            hot.tick += 1;
-            let tick = hot.tick;
-            hot.ticks.insert(id.to_string(), tick);
-            if hot.ticks.len() > hot.cap {
-                let victim = hot
-                    .ticks
-                    .iter()
-                    .filter(|(k, _)| k.as_str() != id)
-                    .min_by_key(|(_, t)| **t)
-                    .map(|(k, _)| k.clone());
-                if let Some(v) = &victim {
-                    hot.ticks.remove(v);
-                }
-                victim
-            } else {
-                None
-            }
+        let Some(victim) = self.hot.lock().expect("hot lock").insert(id, ()) else {
+            return;
         };
-        if let Some(victim) = victim {
-            let mut shard = self.shard_of(&victim).lock().expect("shard lock");
-            if let Some(slot) = shard.runs.get_mut(&victim) {
-                if matches!(slot, Slot::Hot(_)) {
-                    *slot = Slot::Cold;
-                    if let Some(t) = telemetry {
-                        t.add(SvcCounter::SessionEvictions, 1);
-                    }
+        let mut shard = self.shard_of(&victim).lock().expect("shard lock");
+        if let Some(slot) = shard.runs.get_mut(&victim) {
+            if matches!(slot, Slot::Hot(_)) {
+                *slot = Slot::Cold;
+                if let Some(t) = telemetry {
+                    t.add(SvcCounter::SessionEvictions, 1);
                 }
             }
         }
@@ -853,26 +883,82 @@ impl SessionStore {
     }
 
     // -----------------------------------------------------------------
-    // Ingest
+    // Ingest: two kinds of artifact, one commit path
     // -----------------------------------------------------------------
 
-    /// Ingest one journal upload: strict parse, durable spill + manifest
-    /// commit, fold the snapshot deltas into the session sketch, refresh
-    /// the cache. A malformed body leaves every layer untouched; a
-    /// content-digest duplicate of the committed body is answered from
-    /// hot state without touching disk.
-    pub fn ingest_journal(
-        &self,
-        id: &str,
-        text: &str,
-        telemetry: Option<&Telemetry>,
-    ) -> Result<JournalReceipt, StoreError> {
+    /// The gate every upload passes first: a valid run ID and a store
+    /// that still accepts writes.
+    fn admit(&self, id: &str) -> Result<(), StoreError> {
         validate_run_id(id)?;
         if self.read_only() {
             return Err(StoreError::unavailable(
                 "store is read-only (disk full); retry later",
             ));
         }
+        Ok(())
+    }
+
+    /// The one durable commit sequence, for every kind of artifact. Under
+    /// the run's shard lock: unless the session already holds `artifact`,
+    /// spill its `bytes`, pass the fault plan's kill window, stamp the
+    /// manifest and install it into the hot session; then touch the LRU.
+    /// `receipt` reads the session as it stands, told whether the upload
+    /// was deduped. A run with no slot has nothing committed besides this
+    /// artifact (`open` registers every run that has, and so does every
+    /// commit that succeeds), so it starts from the empty session instead
+    /// of reading its own spill back; a slot found cold rehydrates like
+    /// any demand access and is counted as one.
+    fn commit<R>(
+        &self,
+        id: &str,
+        artifact: &Artifact,
+        bytes: &[u8],
+        stamp: (u32, u64),
+        telemetry: Option<&Telemetry>,
+        receipt: impl FnOnce(&Session, bool) -> R,
+    ) -> Result<R, StoreError> {
+        let out = {
+            let mut shard = self.shard_of(id).lock().expect("shard lock");
+            let deduped = self
+                .hot_entry(&mut shard, id, telemetry)?
+                .is_some_and(|s| artifact.committed_in(s));
+            if !deduped {
+                let dir = self.run_dir(id);
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| StoreError::io(format!("create {}: {e}", dir.display())))?;
+                let name = artifact.name();
+                let nonce = self.ingest_nonce.fetch_add(1, Ordering::SeqCst);
+                self.spill(&dir.join(&name), bytes)?;
+                self.maybe_stall(nonce);
+                self.commit_artifact(&dir, &name, stamp)?;
+                shard
+                    .runs
+                    .entry(id.to_string())
+                    .or_insert_with(|| Slot::Hot(Box::default()));
+            }
+            let session = self
+                .hot_entry(&mut shard, id, telemetry)?
+                .expect("slot committed");
+            if !deduped {
+                session.install(artifact, bytes, stamp);
+            }
+            receipt(session, deduped)
+        };
+        self.touch_hot(id, telemetry);
+        Ok(out)
+    }
+
+    /// Ingest one journal upload: strict parse, then the commit path; the
+    /// committed journal also refreshes the cache. A malformed body leaves
+    /// every layer untouched; a content-digest duplicate of the committed
+    /// body is answered from hot state before it is parsed.
+    pub fn ingest_journal(
+        &self,
+        id: &str,
+        text: &str,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<JournalReceipt, StoreError> {
+        self.admit(id)?;
         let body = (crc32(text.as_bytes()), text.len() as u64);
 
         // Dedupe before parsing: a retried duplicate is a cheap 200.
@@ -880,11 +966,7 @@ impl SessionStore {
             let mut shard = self.shard_of(id).lock().expect("shard lock");
             if let Some(session) = self.hot_entry(&mut shard, id, telemetry)? {
                 if session.journal_body == Some(body) {
-                    let receipt = JournalReceipt {
-                        ranks: session.ranks,
-                        events: session.events,
-                        deduped: true,
-                    };
+                    let receipt = JournalReceipt::of(session, true);
                     drop(shard);
                     self.touch_hot(id, telemetry);
                     return Ok(receipt);
@@ -896,111 +978,43 @@ impl SessionStore {
         let canonical = journal.to_jsonl();
         // A canonical upload (what every recorder emits) is spilled as it
         // arrived, so its content digest is the one already taken.
-        let canonical_body = if canonical == text {
+        let stamp = if canonical == text {
             body
         } else {
             (crc32(canonical.as_bytes()), canonical.len() as u64)
         };
-
-        let dir = self.run_dir(id);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| StoreError::io(format!("create {}: {e}", dir.display())))?;
-        let nonce = self.ingest_nonce.fetch_add(1, Ordering::SeqCst);
-
-        let receipt;
-        {
-            let mut shard = self.shard_of(id).lock().expect("shard lock");
-            self.spill(&dir.join("journal.jsonl"), canonical.as_bytes())?;
-            self.maybe_stall(nonce);
-            self.commit_artifact(&dir, "journal.jsonl", canonical_body.0, canonical_body.1)?;
-            let session = self.hot_or_new(&mut shard, id, telemetry)?;
-            session.install_journal(&journal, canonical.as_bytes(), canonical_body);
-            receipt = JournalReceipt {
-                ranks: session.ranks,
-                events: session.events,
-                deduped: false,
-            };
-        }
-        self.touch_hot(id, telemetry);
-        self.cache_insert(id, Arc::new(journal), None);
+        let journal = Arc::new(journal);
+        let artifact = Artifact::Journal(journal.clone());
+        let receipt = self.commit(
+            id,
+            &artifact,
+            canonical.as_bytes(),
+            stamp,
+            telemetry,
+            JournalReceipt::of,
+        )?;
+        self.cache_insert(id, journal, None);
         Ok(receipt)
     }
 
-    /// Ingest one checkpoint upload: total CKPT1 decode, durable spill +
-    /// manifest commit, merge its metric sketch (deduplicated by marker
-    /// and by content digest — re-pushing is idempotent and cheap).
+    /// Ingest one checkpoint upload: total CKPT1 decode, then the commit
+    /// path, which merges its metric sketch. A marker already committed
+    /// is deduped whatever the bytes — re-pushing is idempotent.
     pub fn ingest_checkpoint(
         &self,
         id: &str,
         bytes: &[u8],
         telemetry: Option<&Telemetry>,
     ) -> Result<CkptReceipt, StoreError> {
-        validate_run_id(id)?;
-        if self.read_only() {
-            return Err(StoreError::unavailable(
-                "store is read-only (disk full); retry later",
-            ));
-        }
-        let body = (crc32(bytes), bytes.len() as u64);
-        {
-            let mut shard = self.shard_of(id).lock().expect("shard lock");
-            if let Some(session) = self.hot_entry(&mut shard, id, telemetry)? {
-                if let Some(&(_, _, marker)) = session
-                    .ckpt_digests
-                    .iter()
-                    .find(|(c, l, _)| (*c, *l) == body)
-                {
-                    drop(shard);
-                    self.touch_hot(id, telemetry);
-                    return Ok(CkptReceipt {
-                        marker,
-                        deduped: true,
-                    });
-                }
-            }
-        }
-
-        let ckpt = Checkpoint::decode(bytes).map_err(|e| StoreError::bad(format!("{e}")))?;
-        // Validate the metric payload before any disk work, so a bad
-        // checkpoint leaves neither an artifact nor a manifest entry.
-        if !ckpt.metrics.is_empty() {
-            MetricSet::decode_with_count(&ckpt.metrics)
-                .map_err(|e| StoreError::bad(format!("checkpoint metric payload: {e}")))?;
-        }
-        let dir = self.run_dir(id);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| StoreError::io(format!("create {}: {e}", dir.display())))?;
-        let name = format!("ckpt-{}.bin", ckpt.marker);
-        let nonce = self.ingest_nonce.fetch_add(1, Ordering::SeqCst);
-
-        let receipt;
-        {
-            let mut shard = self.shard_of(id).lock().expect("shard lock");
-            let already = match self.hot_entry(&mut shard, id, telemetry)? {
-                Some(session) => session.ckpt_markers.contains(&ckpt.marker),
-                None => false,
-            };
-            if already {
-                // Same marker, different bytes: the committed blob is
-                // immutable; answer with the marker, change nothing.
-                receipt = CkptReceipt {
-                    marker: ckpt.marker,
-                    deduped: true,
-                };
-            } else {
-                self.spill(&dir.join(&name), bytes)?;
-                self.maybe_stall(nonce);
-                self.commit_artifact(&dir, &name, body.0, body.1)?;
-                let session = self.hot_or_new(&mut shard, id, telemetry)?;
-                session.install_ckpt(&ckpt, body)?;
-                receipt = CkptReceipt {
-                    marker: ckpt.marker,
-                    deduped: false,
-                };
-            }
-        }
-        self.touch_hot(id, telemetry);
-        Ok(receipt)
+        self.admit(id)?;
+        let artifact = Artifact::checkpoint(bytes).map_err(StoreError::bad)?;
+        let Artifact::Ckpt { marker, .. } = artifact else {
+            unreachable!("a checkpoint decodes to Artifact::Ckpt")
+        };
+        let stamp = (crc32(bytes), bytes.len() as u64);
+        self.commit(id, &artifact, bytes, stamp, telemetry, |_, deduped| {
+            CkptReceipt { marker, deduped }
+        })
     }
 
     // -----------------------------------------------------------------
@@ -1087,23 +1101,17 @@ impl SessionStore {
                 "run {id:?} has checkpoints but no journal"
             )));
         }
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            cache.tick += 1;
-            let tick = cache.tick;
-            if let Some(entry) = cache.entries.get_mut(id) {
-                entry.0 = tick;
-                if let Some(t) = telemetry {
-                    t.add(SvcCounter::CacheHits, 1);
-                }
-                return Ok(entry.1.clone());
+        let hit = self.cache.lock().expect("cache lock").get(id).cloned();
+        if let Some(journal) = hit {
+            if let Some(t) = telemetry {
+                t.add(SvcCounter::CacheHits, 1);
             }
+            return Ok(journal);
         }
         if let Some(t) = telemetry {
             t.add(SvcCounter::CacheMisses, 1);
         }
-        let path = self.run_dir(id).join("journal.jsonl");
-        let text = std::fs::read_to_string(&path)
+        let text = std::fs::read_to_string(self.run_dir(id).join(JOURNAL))
             .map_err(|e| StoreError::io(format!("read spilled journal: {e}")))?;
         let journal = RunJournal::from_jsonl(&text)
             .map_err(|e| StoreError::io(format!("spilled journal corrupt: {e}")))?;
@@ -1113,24 +1121,9 @@ impl SessionStore {
     }
 
     fn cache_insert(&self, id: &str, journal: Arc<RunJournal>, telemetry: Option<&Telemetry>) {
-        let mut cache = self.cache.lock().expect("cache lock");
-        if cache.cap == 0 {
-            return;
-        }
-        cache.tick += 1;
-        let tick = cache.tick;
-        cache.entries.insert(id.to_string(), (tick, journal));
-        while cache.entries.len() > cache.cap {
-            let victim = cache
-                .entries
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty cache");
-            cache.entries.remove(&victim);
-            if let Some(t) = telemetry {
-                t.add(SvcCounter::CacheEvictions, 1);
-            }
+        let evicted = self.cache.lock().expect("cache lock").insert(id, journal);
+        if let (Some(_), Some(t)) = (evicted, telemetry) {
+            t.add(SvcCounter::CacheEvictions, 1);
         }
     }
 }
@@ -1347,10 +1340,15 @@ mod tests {
         // artifact and is gone.
         assert!(store.session("good").unwrap().has_journal());
         assert!(store.session("victim").is_none());
-        let counts = store.quarantine_counts();
-        assert_eq!(counts.torn, 2, "tmp + truncated: {:?}", store.quarantined());
-        assert_eq!(counts.orphaned, 1);
-        assert_eq!(counts.total(), 3);
+        let records = store.quarantined();
+        let count = |r| records.iter().filter(|q| q.reason == r).count();
+        assert_eq!(
+            count(QuarantineReason::Torn),
+            2,
+            "tmp + truncated: {records:?}"
+        );
+        assert_eq!(count(QuarantineReason::Orphaned), 1);
+        assert_eq!(records.len(), 3);
         // Quarantined files moved, not deleted.
         assert!(dir.join("quarantine/good/ckpt-9.bin.tmp").exists());
         assert!(dir.join("quarantine/good/ckpt-4.bin").exists());

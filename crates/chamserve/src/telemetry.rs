@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use obs::metrics::Histogram;
 use obs::query::JsonObject;
 
-use crate::store::QuarantineCounts;
+use crate::store::{QuarantineReason, QuarantineRecord};
 
 /// Typed service counters, one slot each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +49,8 @@ pub enum SvcCounter {
     /// Cold sessions rehydrated on demand from their manifest-backed
     /// spill (at ingest, query, or listing time).
     SessionRehydrations = 13,
-    /// Ingest bodies answered from the content-digest dedupe (a retried
-    /// duplicate upload — cheap 200, no parse, no disk).
+    /// Uploads answered from the dedupe — a journal whose content digest,
+    /// or a checkpoint whose marker, is already committed (200, no disk).
     IngestDeduped = 14,
     /// Uploads rejected with 422 because the body did not match its
     /// `Content-Crc32` claim (corrupted in transit; client retries).
@@ -196,27 +196,25 @@ impl Telemetry {
     /// Render the whole set as one canonical JSON object (trailing
     /// newline included). `sessions_live`, `cached_journals`,
     /// `quarantined`, and `read_only` are gauges sampled by the caller
-    /// from the store.
+    /// from the store; the quarantine records render as per-reason
+    /// counts followed by their `total`.
     pub fn render(
         &self,
         sessions_live: usize,
         cached_journals: usize,
-        quarantined: &QuarantineCounts,
+        quarantined: &[QuarantineRecord],
         read_only: bool,
     ) -> String {
+        let count = |r| quarantined.iter().filter(|q| q.reason == r).count();
+        let by_reason = QuarantineReason::ALL.map(|r| (r.label(), count(r)));
+        let total = [("total", quarantined.len())];
+        let quarantined = JsonObject(by_reason.into_iter().chain(total));
         let g = self.inner.lock().expect("telemetry lock");
         let mut out = String::from("{\"service\":\"chamserve\"");
         out.push_str(&format!(",\"sessions_live\":{sessions_live}"));
         out.push_str(&format!(",\"cached_journals\":{cached_journals}"));
         out.push_str(&format!(",\"read_only\":{read_only}"));
-        out.push_str(&format!(
-            ",\"quarantined\":{{\"torn\":{},\"corrupt\":{},\"orphaned\":{},\"bad_manifest\":{},\"total\":{}}}",
-            quarantined.torn,
-            quarantined.corrupt,
-            quarantined.orphaned,
-            quarantined.bad_manifest,
-            quarantined.total()
-        ));
+        out.push_str(&format!(",\"quarantined\":{quarantined}"));
         let counters = JsonObject(SvcCounter::ALL.map(|c| (c.label(), g.counters[c as usize])));
         let hists = JsonObject(SvcHist::ALL.map(|h| (h.label(), g.hists[h as usize].digest())));
         out.push_str(&format!(",\"counters\":{counters},\"hists\":{hists}}}\n"));
@@ -250,11 +248,12 @@ mod tests {
         t.add(SvcCounter::HttpRequests, 3);
         t.observe(SvcHist::RequestLatencyNs, 1000);
         t.observe(SvcHist::RequestLatencyNs, 2000);
-        let q = QuarantineCounts {
-            torn: 2,
-            ..QuarantineCounts::default()
+        let torn = QuarantineRecord {
+            run: "r".to_string(),
+            file: "journal.jsonl".to_string(),
+            reason: QuarantineReason::Torn,
         };
-        let r = t.render(2, 1, &q, true);
+        let r = t.render(2, 1, &[torn.clone(), torn], true);
         assert!(r.starts_with("{\"service\":\"chamserve\""), "{r}");
         assert!(r.contains("\"sessions_live\":2"), "{r}");
         assert!(r.contains("\"read_only\":true"), "{r}");

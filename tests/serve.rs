@@ -1079,3 +1079,108 @@ fn route_error_table_is_pinned_and_only_answers_count_as_queries() {
     assert_eq!(json_u64(&m, "queries_served"), 3, "{m}");
     server.shutdown();
 }
+
+// ---------------------------------------------------------------------
+// 16. Checkpoints dedupe by marker
+// ---------------------------------------------------------------------
+
+/// A committed marker is the checkpoint dedupe key: different bytes
+/// under that marker get the 200 receipt naming it, and the committed
+/// blob, its mtime and its `MANIFEST` stamp stay exactly as they were.
+#[test]
+fn checkpoint_with_a_committed_marker_but_new_bytes_is_deduped() {
+    let data = scratch("ckptmarker");
+    let cfg = ServeConfig {
+        data_dir: data.clone(),
+        cache_entries: 4,
+        threads: 2,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr().to_string();
+    let first = mini_ckpt(4).encode();
+    let (status, receipt) = post(&addr, "/runs/c/checkpoint", &first);
+    assert_eq!(status, 200, "{receipt}");
+    assert_eq!(receipt, "{\"ok\":true,\"run\":\"c\",\"marker\":4}\n");
+    let blob = data.join("runs/c/ckpt-4.bin");
+    let manifest = data.join("runs/c/MANIFEST");
+    let mtime = || std::fs::metadata(&blob).unwrap().modified().unwrap();
+    let (before_mtime, before_manifest) = (mtime(), std::fs::read_to_string(&manifest).unwrap());
+    let (_, before_listing) = get(&addr, "/runs");
+
+    let other = Checkpoint {
+        old_call_path: CallPathSig(0xbeef),
+        journal_hwm: 9,
+        ..mini_ckpt(4)
+    }
+    .encode();
+    assert_ne!(other, first, "same marker, different bytes");
+    let (status, again) = post(&addr, "/runs/c/checkpoint", &other);
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, receipt, "the deduped receipt names the marker");
+
+    assert_eq!(std::fs::read(&blob).unwrap(), first, "blob bytes kept");
+    assert_eq!(mtime(), before_mtime, "blob never rewritten");
+    let after_manifest = std::fs::read_to_string(&manifest).unwrap();
+    assert_eq!(after_manifest, before_manifest, "MANIFEST stamp kept");
+    let stamp = format!(
+        "ckpt-4.bin crc32={:08x} len={}\n",
+        chamserve::util::crc32(&first),
+        first.len()
+    );
+    assert!(after_manifest.ends_with(&stamp), "{after_manifest}");
+    assert_eq!(get(&addr, "/runs").1, before_listing, "sketch merged once");
+    let (_, m) = get(&addr, "/metrics");
+    assert_eq!(json_u64(&m, "ckpts_ingested"), 1, "{m}");
+    assert_eq!(json_u64(&m, "ingest_deduped"), 1, "{m}");
+    server.shutdown();
+
+    // The store's own receipt says so too.
+    let store = SessionStore::open(&data, 4).unwrap();
+    let r = store.ingest_checkpoint("c", &other, None).unwrap();
+    assert_eq!((r.marker, r.deduped), (4, true));
+    assert_eq!(std::fs::read(&blob).unwrap(), first);
+}
+
+/// A duplicate checkpoint pushed at an evicted (cold) session is
+/// deduped after exactly one demand rehydration.
+#[test]
+fn duplicate_checkpoint_to_a_cold_session_rehydrates_once_and_dedupes() {
+    let cfg = ServeConfig {
+        data_dir: scratch("ckptcold"),
+        cache_entries: 4,
+        threads: 2,
+        hot_sessions: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.addr().to_string();
+    let blob = mini_ckpt(3).encode();
+    let (status, receipt) = post(&addr, "/runs/cold/checkpoint", &blob);
+    assert_eq!(status, 200, "{receipt}");
+    // A push at another run evicts `cold` to its manifest-backed stub.
+    let (status, _) = post(
+        &addr,
+        "/runs/other/journal",
+        mini_journal(1).to_jsonl().as_bytes(),
+    );
+    assert_eq!(status, 200);
+    let (_, m) = get(&addr, "/metrics");
+    assert_eq!(json_u64(&m, "sessions_evicted"), 1, "{m}");
+    assert_eq!(json_u64(&m, "sessions_rehydrated"), 0, "{m}");
+
+    let (status, again) = post(&addr, "/runs/cold/checkpoint", &blob);
+    assert_eq!(status, 200, "{again}");
+    assert_eq!(again, receipt);
+    let (_, m) = get(&addr, "/metrics");
+    assert_eq!(json_u64(&m, "sessions_rehydrated"), 1, "{m}");
+    assert_eq!(json_u64(&m, "ingest_deduped"), 1, "{m}");
+    assert_eq!(json_u64(&m, "ckpts_ingested"), 1, "{m}");
+    // The sketch still carries the one checkpoint's two ranks.
+    let (_, listing) = get(&addr, "/runs");
+    assert!(
+        listing.contains("\"ckpt_markers\":[3],\"ckpt_ranks\":2"),
+        "{listing}"
+    );
+    server.shutdown();
+}
