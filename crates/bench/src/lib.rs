@@ -22,7 +22,6 @@
 
 pub mod config;
 pub mod experiments;
-pub mod harness;
 pub mod report;
 
 pub use config::HarnessConfig;

@@ -61,8 +61,8 @@ pub struct Overrides {
     /// ramp: point it at a file, then query it with
     /// `chamtrace journal <summarize|timeline|spans|metrics|diff>`.
     pub journal_path: Option<std::path::PathBuf>,
-    /// Arm this fault plan on the world: the run goes through
-    /// [`World::run_faulty`], crashed ranks report `None`, and the report
+    /// Arm this fault plan on the world: crashed ranks report `None`
+    /// (every run goes through [`World::run_faulty`]), and the report
     /// carries `crashed` plus per-rank fault counters. Used by the
     /// scenario-matrix runner to drive named workloads over lossy links.
     pub faults: Option<FaultPlan>,
@@ -313,51 +313,21 @@ pub fn run(
     if overrides.journal || overrides.journal_path.is_some() {
         world_config = world_config.with_recorder();
     }
-    // Fault-armed runs go through the faulty world so a planned crash is
-    // an outcome, not a failure: crashed ranks report `None` and the run
-    // degrades instead of panicking the driver.
-    type Pieces<R> = (
-        Vec<Option<R>>,
-        Vec<usize>,
-        Vec<FaultStats>,
-        Option<obs::RunJournal>,
-        f64,
-        Duration,
-    );
-    let (results, crashed, fault_stats, journal, max_vtime, wall): Pieces<RankOutcome> =
-        match overrides.faults.clone() {
-            Some(plan) => {
-                let report = World::new(world_config.with_faults(plan))
-                    .run_faulty(program)
-                    .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-                (
-                    report.results,
-                    report.crashed,
-                    report.fault_stats,
-                    report.journal,
-                    report.max_vtime,
-                    report.wall,
-                )
-            }
-            None => {
-                let report = World::new(world_config)
-                    .run(program)
-                    .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
-                (
-                    report.results.into_iter().map(Some).collect(),
-                    Vec::new(),
-                    report.fault_stats,
-                    report.journal,
-                    report.max_vtime,
-                    report.wall,
-                )
-            }
-        };
+    // Every run goes through the faulty world, so a planned crash is an
+    // outcome, not a failure: crashed ranks report `None` and the run
+    // degrades instead of panicking the driver. Unarmed, no rank can raise
+    // an injected crash, so the run is the one `World::run` would make.
+    if let Some(plan) = overrides.faults {
+        world_config = world_config.with_faults(plan);
+    }
+    let report = World::new(world_config)
+        .run_faulty(program)
+        .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
 
     let mut global_trace = None;
     let mut cham_stats = Vec::new();
     let mut baseline = Vec::new();
-    for (rank, outcome) in results.iter().enumerate() {
+    for (rank, outcome) in report.results.iter().enumerate() {
         match outcome {
             None => {} // killed by the plan
             Some(RankOutcome::App) => {}
@@ -378,7 +348,7 @@ pub fn run(
         }
     }
 
-    if let (Some(path), Some(journal)) = (&overrides.journal_path, &journal) {
+    if let (Some(path), Some(journal)) = (&overrides.journal_path, &report.journal) {
         if let Err(e) = std::fs::write(path, journal.to_jsonl()) {
             eprintln!("journal_path {}: write failed: {e}", path.display());
         }
@@ -387,14 +357,14 @@ pub fn run(
     RunReport {
         workload: name,
         p,
-        app_vtime: max_vtime,
-        wall,
+        app_vtime: report.max_vtime,
+        wall: report.wall,
         global_trace,
         cham_stats,
         baseline,
-        journal,
-        crashed,
-        fault_stats,
+        journal: report.journal,
+        crashed: report.crashed,
+        fault_stats: report.fault_stats,
         spec,
     }
 }

@@ -12,15 +12,28 @@
 //!
 //! Every case is additionally run differentially: the fast path must be
 //! byte-identical to the reference oracle.
+//!
+//! The scaling gates at the end hold the paper's cost argument over the
+//! axes of `plans/merge_scaling.plan.json`: the online merge's modeled
+//! critical path grows as O(log P) (deterministic, so it runs here up to
+//! P = 4096), and — in the `--ignored` release run, with P = 16384 added —
+//! the fast merge is ≥ 0.8× its oracle everywhere and ≥ 2× on disjoint
+//! traces at n ≥ 512, and the offline SPMD fold grows linearly in P.
 
-use chameleon_repro::mpisim::Comm;
+use std::hint::black_box;
+use std::path::Path;
+use std::time::{Duration, Instant};
+
+use chameleon_repro::mpisim::{Comm, World, WorldConfig};
 use chameleon_repro::scalatrace::merge::{
     merge_all, merge_traces, merge_traces_reference, merge_traces_with_metrics,
 };
+use chameleon_repro::scalatrace::reduction::{radix_tree_merge, DEFAULT_RADIX};
 use chameleon_repro::scalatrace::{
     CompressedTrace, Endpoint, EventRecord, MpiOp, RankSet, TraceNode,
 };
 use chameleon_repro::sigkit::StackSig;
+use chameleon_repro::workloads::matrix::MatrixPlan;
 use xrand::Xoshiro256;
 
 fn ev(sig: u64, rank: usize) -> EventRecord {
@@ -355,4 +368,165 @@ fn spmd_fold_keeps_one_contiguous_section_per_event() {
         assert_eq!(e.ranks.sections().len(), 1);
         assert_eq!(e.ranks.sections()[0].dims(), [(P, 1)]);
     });
+}
+
+// Scaling gates. Their axes come from the committed merge-scaling plan, so
+// they sweep what `chamtrace matrix run plans/merge_scaling.plan.json`
+// sweeps: merge cases from its `workloads`, trace sizes from
+// `classes × merge_base_n`, world sizes from `ranks`.
+
+fn scaling_plan() -> MatrixPlan {
+    MatrixPlan::load(&Path::new(env!("CARGO_MANIFEST_DIR")).join("plans/merge_scaling.plan.json"))
+        .expect("committed merge-scaling plan parses and validates")
+}
+
+/// The root's tool-clock time after P ranks reduce their 24-site SPMD
+/// traces through the radix tree: the modeled critical path of the online
+/// merge. Virtual time, so one run per P is exact.
+fn online_root_tool_s(p: usize) -> f64 {
+    let report = World::new(WorldConfig::new(p))
+        .run(|proc| {
+            let mine = trace_of(proc.rank(), 1..=24);
+            let participants: Vec<usize> = (0..proc.size()).collect();
+            let out = radix_tree_merge(proc, DEFAULT_RADIX, &participants, &mine);
+            if proc.rank() == 0 {
+                let merged = out.merged.expect("root holds the merged trace");
+                assert!(merged.dynamic_size() > 0, "empty online merge at the root");
+            }
+            assert_eq!(out.degraded, 0, "fault-free reduction must be exact");
+            proc.tool_time()
+        })
+        .expect("online reduction world");
+    report.results[0]
+}
+
+/// The online critical path grows with the reduction tree's depth, not
+/// with P: from the smallest world to each larger one it may grow by the
+/// depth ratio with 8× slack. A linear-in-P regression (the pre-tree
+/// behaviour) is thousands of times over this line at P = 16384.
+fn assert_online_merge_is_log_p(ranks: &[usize]) {
+    let p_min = ranks[0];
+    let t_min = online_root_tool_s(p_min);
+    for &p in &ranks[1..] {
+        let t = online_root_tool_s(p);
+        let allowed = (p as f64).log2() / (p_min as f64).log2().max(1.0) * 8.0;
+        println!(
+            "online merge: t({p}) = {t:.6} s = {:.2}x t({p_min}) (allowed {allowed:.1}x)",
+            t / t_min
+        );
+        assert!(
+            t <= t_min * allowed,
+            "online merge critical path is not O(log P): t({p}) = {t:.6}s vs \
+             t({p_min}) = {t_min:.6}s (allowed {allowed:.1}x, got {:.1}x)",
+            t / t_min
+        );
+    }
+}
+
+#[test]
+fn online_merge_critical_path_is_log_p() {
+    // Debug builds reach P = 4096 in seconds; the 16384-rank end of the
+    // axis runs in the release-mode gate below.
+    let ranks: Vec<usize> = scaling_plan()
+        .ranks
+        .into_iter()
+        .filter(|&p| p <= 4096)
+        .collect();
+    assert_online_merge_is_log_p(&ranks);
+}
+
+/// Median nanoseconds per call of `a` and of `b`, over 11 batches of at
+/// least 2 ms each. The two sides alternate batch by batch, in ABBA order
+/// so that neither always runs first: host drift, and a disturbance that
+/// recurs once per pair of batches, land on both alike.
+fn paired_median_ns<A, B>(mut a: impl FnMut() -> A, mut b: impl FnMut() -> B) -> (f64, f64) {
+    fn batch_ns<T>(f: &mut impl FnMut() -> T) -> f64 {
+        let start = Instant::now();
+        let mut calls = 0u32;
+        while start.elapsed() < Duration::from_millis(2) {
+            black_box(f());
+            calls += 1;
+        }
+        start.elapsed().as_nanos() as f64 / f64::from(calls)
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let (xs, ys): (Vec<f64>, Vec<f64>) = (0..11)
+        .map(|i| match i % 2 {
+            0 => (batch_ns(&mut a), batch_ns(&mut b)),
+            _ => {
+                let y = batch_ns(&mut b);
+                (batch_ns(&mut a), y)
+            }
+        })
+        .unzip();
+    (median(xs), median(ys))
+}
+
+#[test]
+#[ignore = "wall-clock gates and a 16384-rank world: run in release with \
+            `cargo test --release --test merge_invariants -- --ignored`"]
+fn merge_scaling_gates() {
+    let plan = scaling_plan();
+
+    // The fast merge has to earn its place next to its own oracle: never
+    // slower than 1.25× the full table (identical and near-identical
+    // inputs trim away on both, so they tie), and ≥ 2× faster where the
+    // whole middle reaches the aligner.
+    for class in &plan.classes {
+        let n = (plan.merge_base_n * class.multiplier()) as u64;
+        for case in &plan.workloads {
+            let (a, b) = match case.as_str() {
+                "MERGE_IDENTICAL" => (trace_of(0, 1..=n), trace_of(1, 1..=n)),
+                // One rank-private site in the middle: the shared backbone
+                // trims away and only the divergence reaches the aligner.
+                "MERGE_NEAR" => {
+                    let near = |rank: usize| {
+                        let private = 1_000_000 + rank as u64;
+                        trace_of(
+                            rank,
+                            (1..=n).map(|s| if s == n / 2 + 1 { private } else { s }),
+                        )
+                    };
+                    (near(0), near(1))
+                }
+                "MERGE_DISJOINT" => (trace_of(0, 1..=n), trace_of(1, n + 1..=2 * n)),
+                other => panic!("merge-scaling plan lists a non-merge workload {other:?}"),
+            };
+            let (fast, reference) =
+                paired_median_ns(|| merge_traces(&a, &b), || merge_traces_reference(&a, &b));
+            let speedup = reference / fast;
+            println!("{case}/{n}: fast {fast:.0} ns, reference {reference:.0} ns, {speedup:.2}x");
+            assert!(
+                speedup >= 0.8,
+                "fast path slower than 1.25x the reference: {case}/{n} = {speedup:.2}x"
+            );
+            if case == "MERGE_DISJOINT" && n >= 512 {
+                assert!(
+                    speedup >= 2.0,
+                    "fast path must be ≥2x the reference on disjoint traces at n={n}, \
+                     got {speedup:.2}x"
+                );
+            }
+        }
+    }
+
+    // The offline fold of SPMD traces is linear in P: 4× the traces may
+    // cost up to 6× the time (the inputs fall out of cache); the
+    // member-expanding union this replaced cost 16×.
+    let spmd = |p: usize| -> Vec<CompressedTrace> { (0..p).map(|r| trace_of(r, 1..=24)).collect() };
+    let (small, large) = (spmd(1024), spmd(4096));
+    let (t1024, t4096) = paired_median_ns(|| merge_all(small.iter()), || merge_all(large.iter()));
+    let growth = t4096 / t1024;
+    println!("offline fold: spmd/1024 {t1024:.0} ns, spmd/4096 {t4096:.0} ns, {growth:.2}x");
+    assert!(
+        growth <= 6.0,
+        "offline SPMD fold is not linear in P: spmd/4096 = {growth:.1}x spmd/1024"
+    );
+
+    // Last, so that tearing down 16384 rank stacks does not overlap the
+    // timed batches above.
+    assert_online_merge_is_log_p(&plan.ranks);
 }
