@@ -761,8 +761,8 @@ pub fn ablation_radix(cfg: &HarnessConfig) -> Table {
 }
 
 /// Flight-recorder digest: one Chameleon run with the recorder armed,
-/// reported as per-event-kind totals from the run journal plus the
-/// rank-aggregated overhead split ([`chameleon::AggregatedStats`]) and a
+/// reported as per-event-kind totals and per-level merge counts from the
+/// run journal plus the rank-aggregated overhead split ([`chameleon::AggregatedStats`]) and a
 /// snapshot-over-markers table from the metrics plane. The journal's own
 /// text summary goes to stderr for quick triage; the table is the TSV
 /// artifact. Set `CHAM_JOURNAL=<path>` to also drop the raw journal
@@ -797,8 +797,10 @@ pub fn observability(cfg: &HarnessConfig) -> Table {
     t.row(&["overhead.vote [s]".into(), secs(agg.vote_time)]);
     t.row(&["overhead.clustering [s]".into(), secs(agg.clustering_time)]);
     t.row(&["overhead.intercomp [s]".into(), secs(agg.intercomp_time)]);
-    for (lvl, m) in &agg.merge_levels {
-        t.row(&[format!("merge.level{lvl}.merges"), m.merges.to_string()]);
+    if let obs::query::Answer::Spans(_, levels, _) = obs::query::spans(&journal) {
+        for obs::query::LevelSpan { level, merges, .. } in &levels {
+            t.row(&[format!("merge.level{level}.merges"), merges.to_string()]);
+        }
     }
     t.row(&["marker_calls".into(), agg.marker_calls.to_string()]);
     t.row(&["degraded_slices".into(), agg.degraded_slices.to_string()]);

@@ -15,13 +15,13 @@
 
 use std::time::Duration;
 
-use mpisim::{Comm, Rank, RetryPolicy, SrcSel, TagSel};
+use mpisim::{Comm, Rank, RetryPolicy, SrcSel, TagSel, Work};
 use scalatrace::reduction::radix_tree_merge;
 use scalatrace::{format, CompressedTrace, TracedProc};
 
 use crate::cluster::{cluster_up, distribute};
 use crate::config::ChameleonConfig;
-use crate::runtime::ONLINE_TAG;
+use crate::runtime::{tool_since, ONLINE_TAG};
 
 /// Outcome of a finalize-time baseline on one rank.
 #[derive(Debug, Clone)]
@@ -52,7 +52,7 @@ pub fn scalatrace_finalize(tp: &mut TracedProc, radix: usize) -> BaselineOutcome
     BaselineOutcome {
         global_trace: outcome.merged,
         clustering_time: Duration::ZERO,
-        intercomp_time: Duration::from_secs_f64(tp.inner().tool_time() - tool0),
+        intercomp_time: tool_since(tp, tool0),
         trace_bytes,
     }
 }
@@ -89,11 +89,10 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
     );
     let sel = distribute(tp, root_sel, &participants, &mut false)
         .expect("a faultless world's clustering root never dies");
-    let clustering_time = Duration::from_secs_f64(tp.inner().tool_time() - tool0);
+    let clustering_time = tool_since(tp, tool0);
 
     // Top-K lead-trace merge, shipped to rank 0.
     let tool0 = tp.inner().tool_time();
-    let work = mpisim::WorkModel::calibrated();
     let mut global = None;
     if sel.is_lead(me) {
         let cluster = sel
@@ -102,8 +101,9 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
             .expect("lead belongs to a cluster")
             .clone();
         let mut trace = tp.tracer_mut().take_trace();
-        tp.inner()
-            .tool_compute(work.fold_per_node * trace.compressed_size() as f64);
+        tp.inner().tool_compute(&[Work::Fold {
+            nodes: trace.compressed_size(),
+        }]);
         trace.visit_events_mut(&mut |e| e.set_ranks(cluster.members.clone()));
         let outcome = radix_tree_merge(tp.inner(), config.radix, &sel.leads, &trace);
         if let Some(partial) = outcome.merged {
@@ -111,7 +111,8 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
                 global = Some(partial);
             } else {
                 let wire = format::to_text(&partial);
-                tp.inner().tool_compute(work.codec(wire.len()));
+                tp.inner()
+                    .tool_compute(&[Work::Codec { bytes: wire.len() }]);
                 tp.inner().send(0, ONLINE_TAG, Comm::TOOL, wire.as_bytes());
             }
         }
@@ -122,7 +123,9 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
             TagSel::Tag(ONLINE_TAG),
             Comm::TOOL,
         );
-        tp.inner().tool_compute(work.codec(info.payload.len()));
+        tp.inner().tool_compute(&[Work::Codec {
+            bytes: info.payload.len(),
+        }]);
         // An undecodable payload leaves the global trace empty rather than
         // killing rank 0.
         global = scalatrace::reduction::decode_wire_trace(&info.payload).ok();
@@ -134,7 +137,7 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
     BaselineOutcome {
         global_trace: global,
         clustering_time,
-        intercomp_time: Duration::from_secs_f64(tp.inner().tool_time() - tool0),
+        intercomp_time: tool_since(tp, tool0),
         trace_bytes,
     }
 }

@@ -3,7 +3,7 @@
 //! hand-out, and online inter-compression of the leads' traces.
 
 use clusterkit::{ClusterAlgorithm, ClusterMap, LeadSelection};
-use mpisim::{Comm, Rank, RetryPolicy};
+use mpisim::{Comm, Rank, RetryPolicy, Work};
 use scalatrace::reduction::{decode_wire_trace, radix_tree_merge};
 use scalatrace::TracedProc;
 use sigkit::SignatureTriple;
@@ -121,7 +121,6 @@ impl Chameleon {
         // life, the promoted deputy after a root failover.
         let online_root = self.online_root();
 
-        let work = mpisim::WorkModel::calibrated();
         if am_lead {
             let cluster = sel
                 .map
@@ -129,25 +128,26 @@ impl Chameleon {
                 .expect("lead must belong to a cluster")
                 .clone();
             let mut trace = tp.tracer_mut().take_trace();
-            tp.inner()
-                .tool_compute(work.fold_per_node * trace.compressed_size() as f64);
+            tp.inner().tool_compute(&[Work::Fold {
+                nodes: trace.compressed_size(),
+            }]);
             trace.visit_events_mut(&mut |e| e.set_ranks(cluster.members.clone()));
             let outcome = radix_tree_merge(tp.inner(), self.config.radix, &participants, &trace);
-            self.stats.record_merge_timings(&outcome.timings);
             if outcome.degraded > 0 {
                 self.slice_degraded = true;
             }
             if let Some(partial) = outcome.merged {
                 // This rank is the root of the Top-K tree.
                 if me == online_root {
-                    tp.inner().tool_compute(work.merge(
-                        self.online_trace.compressed_size(),
-                        partial.compressed_size(),
-                    ));
+                    tp.inner().tool_compute(&[Work::AlignWorstCase {
+                        n: self.online_trace.compressed_size(),
+                        m: partial.compressed_size(),
+                    }]);
                     self.online_trace.absorb_trace(&partial);
                 } else {
                     let wire = scalatrace::format::to_text(&partial);
-                    tp.inner().tool_compute(work.codec(wire.len()));
+                    tp.inner()
+                        .tool_compute(&[Work::Codec { bytes: wire.len() }]);
                     if tp
                         .inner()
                         .reliable_send(online_root, ONLINE_TAG, Comm::TOOL, wire.as_bytes())
@@ -168,13 +168,13 @@ impl Chameleon {
             // run continues.
             match payload.map(|p| (decode_wire_trace(&p), p.len())) {
                 Ok((Ok(partial), len)) => {
-                    tp.inner().tool_compute(
-                        work.codec(len)
-                            + work.merge(
-                                self.online_trace.compressed_size(),
-                                partial.compressed_size(),
-                            ),
-                    );
+                    tp.inner().tool_compute(&[
+                        Work::Codec { bytes: len },
+                        Work::AlignWorstCase {
+                            n: self.online_trace.compressed_size(),
+                            m: partial.compressed_size(),
+                        },
+                    ]);
                     self.online_trace.absorb_trace(&partial);
                 }
                 _ => self.slice_degraded = true,
@@ -209,7 +209,6 @@ pub(crate) fn cluster_up(
         .position(|&r| r == me)
         .expect("a running rank is always a participant");
     let tree = mpisim::RadixTree::new(config.radix, participants.len());
-    let work = mpisim::WorkModel::calibrated();
     let mut map = ClusterMap::from_rank(me, triple);
     for child_pos in tree.children(my_pos) {
         let child = participants[child_pos];
@@ -217,7 +216,9 @@ pub(crate) fn cluster_up(
             .inner()
             .reliable_recv(child, CLUSTER_TAG, Comm::TOOL, retry_toward(child));
         let child_map = payload.map(|payload| {
-            tp.inner().tool_compute(work.codec(payload.len()));
+            tp.inner().tool_compute(&[Work::Codec {
+                bytes: payload.len(),
+            }]);
             ClusterMap::decode(&payload)
         });
         match child_map {
@@ -227,12 +228,15 @@ pub(crate) fn cluster_up(
         }
     }
     // Per-node pruning keeps every node's working set at O(K).
-    tp.inner().tool_compute(work.cluster(map.total_clusters()));
+    tp.inner().tool_compute(&[Work::Cluster {
+        entries: map.total_clusters(),
+    }]);
     map.prune(config.k, algo);
     match tree.parent(my_pos) {
         Some(parent_pos) => {
             let wire = map.encode();
-            tp.inner().tool_compute(work.codec(wire.len()));
+            tp.inner()
+                .tool_compute(&[Work::Codec { bytes: wire.len() }]);
             let sent =
                 tp.inner()
                     .reliable_send(participants[parent_pos], CLUSTER_TAG, Comm::TOOL, &wire);
@@ -241,7 +245,9 @@ pub(crate) fn cluster_up(
             None
         }
         None => {
-            tp.inner().tool_compute(work.cluster(map.total_clusters()));
+            tp.inner().tool_compute(&[Work::Cluster {
+                entries: map.total_clusters(),
+            }]);
             Some(LeadSelection::select(map, config.k, algo))
         }
     }
@@ -260,11 +266,11 @@ pub(crate) fn distribute(
     alive: &[Rank],
     degraded: &mut bool,
 ) -> Option<LeadSelection> {
-    let work = mpisim::WorkModel::calibrated();
     let armed = tp.inner().faults_armed();
     if let Some(sel) = root_sel {
         let wire = sel.encode();
-        tp.inner().tool_compute(work.codec(wire.len()));
+        tp.inner()
+            .tool_compute(&[Work::Codec { bytes: wire.len() }]);
         if !armed {
             tp.inner().bcast(&wire, 0, Comm::TOOL);
             return Some(sel);
@@ -286,7 +292,7 @@ pub(crate) fn distribute(
             .reliable_recv(alive[0], SELECT_TAG, Comm::TOOL, RetryPolicy::Unlimited)
             .ok()?
     };
-    tp.inner().tool_compute(work.codec(enc.len()));
+    tp.inner().tool_compute(&[Work::Codec { bytes: enc.len() }]);
     let sel = LeadSelection::decode(&enc)
         .unwrap_or_else(|e| panic!("cluster protocol bug: undecodable lead selection: {e}"));
     Some(sel)

@@ -52,4 +52,4 @@ pub use config::{AlgoChoice, ChameleonConfig};
 pub use energy::{EnergyModel, EnergyReport};
 pub use runtime::{Chameleon, FinalizeOutcome};
 pub use state::{MarkerState, TransitionGraph};
-pub use stats::{AggregatedStats, ChameleonStats, MemAccount, MergeLevelStats, StateCounts};
+pub use stats::{AggregatedStats, ChameleonStats, MemAccount, StateCounts};

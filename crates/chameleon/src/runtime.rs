@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use clusterkit::LeadSelection;
 use mpisim::collectives::ReduceOp;
-use mpisim::{Comm, Rank, Tag};
+use mpisim::{Comm, Rank, Tag, Work};
 use scalatrace::{CompressedTrace, TracedProc};
 use sigkit::SignatureTriple;
 
@@ -403,13 +403,12 @@ impl Chameleon {
 
     /// Sign the interval since the previous marker and start the next one:
     /// O(n) over the interval's compressed events, charged from the model
-    /// (see `mpisim::WorkModel`) — measuring real CPU here would put
+    /// (see `mpisim::Work`) — measuring real CPU here would put
     /// nondeterministic wall time into an otherwise fully modeled stat.
     fn sign_interval(&mut self, tp: &mut TracedProc) -> (u64, SignatureTriple) {
         let events = tp.tracer().interval().event_count();
         let triple = tp.tracer_mut().rotate_interval();
-        let sig_cost = mpisim::WorkModel::calibrated().signature(events);
-        tp.inner().tool_compute(sig_cost);
+        let sig_cost = tp.inner().tool_compute(&[Work::Signature { events }]);
         self.stats.signature_time += Duration::from_secs_f64(sig_cost);
         tp.inner().metric_add(obs::Counter::Signatures, 1);
         tp.inner().metric_add(obs::Counter::SigEvents, events);

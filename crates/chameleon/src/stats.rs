@@ -12,8 +12,6 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use scalatrace::reduction::LevelTiming;
-
 use crate::state::MarkerState;
 
 /// Tally of marker calls per counted state.
@@ -134,11 +132,6 @@ pub struct ChameleonStats {
     pub intercomp_time: Duration,
     /// Per-state trace memory accounting.
     pub mem: MemAccount,
-    /// Merge work per reduction-tree level, accumulated over every lead
-    /// reduction this rank participated in (root = level 0). Shows where
-    /// inter-compression time concentrates as traces widen toward the
-    /// root.
-    pub merge_levels: BTreeMap<usize, MergeLevelStats>,
     /// Marker slices whose contribution to the online trace is *degraded*
     /// under an armed fault plan: a rank died mid-slice, or a payload
     /// stayed corrupt past the retry budget (see FAULTS.md). Counted at
@@ -171,46 +164,6 @@ impl ChameleonStats {
     pub fn total_overhead(&self) -> Duration {
         self.signature_time + self.vote_time + self.clustering_time + self.intercomp_time
     }
-
-    /// Fold one reduction's per-level merge timings into the running
-    /// per-level profile.
-    pub fn record_merge_timings(&mut self, timings: &[LevelTiming]) {
-        for t in timings {
-            let slot = self.merge_levels.entry(t.level).or_default();
-            slot.merges += t.merges as u64;
-            slot.seconds += t.seconds;
-            slot.dp_cells += t.dp_cells;
-            slot.fast_path_hits += t.fast_path_hits as u64;
-        }
-    }
-}
-
-/// Merge activity at one reduction-tree level, accumulated across
-/// reductions (and, in [`AggregatedStats`], across ranks).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MergeLevelStats {
-    /// Pairwise merges performed.
-    pub merges: u64,
-    /// Modeled seconds of codec + merge work.
-    pub seconds: f64,
-    /// LCS cells the aligner actually evaluated.
-    pub dp_cells: u64,
-    /// Merges resolved by the identical-stream fast path.
-    pub fast_path_hits: u64,
-}
-
-impl MergeLevelStats {
-    /// Fold another level's tallies into this one. Aggregation across
-    /// ranks must *union* level keys — under fault plans different ranks
-    /// can observe disjoint level sets (a rank that died early never saw
-    /// the deep levels), and dropping any key would under-report the
-    /// profile.
-    pub fn absorb(&mut self, other: &MergeLevelStats) {
-        self.merges += other.merges;
-        self.seconds += other.seconds;
-        self.dp_cells += other.dp_cells;
-        self.fast_path_hits += other.fast_path_hits;
-    }
 }
 
 /// Aggregate several ranks' stats the way the paper reports them
@@ -229,8 +182,6 @@ pub struct AggregatedStats {
     pub states: StateCounts,
     /// Markers that ran the transition graph (rank 0's count).
     pub marker_calls: u64,
-    /// Per-level merge profile summed across ranks.
-    pub merge_levels: BTreeMap<usize, MergeLevelStats>,
     /// Degraded marker slices (first rank's count — survivors agree on the
     /// slice verdict, so summing would multiply-count one event).
     pub degraded_slices: u64,
@@ -257,9 +208,6 @@ impl AggregatedStats {
             agg.vote_time += s.vote_time;
             agg.clustering_time += s.clustering_time;
             agg.intercomp_time += s.intercomp_time;
-            for (&lvl, m) in &s.merge_levels {
-                agg.merge_levels.entry(lvl).or_default().absorb(m);
-            }
             if first {
                 agg.states = s.states;
                 agg.marker_calls = s.marker_calls;
@@ -340,84 +288,6 @@ mod tests {
         assert_eq!(agg.signature_time, Duration::from_millis(21));
         assert_eq!(agg.states.c, 1, "rank 0's tally, not the sum");
         assert_eq!(agg.marker_calls, 10);
-    }
-
-    #[test]
-    fn merge_level_timings_accumulate_and_aggregate() {
-        let timings = [
-            LevelTiming {
-                level: 0,
-                merges: 2,
-                seconds: 0.5,
-                dp_cells: 100,
-                fast_path_hits: 1,
-            },
-            LevelTiming {
-                level: 1,
-                merges: 1,
-                seconds: 0.25,
-                dp_cells: 0,
-                fast_path_hits: 1,
-            },
-        ];
-        let mut a = ChameleonStats::default();
-        a.record_merge_timings(&timings);
-        a.record_merge_timings(&timings[..1]);
-        assert_eq!(a.merge_levels[&0].merges, 4);
-        assert_eq!(a.merge_levels[&0].dp_cells, 200);
-        assert_eq!(a.merge_levels[&1].fast_path_hits, 1);
-
-        let mut b = ChameleonStats::default();
-        b.record_merge_timings(&timings[1..]);
-        let agg = AggregatedStats::from_ranks([&a, &b]);
-        assert_eq!(agg.merge_levels[&0].merges, 4);
-        assert_eq!(agg.merge_levels[&1].merges, 2);
-        assert!((agg.merge_levels[&1].seconds - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregation_unions_disjoint_level_sets() {
-        // Regression: ranks with *disjoint* merge-level keys (a rank that
-        // crashed early never reached the deep levels) must all appear in
-        // the aggregate — union semantics, not intersection.
-        let mut a = ChameleonStats::default();
-        a.record_merge_timings(&[LevelTiming {
-            level: 0,
-            merges: 3,
-            seconds: 0.125,
-            dp_cells: 10,
-            fast_path_hits: 2,
-        }]);
-        let mut b = ChameleonStats::default();
-        b.record_merge_timings(&[LevelTiming {
-            level: 2,
-            merges: 5,
-            seconds: 0.5,
-            dp_cells: 40,
-            fast_path_hits: 0,
-        }]);
-        let agg = AggregatedStats::from_ranks([&a, &b]);
-        assert_eq!(agg.merge_levels.len(), 2, "both levels survive");
-        assert_eq!(agg.merge_levels[&0].merges, 3);
-        assert_eq!(agg.merge_levels[&2].merges, 5);
-        assert_eq!(agg.merge_levels[&2].dp_cells, 40);
-    }
-
-    #[test]
-    fn absorb_sums_every_field() {
-        let mut acc = MergeLevelStats::default();
-        let x = MergeLevelStats {
-            merges: 1,
-            seconds: 0.25,
-            dp_cells: 7,
-            fast_path_hits: 1,
-        };
-        acc.absorb(&x);
-        acc.absorb(&x);
-        assert_eq!(acc.merges, 2);
-        assert_eq!(acc.dp_cells, 14);
-        assert_eq!(acc.fast_path_hits, 2);
-        assert!((acc.seconds - 0.5).abs() < 1e-12);
     }
 
     #[test]

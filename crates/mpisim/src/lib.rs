@@ -54,7 +54,7 @@ pub use fault::{CrashFault, FaultPlan, FaultStats, InjectedCrash, LinkRamp};
 pub use proc::{Proc, Rank, RecvInfo, SrcSel, Tag, TagSel};
 pub use reliable::{ProtocolError, RetryPolicy};
 pub use sched::SchedMode;
-pub use time::{CostModel, VirtualClock, VirtualTime, WorkModel};
+pub use time::{CostModel, VirtualClock, VirtualTime, Work};
 pub use topology::RadixTree;
 pub use world::{FaultyWorldReport, World, WorldConfig, WorldReport};
 

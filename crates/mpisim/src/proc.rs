@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
 use crate::mailbox::{Envelope, Mailbox};
 use crate::sched::Waiter;
-use crate::time::{CostModel, VirtualClock, VirtualTime};
+use crate::time::{CostModel, VirtualClock, VirtualTime, Work};
 use crate::Comm;
 
 /// MPI rank (0-based).
@@ -97,13 +97,14 @@ pub struct Proc {
     stats: ProcStats,
     /// The tool's own virtual clock, disjoint from the application clock.
     /// Tool-internal messages (on [`Comm::TOOL`]/[`Comm::MARKER`]) carry
-    /// tool-clock timestamps and synchronize it on receive, and measured
+    /// tool-clock timestamps and synchronize it on receive, and modeled
     /// tool compute advances it via [`Proc::tool_compute`] — so a rank's
     /// final tool time is the *critical path* of tool work it observed
     /// (including waiting for merge partners), exactly the quantity the
     /// paper aggregates as tracing overhead. Measuring this with the wall
-    /// clock instead would time the host scheduler: the simulation
-    /// oversubscribes cores, so blocking waits are meaningless there.
+    /// clock instead would time the host scheduler: the event engine runs
+    /// every rank on one thread, so a blocking wait there is other ranks'
+    /// work.
     tool_clock: VirtualClock,
     /// Simulated operations performed (send attempts, completed receives,
     /// barrier entries — collective-internal ones included). Drives
@@ -227,10 +228,12 @@ impl Proc {
         self.tool_clock.now()
     }
 
-    /// Advance the tool clock by `dt` seconds of measured tool
-    /// computation (merging, clustering, signature work).
-    pub fn tool_compute(&mut self, dt: f64) {
-        self.tool_clock.advance(dt.max(0.0));
+    /// Charge `work` to the tool clock in one advance: the seconds of each
+    /// [`Work`], summed left to right. Returns the seconds charged.
+    pub fn tool_compute(&mut self, work: &[Work]) -> f64 {
+        let dt = work.iter().fold(0.0, |sum, w| sum + w.seconds());
+        self.tool_clock.advance(dt);
+        dt
     }
 
     /// Simulate `dt` virtual seconds of computation.

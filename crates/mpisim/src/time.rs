@@ -51,88 +51,78 @@ impl Default for CostModel {
     }
 }
 
-/// Analytic cost model for *tool computation* (trace parsing/merging,
-/// clustering, signature work).
+/// One unit of *tool computation* (trace parsing/merging, clustering,
+/// signature work), named by the work it does; [`crate::Proc::tool_compute`]
+/// charges its modeled cost, priced by the rates below.
 ///
-/// Overhead experiments need per-rank compute costs, but measuring them on
-/// the simulation host is hopeless: rank-threads oversubscribe the CPUs
-/// (wall-clock spans time the scheduler) and the sandboxed kernel leaks
-/// foreign threads' time into `CLOCK_THREAD_CPUTIME_ID`. Discrete-event
+/// Overhead experiments need per-rank compute costs that are exactly
+/// repeatable, and wall time cannot give them: the event engine runs every
+/// rank on the thread that calls `World::run`, so a span around a tool
+/// step also times whichever other ranks the scheduler resumed inside it,
+/// and the host's load moves the figure run to run. Discrete-event
 /// simulators solve this analytically — charge each operation a modeled
 /// cost proportional to the work it does — and that is what this is. The
-/// constants are calibrated to commodity-CPU magnitudes (see each field)
+/// rates are calibrated to commodity-CPU magnitudes (see each constant)
 /// and, because they are fixed, overhead results are deterministic and
 /// machine-independent, like the virtual application clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorkModel {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// Serializing or parsing `bytes` of trace text.
+    Codec { bytes: usize },
+    /// A pairwise merge that evaluated `dp_cells` LCS cells and touched
+    /// `nodes` trace nodes — the prefiltered aligner's measured work,
+    /// which skips most of the n·m table on structurally similar traces.
+    Align { dp_cells: u64, nodes: usize },
+    /// A structural merge of traces of compressed sizes `n` and `m`
+    /// charged at its worst case: the full O(n·m) alignment plus linear
+    /// fold work.
+    AlignWorstCase { n: usize, m: usize },
+    /// Cloning or folding `nodes` trace nodes.
+    Fold { nodes: usize },
+    /// Clustering `entries` entries (distance matrix plus selection
+    /// sweeps).
+    Cluster { entries: usize },
+    /// Finishing one interval signature over `events` compressed events.
+    Signature { events: u64 },
+}
+
+impl Work {
     /// Seconds per byte of trace text serialized or parsed (~100 MB/s
     /// string processing).
-    pub codec_per_byte: f64,
+    const CODEC_PER_BYTE: f64 = 10e-9;
     /// Seconds per DP cell of the O(n·m) pairwise trace alignment
     /// (~50M cells/s).
-    pub merge_per_cell: f64,
+    const MERGE_PER_CELL: f64 = 20e-9;
     /// Seconds per trace node cloned/folded during merging and online
     /// absorption.
-    pub fold_per_node: f64,
+    const FOLD_PER_NODE: f64 = 100e-9;
     /// Seconds per pairwise distance evaluation in clustering.
-    pub cluster_per_pair: f64,
+    const CLUSTER_PER_PAIR: f64 = 50e-9;
     /// Fixed cost of finishing one interval signature, plus...
-    pub signature_base: f64,
+    const SIGNATURE_BASE: f64 = 200e-9;
     /// ...seconds per event folded into the interval signature (the
     /// paper's O(n) signature creation).
-    pub signature_per_event: f64,
-}
+    const SIGNATURE_PER_EVENT: f64 = 5e-9;
 
-impl WorkModel {
-    /// Calibrated defaults (see field docs).
-    pub fn calibrated() -> Self {
-        WorkModel {
-            codec_per_byte: 10e-9,
-            merge_per_cell: 20e-9,
-            fold_per_node: 100e-9,
-            cluster_per_pair: 50e-9,
-            signature_base: 200e-9,
-            signature_per_event: 5e-9,
+    /// Modeled seconds this work costs.
+    pub(crate) fn seconds(&self) -> f64 {
+        match *self {
+            Work::Codec { bytes } => Self::CODEC_PER_BYTE * bytes as f64,
+            Work::Align { dp_cells, nodes } => {
+                Self::MERGE_PER_CELL * dp_cells as f64 + Self::FOLD_PER_NODE * nodes as f64
+            }
+            Work::AlignWorstCase { n, m } => {
+                Self::MERGE_PER_CELL * (n as f64) * (m as f64)
+                    + Self::FOLD_PER_NODE * (n + m) as f64
+            }
+            Work::Fold { nodes } => Self::FOLD_PER_NODE * nodes as f64,
+            Work::Cluster { entries } => {
+                Self::CLUSTER_PER_PAIR * (entries as f64) * (entries as f64)
+            }
+            Work::Signature { events } => {
+                Self::SIGNATURE_BASE + Self::SIGNATURE_PER_EVENT * events as f64
+            }
         }
-    }
-
-    /// Modeled cost of serializing or parsing `bytes` of trace text.
-    pub fn codec(&self, bytes: usize) -> f64 {
-        self.codec_per_byte * bytes as f64
-    }
-
-    /// Modeled cost of structurally merging traces of compressed sizes
-    /// `n` and `m` (the O(n·m) alignment plus linear fold work). This is
-    /// the *worst-case* model the baselines assume; the fast merge path
-    /// charges its measured work via [`WorkModel::merge_measured`].
-    pub fn merge(&self, n: usize, m: usize) -> f64 {
-        self.merge_per_cell * (n as f64) * (m as f64) + self.fold_per_node * (n + m) as f64
-    }
-
-    /// Modeled cost of a pairwise merge that actually evaluated `dp_cells`
-    /// LCS cells and touched `nodes` trace nodes — the measured
-    /// counterpart of [`WorkModel::merge`] for the prefiltered aligner,
-    /// which skips most of the n·m table on structurally similar traces.
-    pub fn merge_measured(&self, dp_cells: u64, nodes: usize) -> f64 {
-        self.merge_per_cell * dp_cells as f64 + self.fold_per_node * nodes as f64
-    }
-
-    /// Modeled cost of clustering `n` entries (distance matrix plus
-    /// selection sweeps).
-    pub fn cluster(&self, n: usize) -> f64 {
-        self.cluster_per_pair * (n as f64) * (n as f64)
-    }
-
-    /// Modeled cost of producing one interval signature over `events`
-    /// compressed events.
-    pub fn signature(&self, events: u64) -> f64 {
-        self.signature_base + self.signature_per_event * events as f64
-    }
-}
-
-impl Default for WorkModel {
-    fn default() -> Self {
-        Self::calibrated()
     }
 }
 

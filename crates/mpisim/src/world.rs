@@ -415,6 +415,21 @@ mod tests {
     }
 
     #[test]
+    fn tool_compute_charges_the_summed_work_on_the_tool_clock_only() {
+        let work = [
+            crate::Work::Codec { bytes: 300 },
+            crate::Work::AlignWorstCase { n: 7, m: 11 },
+        ];
+        let report = World::new(WorldConfig::new(1))
+            .run(move |proc| (proc.tool_compute(&work), proc.tool_time(), proc.now()))
+            .unwrap();
+        let (charged, tool, app) = report.results[0];
+        assert_eq!(charged, work[0].seconds() + work[1].seconds());
+        assert_eq!(tool, charged, "one advance by exactly the charge");
+        assert_eq!(app, 0.0, "tool work never moves the application clock");
+    }
+
+    #[test]
     fn single_rank_world() {
         let report = World::new(WorldConfig::new(1))
             .run(|proc| proc.rank())

@@ -146,7 +146,7 @@ pub enum EventKind {
     /// One completed level of the radix-tree merge on this rank, spanning
     /// tool time `t0..t1`.
     MergeLevel {
-        /// Tree level (0 = leaves).
+        /// Tree level (`RadixTree::depth`: root = 0).
         level: u64,
         /// Pairwise merges folded at this level.
         merges: u64,

@@ -201,7 +201,7 @@ pub enum Answer<'a> {
 /// One tree level's `merge_level` spans, folded over the ranks that ran it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelSpan {
-    /// Tree level (0 = leaves).
+    /// Tree level (`RadixTree::depth`: root = 0).
     pub level: u64,
     /// Spans folded: one per rank that ran the level.
     pub ranks: usize,
@@ -480,7 +480,7 @@ fn timeline(journal: &RunJournal, rank: usize) -> Result<Answer<'_>, String> {
 /// `spans`: every `merge_level` event folded into its tree level, and the
 /// critical path. On a tie for the slowest span the later one (rank-major
 /// journal order) wins.
-fn spans(journal: &RunJournal) -> Answer<'_> {
+pub fn spans(journal: &RunJournal) -> Answer<'_> {
     let mut levels = BTreeMap::new();
     let mut slowest: Option<(usize, u64, f64)> = None;
     let (mut first, mut last) = (f64::INFINITY, f64::NEG_INFINITY);

@@ -60,7 +60,7 @@
 //!
 //! [`MergeMetrics::dp_cells`] counts the LCS cells each row pass *covers*,
 //! `(x1 − x0)·(y1 − y0)` per split, not the word-ops spent on them: it is
-//! the quantity `mpisim::WorkModel::merge_measured` charges the modeled
+//! the quantity `mpisim::Work::Align` charges the modeled
 //! tool clock for, so every journal, golden and matrix baseline depends on
 //! its exact value, and the recursion — the same splits in the same order
 //! — fixes it. The oracle stays scalar and stays on `hash && matches`: it

@@ -25,13 +25,11 @@
 //! costs its whole subtree (no mid-merge rerouting — grandchildren shipped
 //! into the dead child are gone, and they count their own loss when their
 //! ship-up sees the dead parent). Each fold's cost is charged from the
-//! merge's *measured* counters ([`crate::merge::MergeMetrics`] via
-//! [`WorkModel::merge_measured`]), and per-level timings come back in the
-//! [`MergeOutcome`] for aggregation.
+//! merge's *measured* counters ([`crate::merge::MergeMetrics`] as
+//! [`Work::Align`]), and each interior rank journals its level's folds as
+//! one `merge_level` event.
 
-use std::time::Duration;
-
-use mpisim::{Comm, Proc, ProtocolError, RadixTree, Rank, RetryPolicy, Tag, WorkModel};
+use mpisim::{Comm, Proc, ProtocolError, RadixTree, Rank, RetryPolicy, Tag, Work};
 
 use crate::format;
 use crate::merge::merge_into;
@@ -46,39 +44,11 @@ pub const TRACE_MERGE_TAG: Tag = 1 << 29;
 /// work.
 pub const DEFAULT_RADIX: usize = 2;
 
-/// Merge work performed by one rank at one reduction-tree level.
-///
-/// A rank at depth *d* folds the traces of its children (depth *d* + 1);
-/// `level` records *d*, so aggregating these across ranks yields a
-/// per-level profile of where a reduction's merge time goes (the root
-/// levels see the widest, most-divergent traces).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LevelTiming {
-    /// Tree depth at which the folds happened (root = 0).
-    pub level: usize,
-    /// Pairwise merges this rank performed at that depth.
-    pub merges: usize,
-    /// Modeled seconds of codec + merge work for those folds.
-    pub seconds: f64,
-    /// LCS cells the aligner actually evaluated.
-    pub dp_cells: u64,
-    /// Folds fully resolved by the identical-stream fast path.
-    pub fast_path_hits: usize,
-}
-
 /// Result of one rank's participation in a tree reduction.
 #[derive(Debug, Clone)]
 pub struct MergeOutcome {
     /// The fully merged trace — `Some` only on `participants[0]`.
     pub merged: Option<CompressedTrace>,
-    /// Modeled cost of this rank's local merge work (parsing, structural
-    /// merging, serialization) under [`WorkModel`]. Also registered on the
-    /// rank's tool clock, so critical paths through the reduction tree
-    /// propagate to waiting partners.
-    pub compute: Duration,
-    /// Per-level merge timing at this rank — empty for leaves, one entry
-    /// (this rank's depth) for interior positions.
-    pub timings: Vec<LevelTiming>,
     /// Subtree contributions lost at this rank: a dead child, a payload
     /// still corrupt after the retry budget, trace text that failed to
     /// decode, or a dead parent that could not accept this rank's ship-up.
@@ -109,14 +79,9 @@ pub fn radix_tree_merge(
     let tree = RadixTree::new(radix, participants.len());
     let obs_t0 = proc.tool_time();
 
-    let work = WorkModel::calibrated();
-    let mut compute = 0.0f64;
     let mut acc = my_trace.clone();
     let mut degraded = 0u64;
-    let mut timing = LevelTiming {
-        level: tree.depth(my_pos),
-        ..LevelTiming::default()
-    };
+    let (mut merges, mut dp_cells, mut fast_path) = (0u64, 0u64, 0u64);
     for child_pos in tree.children(my_pos) {
         let child = participants[child_pos];
         let Ok(payload) =
@@ -125,7 +90,9 @@ pub fn radix_tree_merge(
             degraded += 1;
             continue;
         };
-        let mut cost = work.codec(payload.len());
+        let codec = Work::Codec {
+            bytes: payload.len(),
+        };
         match decode_wire_trace(&payload) {
             Ok(child_trace) => {
                 let touched = acc.compressed_size() + child_trace.compressed_size();
@@ -134,11 +101,16 @@ pub fn radix_tree_merge(
                     &child_trace,
                 );
                 acc = folded;
-                cost += work.merge_measured(met.dp_cells, touched);
-                timing.merges += 1;
-                timing.seconds += cost;
-                timing.dp_cells += met.dp_cells;
-                timing.fast_path_hits += met.fast_path as usize;
+                proc.tool_compute(&[
+                    codec,
+                    Work::Align {
+                        dp_cells: met.dp_cells,
+                        nodes: touched,
+                    },
+                ]);
+                merges += 1;
+                dp_cells += met.dp_cells;
+                fast_path += met.fast_path as u64;
                 proc.metric_add(obs::Counter::Merges, 1);
                 proc.metric_add(obs::Counter::DpCells, met.dp_cells);
                 proc.metric_add(obs::Counter::FastPath, met.fast_path as u64);
@@ -146,26 +118,22 @@ pub fn radix_tree_merge(
             }
             // The bytes arrived (CRC-clean when armed) but do not decode:
             // drop this subtree's contribution and continue.
-            Err(_) => degraded += 1,
+            Err(_) => {
+                proc.tool_compute(&[codec]);
+                degraded += 1;
+            }
         }
-        proc.tool_compute(cost);
-        compute += cost;
     }
-    let timings = if timing.merges > 0 {
-        vec![timing]
-    } else {
-        Vec::new()
-    };
-    if let Some(t) = timings.first() {
+    if merges > 0 {
         // Span over this rank's fold work: tool time on entry vs after the
         // last fold completed (receive waits included — that is the span a
         // profiler would see).
         let t1 = proc.tool_time();
         proc.record(|| obs::EventKind::MergeLevel {
-            level: t.level as u64,
-            merges: t.merges as u64,
-            dp_cells: t.dp_cells,
-            fast_path: t.fast_path_hits as u64,
+            level: tree.depth(my_pos) as u64,
+            merges,
+            dp_cells,
+            fast_path,
             t0: obs_t0,
             t1,
         });
@@ -176,9 +144,7 @@ pub fn radix_tree_merge(
         Some(parent_pos) => {
             let parent_rank = participants[parent_pos];
             let wire = format::to_text(&acc);
-            let cost = work.codec(wire.len());
-            proc.tool_compute(cost);
-            compute += cost;
+            proc.tool_compute(&[Work::Codec { bytes: wire.len() }]);
             if proc
                 .reliable_send(parent_rank, TRACE_MERGE_TAG, Comm::TOOL, wire.as_bytes())
                 .is_err()
@@ -191,12 +157,7 @@ pub fn radix_tree_merge(
         }
         None => Some(acc),
     };
-    MergeOutcome {
-        merged,
-        compute: Duration::from_secs_f64(compute),
-        timings,
-        degraded,
-    }
+    MergeOutcome { merged, degraded }
 }
 
 /// Decode a wire trace payload (UTF-8 text in the trace format) into a
@@ -367,29 +328,39 @@ mod tests {
     fn timings_report_levels_and_fast_path() {
         // p = 7, radix 2: interior positions 0 (depth 0), 1 and 2 (depth
         // 1), each folding two children; 3..6 are leaves.
-        let report = World::new(WorldConfig::new(7))
+        let report = World::new(WorldConfig::new(7).with_recorder())
             .run(move |proc| {
                 let participants: Vec<Rank> = (0..proc.size()).collect();
                 let mine = trace_for(proc.rank(), &[1, 2, 3]);
-                radix_tree_merge(proc, 2, &participants, &mine).timings
+                radix_tree_merge(proc, 2, &participants, &mine);
+                proc.tool_time()
             })
             .unwrap();
-        let at = |r: usize| &report.results[r];
-        for (rank, depth) in [(0usize, 0usize), (1, 1), (2, 1)] {
-            let t = at(rank);
-            assert_eq!(t.len(), 1, "one level entry per interior rank");
-            assert_eq!(t[0].level, depth, "rank {rank}");
-            assert_eq!(t[0].merges, 2, "rank {rank} folds two children");
-            assert_eq!(
-                t[0].fast_path_hits, 2,
-                "SPMD subtree folds are identical-stream fast paths"
-            );
-            assert_eq!(t[0].dp_cells, 0);
-            assert!(t[0].seconds > 0.0, "codec work is still charged");
-        }
-        for leaf in 3..7 {
-            assert!(at(leaf).is_empty(), "leaves perform no merges");
-        }
+        let journal = report.journal.expect("recorder armed");
+        let levels: Vec<(usize, u64, u64, u64, u64)> = journal
+            .events()
+            .filter_map(|(rank, e)| match e.kind {
+                obs::EventKind::MergeLevel {
+                    level,
+                    merges,
+                    dp_cells,
+                    fast_path,
+                    t0,
+                    t1,
+                } => {
+                    assert!(t1 > t0, "rank {rank}'s span covers its fold work");
+                    Some((rank, level, merges, fast_path, dp_cells))
+                }
+                _ => None,
+            })
+            .collect();
+        // One event per interior rank, none on leaves 3..6; SPMD subtree
+        // folds are identical-stream fast paths.
+        assert_eq!(
+            levels,
+            vec![(0, 0, 2, 2, 0), (1, 1, 2, 2, 0), (2, 1, 2, 2, 0)]
+        );
+        assert!(report.results[0] > 0.0, "codec work is still charged");
     }
 
     #[test]

@@ -326,13 +326,6 @@ impl CompressedTrace {
     pub fn clear(&mut self) {
         self.nodes.clear();
     }
-
-    /// Append all nodes of another trace (concatenation *without*
-    /// cross-boundary folding; used when stitching interval traces into the
-    /// online trace where boundaries are marker-aligned).
-    pub fn extend_from(&mut self, other: &CompressedTrace) {
-        self.nodes.extend(other.nodes.iter().cloned());
-    }
 }
 
 #[cfg(test)]
@@ -533,16 +526,6 @@ mod tests {
         online.absorb_trace(&a);
         online.absorb_trace(&b);
         assert_eq!(online.nodes().len(), 2);
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut a = CompressedTrace::new();
-        a.append(ev(1));
-        let mut b = CompressedTrace::new();
-        b.append(ev(2));
-        a.extend_from(&b);
-        assert_eq!(a.nodes().len(), 2);
     }
 
     #[test]

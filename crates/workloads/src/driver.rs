@@ -15,10 +15,10 @@
 //! Reported times separate the two time domains deliberately:
 //! `app_vtime` is deterministic *virtual* seconds of the simulated
 //! application, while the overhead fields come from the deterministic
-//! *tool clock* (modeled compute via [`mpisim::WorkModel`] plus modeled
+//! *tool clock* (modeled compute via [`mpisim::Work`] plus modeled
 //! communication and waits) — mirroring the paper's split between
 //! application runtime and tool overhead without measuring the
-//! oversubscribed simulation host.
+//! simulation host.
 
 use std::sync::Arc;
 use std::time::Duration;
