@@ -78,7 +78,10 @@ impl IntervalSignatures {
 }
 
 /// Tracing state carried by one rank: call stack, partial compressed
-/// trace, interval signatures, and accounting.
+/// trace, interval signatures, and the previous event's end time.
+///
+/// Nothing here is derived from the whole trace per event: memory is
+/// sampled per marker through [`Tracer::trace_bytes`].
 #[derive(Debug, Clone)]
 pub struct Tracer {
     enabled: bool,
@@ -86,10 +89,6 @@ pub struct Tracer {
     trace: CompressedTrace,
     interval: IntervalSignatures,
     last_event_vt: VirtualTime,
-    /// Running peak of the partial-trace allocation, for Table IV.
-    peak_trace_bytes: usize,
-    /// Total events observed (traced or not).
-    events_seen: u64,
 }
 
 impl Default for Tracer {
@@ -107,8 +106,6 @@ impl Tracer {
             trace: CompressedTrace::new(),
             interval: IntervalSignatures::new(),
             last_event_vt: 0.0,
-            peak_trace_bytes: 0,
-            events_seen: 0,
         }
     }
 
@@ -160,16 +157,6 @@ impl Tracer {
         } else {
             self.trace.byte_size()
         }
-    }
-
-    /// Peak partial-trace allocation observed so far.
-    pub fn peak_trace_bytes(&self) -> usize {
-        self.peak_trace_bytes
-    }
-
-    /// Total events seen (traced or untraced).
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
     }
 }
 
@@ -243,20 +230,17 @@ impl<'a> TracedProc<'a> {
     }
 
     /// PMPI-wrapper core: record the event, then let the caller run the
-    /// real operation.
+    /// real operation. The cost is independent of how much has been
+    /// recorded: one signature fold, the O(1) interval accumulators and
+    /// the `MAX_WINDOW`-bounded tail fold of `CompressedTrace::append`.
     fn record(&mut self, site: CallSite, op: MpiOp) {
         let sig = self.site_sig(site);
         let pre = (self.proc.now() - self.tracer.last_event_vt).max(0.0);
-        self.tracer.events_seen += 1;
         self.tracer.interval.record(sig, &op);
         if self.tracer.enabled {
             self.tracer
                 .trace
                 .append(EventRecord::new(op, sig, self.proc.rank(), pre));
-            self.tracer.peak_trace_bytes = self
-                .tracer
-                .peak_trace_bytes
-                .max(self.tracer.trace.byte_size());
         }
     }
 
@@ -640,23 +624,65 @@ mod tests {
         assert_eq!(report.results[0], (1, true));
     }
 
+    /// `n` distinct leaked call sites: events issued from them never fold,
+    /// so the trace grows one node per event.
+    fn distinct_sites(n: usize) -> Vec<CallSite> {
+        (0..n)
+            .map(|i| &*Box::leak(format!("site{i}").into_boxed_str()))
+            .collect()
+    }
+
     #[test]
-    fn peak_bytes_monotone() {
+    fn clear_trace_zeroes_bytes() {
         let report = World::new(WorldConfig::new(1))
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
-                for i in 0..20u64 {
-                    // Distinct sites so the trace actually grows.
-                    let site: CallSite = Box::leak(format!("site{i}").into_boxed_str());
+                for site in distinct_sites(20) {
                     tp.frame(site, |tp| tp.record_finalize("e"));
                 }
-                let peak = tp.tracer().peak_trace_bytes();
+                let before = tp.tracer().trace_bytes();
                 tp.tracer_mut().clear_trace();
-                (peak, tp.tracer().trace_bytes())
+                (before, tp.tracer().trace_bytes())
             })
             .unwrap();
-        let (peak, after_clear) = report.results[0];
-        assert!(peak > 0);
+        let (before, after_clear) = report.results[0];
+        assert!(before > 0);
         assert_eq!(after_clear, 0);
+    }
+
+    #[test]
+    fn record_cost_does_not_grow_with_trace_length() {
+        // The wrapper's per-event cost must not depend on what it has
+        // already recorded: 8x the events on a trace that never folds
+        // costs ~8x the time. A per-event walk of the partial trace makes
+        // it ~64x. Minimum of 5 runs per size to shed scheduling noise.
+        const SMALL: usize = 1_000;
+        const LARGE: usize = 8_000;
+        let report = World::new(WorldConfig::new(1))
+            .run(|proc| {
+                let sites = distinct_sites(LARGE);
+                let mut tp = TracedProc::new(proc);
+                let mut best = [std::time::Duration::MAX; 2];
+                for _ in 0..5 {
+                    for (slot, n) in [SMALL, LARGE].into_iter().enumerate() {
+                        tp.tracer_mut().clear_trace();
+                        let t0 = std::time::Instant::now();
+                        for &site in &sites[..n] {
+                            tp.frame(site, |tp| tp.record_finalize("e"));
+                        }
+                        best[slot] = best[slot].min(t0.elapsed());
+                        assert_eq!(tp.tracer().trace().compressed_size(), n);
+                    }
+                }
+                best
+            })
+            .unwrap();
+        let [small, large] = report.results[0];
+        let ratio = large.as_secs_f64() / small.as_secs_f64();
+        assert!(
+            ratio <= 24.0,
+            "{LARGE} events took {ratio:.1}x the time of {SMALL} (linear is 8x): \
+             {large:?} vs {small:?}"
+        );
     }
 }

@@ -101,14 +101,20 @@ impl CallStack {
         self.frames.len()
     }
 
+    /// The fold of the current context extended by `frame`: mix the frame
+    /// with its depth, then combine with the parent fold via
+    /// multiply-xor; order- and depth-sensitive.
+    #[inline]
+    fn fold(&self, frame: FrameAddr) -> u64 {
+        let prev = self.signature().0;
+        let depth = self.frames.len() as u64;
+        prev.rotate_left(13).wrapping_mul(0x0000_0100_0000_01b3)
+            ^ mix(frame ^ depth.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+    }
+
     /// Enter a frame.
     pub fn push(&mut self, frame: FrameAddr) {
-        let prev = self.cache.last().copied().unwrap_or(StackSig::EMPTY.0);
-        let depth = self.frames.len() as u64;
-        // Fold: mix the frame with its depth, then combine with the parent
-        // fold via multiply-xor; order- and depth-sensitive.
-        let folded = prev.rotate_left(13).wrapping_mul(0x0000_0100_0000_01b3)
-            ^ mix(frame ^ depth.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let folded = self.fold(frame);
         self.frames.push(frame);
         self.cache.push(folded);
     }
@@ -129,9 +135,7 @@ impl CallStack {
     /// mutating the stack. This is what the tracing wrapper uses: the MPI
     /// call site itself is the innermost frame.
     pub fn signature_with(&self, frame: FrameAddr) -> StackSig {
-        let mut tmp = self.clone();
-        tmp.push(frame);
-        tmp.signature()
+        StackSig(self.fold(frame))
     }
 
     /// The raw frame slice (outermost first); used by tests and debugging.
