@@ -83,10 +83,6 @@ pub struct FaultPlan {
     pub delay_per_mille: u16,
     /// Virtual-time penalty applied to delayed messages.
     pub delay_seconds: f64,
-    /// Real-time backstop: when a plan is armed, blocking receive loops
-    /// panic after this many milliseconds instead of hanging forever, so
-    /// a buggy recovery protocol fails fast under test.
-    pub hang_timeout_ms: u64,
     /// Per-rank straggler slowdown factors on compute intervals
     /// (`factor > 1.0` slows the rank; absent ranks run at 1.0).
     pub stragglers: Vec<(Rank, f64)>,
@@ -109,7 +105,6 @@ impl FaultPlan {
             duplicate_per_mille: 0,
             delay_per_mille: 0,
             delay_seconds: 0.0,
-            hang_timeout_ms: 30_000,
             stragglers: Vec::new(),
             imbalance_skew: 0.0,
             ramp: None,
@@ -149,12 +144,6 @@ impl FaultPlan {
     pub fn delay(mut self, pm: u16, seconds: f64) -> Self {
         self.delay_per_mille = pm.min(1000);
         self.delay_seconds = seconds.max(0.0);
-        self
-    }
-
-    /// Override the armed-mode hang backstop.
-    pub fn hang_timeout_ms(mut self, ms: u64) -> Self {
-        self.hang_timeout_ms = ms.max(1);
         self
     }
 
@@ -294,7 +283,7 @@ impl fmt::Display for FaultPlan {
         writeln!(f, "  drop: {}/1000", self.drop_per_mille)?;
         writeln!(f, "  corrupt: {}/1000", self.corrupt_per_mille)?;
         writeln!(f, "  duplicate: {}/1000", self.duplicate_per_mille)?;
-        writeln!(
+        write!(
             f,
             "  delay: {}/1000 (+{}s virtual)",
             self.delay_per_mille, self.delay_seconds
@@ -302,27 +291,26 @@ impl fmt::Display for FaultPlan {
         if !self.stragglers.is_empty() {
             let mut sorted = self.stragglers.clone();
             sorted.sort_by_key(|s| s.0);
-            write!(f, "  stragglers:")?;
+            write!(f, "\n  stragglers:")?;
             for (rank, factor) in sorted {
                 write!(f, " rank {rank} x{factor}")?;
             }
-            writeln!(f)?;
         }
         if self.imbalance_skew > 0.0 {
-            writeln!(
+            write!(
                 f,
-                "  imbalance: heavy corner x{}",
+                "\n  imbalance: heavy corner x{}",
                 1.0 + self.imbalance_skew
             )?;
         }
         if let Some(r) = self.ramp {
-            writeln!(
+            write!(
                 f,
-                "  ramp: rank {} from nonce {} every {} (+{}/1000 drop, +{}/1000 delay)",
+                "\n  ramp: rank {} from nonce {} every {} (+{}/1000 drop, +{}/1000 delay)",
                 r.target, r.start_nonce, r.window, r.drop_step_per_mille, r.delay_step_per_mille
             )?;
         }
-        write!(f, "  hang timeout: {} ms", self.hang_timeout_ms)
+        Ok(())
     }
 }
 
@@ -349,9 +337,9 @@ pub struct FaultStats {
     pub nacks_sent: u64,
     /// Times this rank observed a peer's death while waiting on it.
     pub peer_deaths_seen: u64,
-    /// Hang-backstop firings: blocking receives that exceeded the plan's
-    /// `hang_timeout_ms` and aborted with a typed
-    /// [`crate::ProtocolError::Timeout`] instead of hanging forever.
+    /// Blocking receives that ended at a proven stall in the armed world
+    /// and aborted with a typed [`crate::ProtocolError::Timeout`] instead
+    /// of hanging forever.
     pub timeouts: u64,
 }
 

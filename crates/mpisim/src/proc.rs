@@ -4,11 +4,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
 use crate::mailbox::{Envelope, Mailbox};
-use crate::sched::Waiter;
+use crate::sched::{ParkOutcome, Waiter};
 use crate::time::{CostModel, VirtualClock, VirtualTime, Work};
 use crate::Comm;
 
@@ -158,6 +158,14 @@ const POLL_SLICE: Duration = Duration::from_millis(50);
 /// Poll slice of a block that also watches a peer's death flag — shorter,
 /// because in thread mode nothing signals the flag.
 const DEAD_PEER_SLICE: Duration = Duration::from_millis(5);
+
+/// Thread-oracle wall budget of a bounded wait ([`Proc::recv_or_stall`]).
+/// The oracle cannot prove a stall, so it calls one after this long.
+const BOUNDED_BUDGET: Duration = Duration::from_millis(250);
+
+/// Thread-oracle wall budget of an unbounded wait in an armed world, after
+/// which it raises the typed timeout in place of a proven stall.
+const ARMED_BUDGET: Duration = Duration::from_secs(30);
 
 /// Tag of the metrics plane's snapshot reduction on [`Comm::OBS`].
 /// Snapshot reductions run in lockstep (every participant folds the same
@@ -475,7 +483,7 @@ impl Proc {
             TagSel::Any => 0,
         };
         let env = self
-            .block_on(POLL_SLICE, peer, tag_label, None, |p| {
+            .block_on(POLL_SLICE, peer, tag_label, false, |p| {
                 p.take(|e| e.matches(src, tag, comm))
             })
             .expect("an unbounded block returns only with a value");
@@ -523,21 +531,17 @@ impl Proc {
         }
     }
 
-    /// Bounded-wait matched receive: like [`Proc::recv`] but gives up after
-    /// `timeout_ms` of real time without a match, returning `None`.
+    /// Bounded-wait matched receive: like [`Proc::recv`] but gives up,
+    /// returning `None`, when the scheduler proves a stall — no rank can
+    /// run, so no matching send can ever come. Of several such waiters one
+    /// gives up per stall, earliest in `(virtual time, rank)` order, so
+    /// whether a receive is dropped depends only on the program.
     ///
     /// Replay engines use this: a receive whose matching send was dropped
     /// (endpoint transposed out of the world in a clustered trace) must
     /// not hang the replay forever.
-    pub fn recv_timeout(
-        &mut self,
-        src: SrcSel,
-        tag: TagSel,
-        comm: Comm,
-        timeout_ms: u64,
-    ) -> Option<RecvInfo> {
-        let until = Instant::now() + Duration::from_millis(timeout_ms);
-        let env = self.block_on(POLL_SLICE, 0, 0, Some(until), |p| {
+    pub fn recv_or_stall(&mut self, src: SrcSel, tag: TagSel, comm: Comm) -> Option<RecvInfo> {
+        let env = self.block_on(POLL_SLICE, 0, 0, true, |p| {
             p.take(|e| e.matches(src, tag, comm))
         })?;
         // Unlike `recv`: no op tick, no wait metric, always the app clock.
@@ -794,7 +798,7 @@ impl Proc {
     /// [`Proc::recv_or_dead`], stated once for every plane that needs it.
     fn block_on_peer(&mut self, src: Rank, tag: Tag, comm: Comm) -> Option<Envelope> {
         let wanted = |e: &Envelope| e.matches(SrcSel::Rank(src), TagSel::Tag(tag), comm);
-        self.block_on(DEAD_PEER_SLICE, src, tag, None, |p| {
+        self.block_on(DEAD_PEER_SLICE, src, tag, false, |p| {
             if let Some(env) = p.take(wanted) {
                 return Some(Some(env));
             }
@@ -813,33 +817,34 @@ impl Proc {
 
     /// The one blocking loop: every block point in the simulator is a
     /// `probe` run under it. Returns the probe's first `Some`, or `None`
-    /// when the caller's own bound `until` expires first (with no bound it
-    /// never returns `None`).
+    /// when a `bounded` wait ends at a stall (an unbounded one never
+    /// returns `None`).
     ///
     /// Each turn: take a wait ticket, probe, abort if the world is
-    /// poisoned or provably deadlocked, honour `until` and the armed
-    /// plan's hang backstop (`peer`/`tag` only label its diagnostic), then
-    /// wait — the single step that depends on the engine (see
-    /// [`Waiter`]). The ticket is taken *before* the probe, so a delivery
-    /// landing between probe and wait makes the wait return at once; a
-    /// wake for anything else just costs one more probe. Flags no wake
-    /// announces in thread mode (death, poison) are seen within one
-    /// `slice`.
+    /// poisoned, then wait — the single step that depends on the engine
+    /// (see [`Waiter`]). The ticket is taken *before* the probe, so a
+    /// delivery landing between probe and wait makes the wait return at
+    /// once; a wake for anything else just costs one more probe. Flags no
+    /// wake announces in thread mode (death, poison) are seen within one
+    /// `slice`. A wait that ends at a stall is probed once more and then
+    /// mapped here, the one place that does it: `None` for a bounded wait,
+    /// the typed timeout in an armed world (`peer`/`tag` only label it),
+    /// the deadlock panic otherwise.
     fn block_on<T>(
         &mut self,
         slice: Duration,
         peer: Rank,
         tag: Tag,
-        until: Option<Instant>,
+        bounded: bool,
         probe: impl Fn(&Self) -> Option<T>,
     ) -> Option<T> {
-        // A caller-bounded wait gives up by itself; only unbounded ones
-        // need the backstop.
-        let hang = if until.is_none() {
-            self.hang_deadline()
+        let budget = if bounded {
+            Some(BOUNDED_BUDGET)
         } else {
-            None
+            self.faults_armed().then_some(ARMED_BUDGET)
         };
+        let deadline = self.shared.waiter.deadline(budget);
+        let mut stalled = false;
         loop {
             let shared = &self.shared;
             let ticket = shared
@@ -854,65 +859,50 @@ impl Proc {
                     self.rank
                 );
             }
-            if shared.waiter.stalled() {
+            if stalled {
+                if bounded {
+                    return None;
+                }
+                self.check_hang(peer, tag);
                 panic!(
-                    "deadlock detected: rank {} is blocked with no running peers, \
-                     no pending messages, and no timers — the world can never make progress",
+                    "deadlock detected: rank {} is blocked with no running peers and \
+                     no pending messages — the world can never make progress",
                     self.rank
                 );
             }
-            if until.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            self.check_hang(hang, peer, tag);
             // Wake keyed by the later of the two clocks: the task's next
             // simulation-visible action cannot predate either one.
             let vtime = self.clock.now().max(self.tool_clock.now());
-            self.shared.waiter.wait(
+            stalled = shared.waiter.wait(
                 self.rank,
-                &self.shared.mailboxes[self.rank],
+                &shared.mailboxes[self.rank],
                 ticket,
                 vtime,
                 slice,
-                until.or(hang),
-            );
+                bounded,
+                deadline,
+            ) == ParkOutcome::TimedOut;
         }
     }
 
-    /// Real-time deadline for armed-mode blocking loops, or `None` when no
-    /// plan is armed (fault-free runs must never pay for a clock read).
-    fn hang_deadline(&self) -> Option<Instant> {
-        self.shared
-            .faults
-            .as_ref()
-            .map(|p| Instant::now() + Duration::from_millis(p.hang_timeout_ms))
-    }
-
-    fn check_hang(&mut self, deadline: Option<Instant>, src: Rank, tag: Tag) {
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                let waited = self
-                    .shared
-                    .faults
-                    .as_ref()
-                    .map(|p| p.hang_timeout_ms)
-                    .unwrap_or(0);
-                self.fstats.timeouts += 1;
-                self.record(|| obs::EventKind::Timeout {
-                    peer: src as u64,
-                    tag: tag as u64,
-                    waited,
-                });
-                // A typed payload, not a bare string: the world harness
-                // surfaces it via `panic_message`, and the chaos supervisor
-                // keys restart-from-checkpoint on it (FAULTS.md "Recovery").
-                std::panic::panic_any(crate::reliable::ProtocolError::Timeout {
-                    rank: self.rank,
-                    op: format!("recv src={src} tag={tag}"),
-                    waited,
-                });
-            }
+    /// An unbounded wait ended at a stall: in an armed world, count it,
+    /// journal it and raise the typed timeout. Returns only when unarmed.
+    fn check_hang(&mut self, src: Rank, tag: Tag) {
+        if !self.faults_armed() {
+            return;
         }
+        self.fstats.timeouts += 1;
+        self.record(|| obs::EventKind::Timeout {
+            peer: src as u64,
+            tag: tag as u64,
+        });
+        // A typed payload, not a bare string: the world harness surfaces it
+        // via `panic_message`, and the chaos supervisor keys
+        // restart-from-checkpoint on it (FAULTS.md "Recovery").
+        std::panic::panic_any(crate::reliable::ProtocolError::Timeout {
+            rank: self.rank,
+            op: format!("recv src={src} tag={tag}"),
+        });
     }
 
     /// Convenience: send a single u64 (little-endian).

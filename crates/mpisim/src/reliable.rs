@@ -86,17 +86,15 @@ pub enum ProtocolError {
         /// Decoder-specific detail.
         detail: String,
     },
-    /// The hang backstop fired: a blocking receive waited longer than the
-    /// fault plan's real-time budget. Carried as a panic payload out of
-    /// the stuck rank so the world harness (and the chaos supervisor) can
-    /// tell a wedged protocol from a genuine bug.
+    /// A blocking receive in an armed world ended at a proven stall: no
+    /// rank could run, so its message could never come. Carried as a
+    /// panic payload out of the stuck rank so the world harness (and the
+    /// chaos supervisor) can tell a wedged protocol from a genuine bug.
     Timeout {
         /// The rank that was stuck waiting.
         rank: Rank,
         /// The operation it was stuck in, e.g. `"recv src=2 tag=11"`.
         op: String,
-        /// How long it waited before giving up, in milliseconds.
-        waited: u64,
     },
 }
 
@@ -111,8 +109,8 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::Decode { what, detail } => {
                 write!(f, "malformed {what}: {detail}")
             }
-            ProtocolError::Timeout { rank, op, waited } => {
-                write!(f, "rank {rank} timed out after {waited} ms stuck in {op}")
+            ProtocolError::Timeout { rank, op } => {
+                write!(f, "rank {rank} timed out stuck in {op}: no rank can run")
             }
         }
     }
@@ -359,9 +357,8 @@ mod tests {
         let t = ProtocolError::Timeout {
             rank: 2,
             op: "recv src=0 tag=11".into(),
-            waited: 30_000,
         };
         let s = t.to_string();
-        assert!(s.contains("rank 2") && s.contains("30000 ms") && s.contains("tag=11"));
+        assert!(s.contains("rank 2") && s.contains("no rank can run") && s.contains("tag=11"));
     }
 }

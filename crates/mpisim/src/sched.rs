@@ -34,15 +34,17 @@
 //!   destination task; crash-death and world-poison flags ready every
 //!   parked task. A per-rank wake *epoch* closes the classic check-then-
 //!   park race: a waiter records the epoch, re-checks its mailbox, and
-//!   parks only if no wake arrived in between. Only a rank can wake a
-//!   rank, so with the heap empty the thread sleeps until the earliest
-//!   real-time deadline (`recv_timeout`, the armed hang backstop) among
-//!   the parked tasks.
-//! * **Stall detection.** If no task is running, none is ready, and no
-//!   parked task holds a real-time deadline, the world can never make
-//!   progress again. The scheduler flags the stall and readies everyone;
-//!   each waiter panics with a diagnostic instead of hanging CI. (The
-//!   thread scheduler would spin on its poll loops forever.)
+//!   parks only if no wake arrived in between. No clock wakes anyone:
+//!   the loop never sleeps, and a wait ends only on a wake or a stall.
+//! * **Stall detection.** Only a rank can wake a rank, so if no task is
+//!   running and none is ready, the world can never make progress again
+//!   on its own. The scheduler then releases the *bounded* waiter
+//!   (`Proc::recv_or_stall`) earliest in `(vtime, rank)` order, whose
+//!   wait ends there; it may send what the next one waits for. With no
+//!   bounded waiter the scheduler flags the stall and readies everyone;
+//!   each waiter raises the armed typed timeout or a deadlock panic
+//!   instead of hanging CI. Both depend only on the simulation, never on
+//!   wall time.
 //!
 //! The pre-refactor model is preserved behind
 //! [`SchedMode::Threads`](crate::SchedMode) as the differential-testing
@@ -134,7 +136,7 @@ enum TaskState {
     Ready,
     /// Executing rank code.
     Running,
-    /// Suspended at a block point; readied by `notify` or its deadline.
+    /// Suspended at a block point; readied by `notify` or a stall.
     Waiting,
     /// Program returned or unwound.
     Done,
@@ -146,8 +148,8 @@ pub(crate) enum ParkOutcome {
     /// A wake event (or a wake that raced the park) readied the task;
     /// re-check the wait condition.
     Granted,
-    /// The real-time deadline expired first; the task should run its
-    /// timeout handling.
+    /// The scheduler proved a stall and released this bounded waiter:
+    /// its wait ends without the event it was waiting for.
     TimedOut,
 }
 
@@ -160,9 +162,9 @@ struct Task {
     /// Virtual timestamp recorded when the rank parked; its ready-heap
     /// key when it becomes runnable again.
     parked_vtime: VirtualTime,
-    /// Real-time deadline of a `Waiting` task (hang backstop,
-    /// `recv_timeout`); the scheduler loop readies it when it expires.
-    deadline: Option<Instant>,
+    /// Whether the task's current wait may end at a stall
+    /// (`Proc::recv_or_stall`) rather than only on a wake.
+    bounded: bool,
     /// Why the task was last readied; what its `park` returns.
     outcome: ParkOutcome,
     /// The rank's stack, mapped by [`Sched::new`] so that running out of
@@ -178,9 +180,6 @@ struct Inner {
     live: usize,
     /// Tasks `Running` right now (at most one).
     active: usize,
-    /// `Waiting` tasks holding a deadline. They wake by themselves, so
-    /// their existence vetoes stall detection.
-    timed: usize,
     /// Set when the scheduler proves no task can ever run again.
     stalled: bool,
 }
@@ -215,7 +214,7 @@ impl Sched {
                     state: TaskState::Ready,
                     epoch: 0,
                     parked_vtime: 0.0,
-                    deadline: None,
+                    bounded: false,
                     outcome: ParkOutcome::Granted,
                     stack: Some(stack),
                 }
@@ -227,7 +226,6 @@ impl Sched {
                 ready,
                 live: ranks,
                 active: 0,
-                timed: 0,
                 stalled: false,
             }),
         }
@@ -277,39 +275,18 @@ impl Sched {
             .collect()
     }
 
-    /// Mark the earliest ready task running and return it, sleeping first
-    /// if none is ready yet; `None` once every task is done.
+    /// Mark the earliest ready task running and return it; `None` once
+    /// every task is done.
     fn next_ready(&self) -> Option<Rank> {
-        loop {
-            let mut g = self.lock();
-            if let Some(rank) = g.ready.pop() {
-                debug_assert_eq!(g.tasks[rank].state, TaskState::Ready);
-                g.tasks[rank].state = TaskState::Running;
-                g.active += 1;
-                return Some(rank);
-            }
-            if g.live == 0 {
-                return None;
-            }
-            // Nothing is ready and nothing runs. Only a rank wakes a rank,
-            // and `check_stall` readied everyone unless a parked task holds
-            // a deadline, so one does: ready the expired ones, else sleep
-            // until the earliest.
-            let now = Instant::now();
-            let mut earliest: Option<Instant> = None;
-            for rank in 0..g.tasks.len() {
-                match g.tasks[rank].deadline {
-                    Some(d) if d <= now => g.make_ready(rank, ParkOutcome::TimedOut),
-                    Some(d) => earliest = Some(earliest.map_or(d, |e| e.min(d))),
-                    None => {}
-                }
-            }
-            if g.ready.is_empty() {
-                let wake = earliest.expect("an untimed wait with nothing runnable is a stall");
-                drop(g);
-                std::thread::sleep(wake - now);
-            }
-        }
+        let mut g = self.lock();
+        let Some(rank) = g.ready.pop() else {
+            assert_eq!(g.live, 0, "`check_stall` readies a task whenever none runs");
+            return None;
+        };
+        debug_assert_eq!(g.tasks[rank].state, TaskState::Ready);
+        g.tasks[rank].state = TaskState::Running;
+        g.active += 1;
+        Some(rank)
     }
 
     /// Snapshot the rank's wake epoch *before* re-checking the wait
@@ -322,8 +299,8 @@ impl Sched {
 
     /// Park the running task at a block point: switch to the scheduler
     /// loop, and continue here once a wake event readies the task and the
-    /// loop picks it again (or `deadline` passes with nothing else to run
-    /// — [`ParkOutcome::TimedOut`]).
+    /// loop picks it again (or, for a `bounded` wait, once a stall
+    /// releases it — [`ParkOutcome::TimedOut`]).
     ///
     /// `vtime` is the task's virtual timestamp at the block point; it
     /// becomes the ready-heap key when the task is woken. Must be called
@@ -333,7 +310,7 @@ impl Sched {
         rank: Rank,
         epoch: u64,
         vtime: VirtualTime,
-        deadline: Option<Instant>,
+        bounded: bool,
     ) -> ParkOutcome {
         {
             let mut g = self.lock();
@@ -345,10 +322,7 @@ impl Sched {
             debug_assert_eq!(task.state, TaskState::Running);
             task.state = TaskState::Waiting;
             task.parked_vtime = vtime;
-            task.deadline = deadline;
-            if deadline.is_some() {
-                g.timed += 1;
-            }
+            task.bounded = bounded;
             g.active -= 1;
             g.check_stall();
             // The guard ends here: the scheduler loop takes this lock
@@ -394,26 +368,29 @@ impl Inner {
         debug_assert_eq!(task.state, TaskState::Waiting);
         task.state = TaskState::Ready;
         task.outcome = outcome;
-        if task.deadline.take().is_some() {
-            self.timed -= 1;
-        }
         self.ready.push(task.parked_vtime, rank);
     }
 
-    /// After a task stopped running: if nothing runs, nothing is ready,
-    /// and no parked task can wake itself, the world is deadlocked. Flag
-    /// it and ready everyone so they can fail loudly instead of hanging.
+    /// After a task stopped running: if nothing runs and nothing is ready
+    /// while tasks remain, no rank can ever wake another — a stall. Release
+    /// the bounded waiter lowest in `(parked_vtime, rank)`, the ready
+    /// heap's own order: one at a time, because it may send what the next
+    /// one waits for. With none, flag the stall and ready everyone so they
+    /// fail loudly instead of hanging.
     fn check_stall(&mut self) {
-        if self.stalled
-            || self.active != 0
-            || self.timed != 0
-            || !self.ready.is_empty()
-            || self.live == 0
-        {
+        if self.active != 0 || !self.ready.is_empty() || self.live == 0 {
             return;
         }
-        self.stalled = true;
-        self.ready_all();
+        let released = (0..self.tasks.len())
+            .filter(|&r| self.tasks[r].state == TaskState::Waiting && self.tasks[r].bounded)
+            .min_by_key(|&r| (ReadyQueue::key(self.tasks[r].parked_vtime), r));
+        match released {
+            Some(rank) => self.make_ready(rank, ParkOutcome::TimedOut),
+            None => {
+                self.stalled = true;
+                self.ready_all();
+            }
+        }
     }
 
     /// Bump every epoch and ready every parked task.
@@ -429,9 +406,10 @@ impl Inner {
 
 /// The one mode-dependent step of a blocked rank: *wait for something to
 /// change*. `Proc::block_on` owns everything else about blocking (probe
-/// order, poison/stall/hang checks, the recheck after a peer's death), so
-/// the two engines differ only in the arms below and the thread oracle
-/// stays an independent waiting mechanism to diff the scheduler against.
+/// order, the poison check, what a stall means, the recheck after a
+/// peer's death), so the two engines differ only in the arms below and
+/// the thread oracle stays an independent waiting mechanism to diff the
+/// scheduler against.
 ///
 /// Both arms close the probe-then-wait race the same way: the waiter
 /// takes a [`Waiter::ticket`] *before* probing and hands it back to
@@ -439,12 +417,14 @@ impl Inner {
 /// scheduler's per-rank wake epoch in event mode, the mailbox's delivery
 /// counter in thread mode.
 pub(crate) enum Waiter {
-    /// [`SchedMode::Events`]: park on the scheduler until woken.
+    /// [`SchedMode::Events`]: park on the scheduler until woken or
+    /// released by a stall.
     Events(Sched),
     /// [`SchedMode::Threads`]: every rank free-runs on its own OS thread;
     /// a blocked rank sleeps on its mailbox condvar one poll slice at a
     /// time. Nothing signals a death or poison flag here — the slice
-    /// bounds how stale they get.
+    /// bounds how stale they get — and nothing sees every rank parked, so
+    /// a wall budget stands in for the proof of a stall.
     Threads,
 }
 
@@ -477,12 +457,6 @@ impl Waiter {
         }
     }
 
-    /// Whether the world is provably deadlocked. Only the event scheduler
-    /// can prove it; the thread oracle polls forever.
-    pub(crate) fn stalled(&self) -> bool {
-        matches!(self, Waiter::Events(s) if s.stalled())
-    }
-
     /// Snapshot "nothing has changed yet" ahead of a probe.
     #[inline]
     pub(crate) fn ticket(&self, rank: Rank, mailbox: &Mailbox) -> u64 {
@@ -492,10 +466,26 @@ impl Waiter {
         }
     }
 
-    /// Wait until `ticket` goes stale, `deadline` passes, or — thread mode
-    /// only — `slice` elapses. The caller re-probes on return whatever the
-    /// reason. `vtime` is the rank's virtual time at the block point (the
-    /// ready-heap key it is re-dispatched under in event mode).
+    /// When a wait that starts now and may last `budget` of wall time
+    /// gives up. Only the thread oracle has such a bound: the event
+    /// scheduler proves stalls instead, and reads no clock.
+    pub(crate) fn deadline(&self, budget: Option<Duration>) -> Option<Instant> {
+        match self {
+            Waiter::Events(_) => None,
+            Waiter::Threads => budget.map(|b| Instant::now() + b),
+        }
+    }
+
+    /// Wait until `ticket` goes stale or — thread mode only — `slice`
+    /// elapses, and say whether the wait ended at a stall
+    /// ([`ParkOutcome::TimedOut`]). The caller re-probes on return
+    /// whatever the reason. `vtime` is the rank's virtual time at the block
+    /// point (the ready-heap key it is re-dispatched under in event mode).
+    ///
+    /// Event mode reports a stall when the scheduler released this
+    /// `bounded` wait or flagged the world stalled; the thread oracle, which
+    /// cannot prove one, when `deadline` has passed.
+    #[allow(clippy::too_many_arguments)] // each engine's wait inputs, side by side
     pub(crate) fn wait(
         &self,
         rank: Rank,
@@ -503,20 +493,24 @@ impl Waiter {
         ticket: u64,
         vtime: VirtualTime,
         slice: Duration,
+        bounded: bool,
         deadline: Option<Instant>,
-    ) {
+    ) -> ParkOutcome {
         match self {
-            // A timed park never stalls the world: the scheduler counts
-            // the task as self-waking.
-            Waiter::Events(s) => {
-                s.park(rank, ticket, vtime, deadline);
-            }
+            Waiter::Events(s) => match s.park(rank, ticket, vtime, bounded) {
+                ParkOutcome::Granted if s.stalled() => ParkOutcome::TimedOut,
+                outcome => outcome,
+            },
             Waiter::Threads => {
-                let slice = match deadline {
-                    Some(d) => slice.min(d.saturating_duration_since(Instant::now())),
-                    None => slice,
-                };
+                let slice = deadline.map_or(slice, |d| {
+                    slice.min(d.saturating_duration_since(Instant::now()))
+                });
                 mailbox.wait_delivery(ticket, slice);
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    ParkOutcome::TimedOut
+                } else {
+                    ParkOutcome::Granted
+                }
             }
         }
     }
@@ -574,7 +568,7 @@ mod tests {
             // one to park must flag the stall and ready them all.
             let (sched, outcomes) = run_alone(3, |sched, rank| {
                 let epoch = sched.pre_wait(rank);
-                let outcome = sched.park(rank, epoch, rank as f64, None);
+                let outcome = sched.park(rank, epoch, rank as f64, false);
                 (outcome, sched.stalled())
             });
             assert_eq!(outcomes, [(ParkOutcome::Granted, true); 3]);
@@ -582,30 +576,25 @@ mod tests {
         }
 
         #[test]
-        fn timed_park_expires_with_one_worker_and_nothing_else_runnable() {
-            let started = Instant::now();
+        fn bounded_park_is_released_when_nothing_else_can_run() {
             let (sched, outcomes) = run_alone(1, |sched, rank| {
                 let epoch = sched.pre_wait(rank);
-                let deadline = Instant::now() + Duration::from_millis(5);
-                sched.park(rank, epoch, 0.0, Some(deadline))
+                sched.park(rank, epoch, 0.0, true)
             });
             assert_eq!(outcomes, [ParkOutcome::TimedOut]);
-            assert!(started.elapsed() >= Duration::from_millis(5));
             assert!(
                 !sched.stalled(),
-                "a timed waiter is self-waking, not a stall"
+                "releasing a bounded waiter is not a stalled world"
             );
-            assert_eq!(sched.lock().timed, 0, "timed counter restored");
         }
 
         #[test]
-        fn timed_park_vetoes_the_stall_until_it_expires() {
-            // Rank 0 parks untimed for good, rank 1 for 5 ms: no stall while
-            // rank 1's deadline is pending; once it exits, rank 0 is stalled.
+        fn bounded_park_is_released_before_the_world_is_stalled() {
+            // Rank 0 parks unbounded for good, rank 1 bounded: the first
+            // stall releases rank 1; once it exits, rank 0 is stalled.
             let (_, outcomes) = run_alone(2, |sched, rank| {
                 let epoch = sched.pre_wait(rank);
-                let deadline = (rank == 1).then(|| Instant::now() + Duration::from_millis(5));
-                let outcome = sched.park(rank, epoch, 0.0, deadline);
+                let outcome = sched.park(rank, epoch, 0.0, rank == 1);
                 (outcome, sched.stalled())
             });
             assert_eq!(
@@ -615,13 +604,29 @@ mod tests {
         }
 
         #[test]
+        fn one_bounded_waiter_is_released_per_stall_in_vtime_then_rank_order() {
+            // Ranks 0..3 park bounded; rank 2 earliest in virtual time, then
+            // ranks 0 and 1 tied. Each stall releases exactly one of them.
+            let order = Mutex::new(Vec::new());
+            let (sched, outcomes) = run_alone(3, |sched, rank| {
+                let epoch = sched.pre_wait(rank);
+                let outcome = sched.park(rank, epoch, [1.0, 1.0, 0.5][rank], true);
+                order.lock().unwrap().push(rank);
+                outcome
+            });
+            assert_eq!(outcomes, [ParkOutcome::TimedOut; 3]);
+            assert_eq!(*order.lock().unwrap(), [2, 0, 1]);
+            assert!(!sched.stalled());
+        }
+
+        #[test]
         fn raced_wake_keeps_the_task_running_without_a_switch() {
             let order = Mutex::new(Vec::new());
             run_alone(2, |sched, rank| {
                 if rank == 0 {
                     let epoch = sched.pre_wait(0);
                     sched.notify(0); // wake lands between re-check and park
-                    assert_eq!(sched.park(0, epoch, 1.0, None), ParkOutcome::Granted);
+                    assert_eq!(sched.park(0, epoch, 1.0, false), ParkOutcome::Granted);
                 }
                 order.lock().unwrap().push(rank);
             });
@@ -637,7 +642,7 @@ mod tests {
                 if rank == 0 {
                     let epoch = sched.pre_wait(0);
                     log("parks");
-                    let outcome = sched.park(0, epoch, 5.0, None);
+                    let outcome = sched.park(0, epoch, 5.0, false);
                     log("resumed");
                     Some(outcome)
                 } else {
@@ -656,7 +661,7 @@ mod tests {
             assert!(!sched.stalled());
             let g = sched.lock();
             assert!(g.tasks.iter().all(|t| t.state == TaskState::Done));
-            assert_eq!((g.active, g.timed, g.live), (0, 0, 0));
+            assert_eq!((g.active, g.live), (0, 0));
         }
 
         #[test]
@@ -666,15 +671,16 @@ mod tests {
             let order = Mutex::new(Vec::new());
             run_alone(5, |sched, rank| {
                 if rank == 0 {
-                    // Dispatched first (rank order at vtime 0): park once so
-                    // the others run up to their own parks, then wake them.
+                    // Dispatched first (rank order at vtime 0): park bounded
+                    // so the others run up to their own parks and the stall
+                    // releases it, then wake them.
                     let epoch = sched.pre_wait(0);
-                    sched.park(0, epoch, 0.0, Some(Instant::now()));
+                    sched.park(0, epoch, 0.0, true);
                     sched.notify_all();
                 } else {
                     let vtime = [0.0, 2.0, 1.0, 2.0, 1.0][rank];
                     let epoch = sched.pre_wait(rank);
-                    sched.park(rank, epoch, vtime, None);
+                    sched.park(rank, epoch, vtime, false);
                     order.lock().unwrap().push(rank);
                 }
             });

@@ -216,15 +216,13 @@ pub enum EventKind {
         /// The dead peer.
         peer: u64,
     },
-    /// The hang backstop fired: a blocking receive exceeded the plan's
-    /// real-time budget and aborted with a typed timeout.
+    /// A blocking receive in an armed world ended at a proven stall (no
+    /// rank could run) and aborted with a typed timeout.
     Timeout {
         /// The peer that never answered.
         peer: u64,
         /// The tag the receive was stuck on.
         tag: u64,
-        /// How long the receive waited, in milliseconds.
-        waited: u64,
     },
     /// The online-trace root encoded and replicated a durable checkpoint.
     Checkpoint {
@@ -347,9 +345,7 @@ impl EventKind {
             }
             EventKind::Crash { op } => format!("crash op={op}"),
             EventKind::PeerDead { peer } => format!("peer_dead peer={peer}"),
-            EventKind::Timeout { peer, tag, waited } => {
-                format!("timeout peer={peer} tag={tag} waited={waited}ms")
-            }
+            EventKind::Timeout { peer, tag } => format!("timeout peer={peer} tag={tag}"),
             EventKind::Checkpoint {
                 marker,
                 bytes,
@@ -463,11 +459,7 @@ mod tests {
             },
             EventKind::Crash { op: 0 },
             EventKind::PeerDead { peer: 0 },
-            EventKind::Timeout {
-                peer: 0,
-                tag: 0,
-                waited: 1,
-            },
+            EventKind::Timeout { peer: 0, tag: 0 },
             EventKind::Checkpoint {
                 marker: 1,
                 bytes: 64,

@@ -306,9 +306,7 @@ pub(crate) fn write_event(out: &mut String, rank: usize, e: &Event) -> fmt::Resu
         }
         EventKind::Crash { op } => write!(out, ",\"op\":{op}")?,
         EventKind::PeerDead { peer } => write!(out, ",\"peer\":{peer}")?,
-        EventKind::Timeout { peer, tag, waited } => {
-            write!(out, ",\"peer\":{peer},\"tag\":{tag},\"waited\":{waited}")?
-        }
+        EventKind::Timeout { peer, tag } => write!(out, ",\"peer\":{peer},\"tag\":{tag}")?,
         EventKind::Checkpoint {
             marker,
             bytes,
@@ -464,7 +462,6 @@ fn parse_kind(sc: &mut Scan<'_>, label: &str) -> Result<EventKind, String> {
         "timeout" => EventKind::Timeout {
             peer: sc.field_u64("peer")?,
             tag: sc.field_u64("tag")?,
-            waited: sc.field_u64("waited")?,
         },
         "checkpoint" => EventKind::Checkpoint {
             marker: sc.field_u64("marker")?,
@@ -769,16 +766,7 @@ mod tests {
             },
         );
         push(&mut b, 1.5e-5, 0.0, EventKind::Crash { op: 40 });
-        push(
-            &mut b,
-            1.5e-5,
-            0.0,
-            EventKind::Timeout {
-                peer: 0,
-                tag: 9,
-                waited: 30000,
-            },
-        );
+        push(&mut b, 1.5e-5, 0.0, EventKind::Timeout { peer: 0, tag: 9 });
         push(
             &mut b,
             1.5e-5,
@@ -893,7 +881,7 @@ mod tests {
 {"rank":0,"ctr":"state","n":1}
 {"rank":3,"seq":0,"vt":1e-5,"tt":0.0,"ev":"fault","kind":"corrupt","dest":0,"tag":9}
 {"rank":3,"seq":1,"vt":1.5e-5,"tt":0.0,"ev":"crash","op":40}
-{"rank":3,"seq":2,"vt":1.5e-5,"tt":0.0,"ev":"timeout","peer":0,"tag":9,"waited":30000}
+{"rank":3,"seq":2,"vt":1.5e-5,"tt":0.0,"ev":"timeout","peer":0,"tag":9}
 {"rank":3,"seq":3,"vt":1.5e-5,"tt":0.0,"ev":"promote","marker":2,"old_root":0,"restored":1}
 {"rank":3,"ctr":"crash","n":1}
 {"rank":3,"ctr":"fault","n":1}
@@ -1001,7 +989,7 @@ mod tests {
         let cut = &SPECIMEN_JSONL[..SPECIMEN_JSONL.len() / 2];
         assert_eq!(
             RunJournal::from_jsonl(cut).unwrap_err().to_string(),
-            r#"journal line 14: expected ",\"deputy\":" at byte 79"#
+            r#"journal line 14: expected ",\"bytes\":" at byte 67"#
         );
         assert_eq!(
             RunJournal::from_jsonl("not a journal")

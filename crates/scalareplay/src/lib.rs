@@ -22,7 +22,10 @@
 //! Endpoints that transpose out of the world (a boundary rank replaying an
 //! interior lead's ±c pattern) are *dropped*, consistently on both the
 //! send and the receive side; the [`ReplayReport::dropped_events`] counter
-//! makes this accuracy loss observable.
+//! makes this accuracy loss observable. A receive whose matching send
+//! never comes is dropped at a stall, when no rank can run
+//! ([`mpisim::Proc::recv_or_stall`]), so which receives drop is a function
+//! of the trace, not of wall time.
 
 use std::sync::Arc;
 
@@ -98,11 +101,6 @@ pub fn replay(
     })
 }
 
-/// How long a replayed receive waits for its matching send before the
-/// event is counted as dropped. Generous relative to the microsecond-scale
-/// simulated operations; only lossy clustered replays ever hit it.
-const RECV_TIMEOUT_MS: u64 = 250;
-
 enum ReplayOutcome {
     Executed,
     Dropped,
@@ -127,7 +125,7 @@ fn replay_event(proc: &mut mpisim::Proc, e: &EventRecord, me: usize, size: usize
                 None => return ReplayOutcome::Dropped,
             };
             if proc
-                .recv_timeout(src, TagSel::Tag(tag), Comm::WORLD, RECV_TIMEOUT_MS)
+                .recv_or_stall(src, TagSel::Tag(tag), Comm::WORLD)
                 .is_none()
             {
                 // Matching send was dropped elsewhere (clustered-trace
@@ -143,12 +141,7 @@ fn replay_event(proc: &mut mpisim::Proc, e: &EventRecord, me: usize, size: usize
                 (Some(d), Some(s)) => {
                     proc.send(d, tag, Comm::WORLD, &payload(e.op.count));
                     if proc
-                        .recv_timeout(
-                            SrcSel::Rank(s),
-                            TagSel::Tag(recv_tag),
-                            Comm::WORLD,
-                            RECV_TIMEOUT_MS,
-                        )
+                        .recv_or_stall(SrcSel::Rank(s), TagSel::Tag(recv_tag), Comm::WORLD)
                         .is_none()
                     {
                         return ReplayOutcome::Dropped;
@@ -160,12 +153,7 @@ fn replay_event(proc: &mut mpisim::Proc, e: &EventRecord, me: usize, size: usize
                     return ReplayOutcome::Dropped;
                 }
                 (None, Some(s)) => {
-                    proc.recv_timeout(
-                        SrcSel::Rank(s),
-                        TagSel::Tag(recv_tag),
-                        Comm::WORLD,
-                        RECV_TIMEOUT_MS,
-                    );
+                    proc.recv_or_stall(SrcSel::Rank(s), TagSel::Tag(recv_tag), Comm::WORLD);
                     return ReplayOutcome::Dropped;
                 }
                 (None, None) => return ReplayOutcome::Dropped,
@@ -363,6 +351,34 @@ mod tests {
         let rep = replay(&t, 4, CostModel::default()).unwrap();
         assert_eq!(rep.dropped_events, 2, "one send and one recv drop");
         assert_eq!(rep.events_executed, 6);
+    }
+
+    #[test]
+    fn an_unmatched_receive_drops_at_a_stall_the_same_way_every_run() {
+        // Rank 0 receives from rank 1, which never sends; both then meet
+        // at a barrier. The receive can end only at the stall.
+        use scalatrace::{Endpoint, EventRecord, MpiOp, RankSet};
+        use sigkit::StackSig;
+        let mut t = CompressedTrace::new();
+        let mut recv = EventRecord::new(
+            MpiOp::recv(Endpoint::Absolute(1), 3, 8, Comm::WORLD),
+            StackSig(1),
+            0,
+            1e-3,
+        );
+        recv.set_ranks(RankSet::from_ranks(0..1));
+        let mut barrier = EventRecord::new(MpiOp::barrier(Comm::WORLD), StackSig(2), 0, 2e-3);
+        barrier.set_ranks(RankSet::from_ranks(0..2));
+        t.append(recv);
+        t.append(barrier);
+        let runs: Vec<ReplayReport> = (0..3)
+            .map(|_| replay(&t, 2, CostModel::default()).unwrap())
+            .collect();
+        for rep in &runs {
+            assert_eq!(rep.dropped_events, 1, "the unmatched receive drops");
+            assert_eq!(rep.replay_vtime.to_bits(), runs[0].replay_vtime.to_bits());
+            assert_eq!(rep.rank_vtimes, runs[0].rank_vtimes);
+        }
     }
 
     #[test]

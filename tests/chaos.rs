@@ -2,8 +2,9 @@
 //!
 //! Every seed in `CI_SEEDS` must complete — one rank crash plus a 2%
 //! payload-corruption link — with a non-empty online trace at rank 0,
-//! counted degraded slices, and zero hangs (a wedged run trips the fault
-//! plan's hang backstop and fails loudly instead of timing out CI).
+//! counted degraded slices, and zero hangs (a wedged run ends at the
+//! scheduler's proven stall as a typed timeout and fails loudly instead of
+//! timing out CI).
 //!
 //! Runs are made with the flight recorder armed, and the counters the
 //! suite used to trust blindly are cross-checked against the journal's

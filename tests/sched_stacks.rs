@@ -1,8 +1,9 @@
 //! What only the switched-stack engine has to prove: that a rank really is
 //! a stack and not a thread, that a world hands the process back
-//! unchanged, and that every way a rank can die — injected crash, hang
-//! backstop, genuine panic, stack overflow — looks from outside exactly
-//! as it did when a rank was an OS thread.
+//! unchanged, that every way a rank can die — injected crash, armed
+//! timeout at a stall, genuine panic, stack overflow — looks from outside
+//! exactly as it did when a rank was an OS thread, and that a bounded wait
+//! ends at a proven stall, never on wall time.
 //!
 //! x86-64 Linux only: elsewhere `SchedMode::Events` runs on the thread
 //! engine and there is no switched stack to test.
@@ -251,9 +252,9 @@ fn a_genuine_panic_and_a_hang_timeout_keep_their_messages() {
         err.failures
     );
 
-    // The armed hang backstop fires from a timed park with nothing else
-    // runnable and surfaces as the typed timeout.
-    let plan = FaultPlan::new(1).hang_timeout_ms(20);
+    // In an armed world a wait that ends at a proven stall surfaces as the
+    // typed timeout.
+    let plan = FaultPlan::new(1);
     let err = World::new(WorldConfig::new(2).with_faults(plan))
         .run_faulty(|proc| {
             if proc.rank() == 0 {
@@ -265,9 +266,55 @@ fn a_genuine_panic_and_a_hang_timeout_keep_their_messages() {
         err.failures,
         [(
             0,
-            "rank 0 timed out after 20 ms stuck in recv src=1 tag=4".to_string()
+            "rank 0 timed out stuck in recv src=1 tag=4: no rank can run".to_string()
         )]
     );
+}
+
+#[test]
+fn bounded_recv_survives_wall_time_spent_elsewhere() {
+    // Rank 0's bounded receive is woken by a non-matching message after
+    // rank 2 has spent 300 ms of wall time; its sender, rank 1, can still
+    // run, so the wait goes on and the message arrives.
+    let got = World::new(WorldConfig::new(3))
+        .run(|proc| match proc.rank() {
+            0 => proc
+                .recv_or_stall(SrcSel::Rank(1), TagSel::Tag(5), Comm::WORLD)
+                .is_some(),
+            1 => {
+                proc.recv_u64(SrcSel::Rank(2), TagSel::Tag(8), Comm::WORLD);
+                proc.send_u64(0, 5, Comm::WORLD, 1);
+                true
+            }
+            _ => {
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                proc.send_u64(0, 9, Comm::WORLD, 0);
+                proc.send_u64(1, 8, Comm::WORLD, 0);
+                true
+            }
+        })
+        .unwrap()
+        .results;
+    assert_eq!(got, [true, true, true]);
+}
+
+#[test]
+fn a_stall_releases_one_bounded_waiter_in_vtime_then_rank_order() {
+    // Both ranks wait for a message nobody has sent. The stall releases
+    // rank 0 alone (equal virtual times, lower rank); what it sends then
+    // answers rank 1, whose wait goes on.
+    let got = World::new(WorldConfig::new(2))
+        .run(|proc| {
+            let me = proc.rank();
+            let got = proc.recv_or_stall(SrcSel::Rank(1 - me), TagSel::Tag(7), Comm::WORLD);
+            if me == 0 {
+                proc.send_u64(1, 7, Comm::WORLD, 42);
+            }
+            got.map(|info| info.payload)
+        })
+        .unwrap()
+        .results;
+    assert_eq!(got, [None, Some(42u64.to_le_bytes().to_vec())]);
 }
 
 #[test]
