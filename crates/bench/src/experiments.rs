@@ -762,11 +762,13 @@ pub fn ablation_radix(cfg: &HarnessConfig) -> Table {
 
 /// Flight-recorder digest: one Chameleon run with the recorder armed,
 /// reported as per-event-kind totals and per-level merge counts from the
-/// run journal plus the rank-aggregated overhead split ([`chameleon::AggregatedStats`]) and a
-/// snapshot-over-markers table from the metrics plane. The journal's own
-/// text summary goes to stderr for quick triage; the table is the TSV
-/// artifact. Set `CHAM_JOURNAL=<path>` to also drop the raw journal
-/// JSONL to disk for `chamtrace journal` queries.
+/// run journal, the rank-aggregated overhead split
+/// ([`chameleon::AggregatedStats`]), rank 0's marker and degradation
+/// counts, and a snapshot-over-markers table from the metrics plane. The
+/// journal's own text summary goes to stderr for quick triage; the table
+/// is the TSV artifact. For a raw journal to query with `chamtrace
+/// journal`, run a plan with `chamtrace matrix run`: every trial writes
+/// its `journal.jsonl`.
 pub fn observability(cfg: &HarnessConfig) -> Table {
     let p = fixed_p(cfg, 8);
     let rep = chameleon_run(
@@ -775,7 +777,6 @@ pub fn observability(cfg: &HarnessConfig) -> Table {
         p,
         Overrides {
             journal: true,
-            journal_path: std::env::var_os("CHAM_JOURNAL").map(Into::into),
             ..Default::default()
         },
     );
@@ -802,9 +803,10 @@ pub fn observability(cfg: &HarnessConfig) -> Table {
             t.row(&[format!("merge.level{level}.merges"), merges.to_string()]);
         }
     }
-    t.row(&["marker_calls".into(), agg.marker_calls.to_string()]);
-    t.row(&["degraded_slices".into(), agg.degraded_slices.to_string()]);
-    t.row(&["lead_reelections".into(), agg.lead_reelections.to_string()]);
+    let s = &rep.cham_stats[0];
+    t.row(&["marker_calls".into(), s.marker_calls.to_string()]);
+    t.row(&["degraded_slices".into(), s.degraded_slices.to_string()]);
+    t.row(&["lead_reelections".into(), s.lead_reelections.to_string()]);
     // Snapshot-over-markers: the metrics plane's per-marker world deltas,
     // one row per snapshot with the headline counters and the receive-wait
     // p99 from the reduced histogram digest.

@@ -16,11 +16,12 @@
 use std::time::Duration;
 
 use mpisim::{Comm, Rank, RetryPolicy, SrcSel, TagSel, Work};
-use scalatrace::reduction::radix_tree_merge;
+use scalatrace::reduction::{radix_tree_merge, DEFAULT_RADIX};
 use scalatrace::{format, CompressedTrace, TracedProc};
 
 use crate::cluster::{cluster_up, distribute};
 use crate::config::ChameleonConfig;
+use crate::health::RETRY_BUDGET;
 use crate::runtime::{tool_since, ONLINE_TAG};
 
 /// Outcome of a finalize-time baseline on one rank.
@@ -82,7 +83,7 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
         &*algo,
         &participants,
         &triple,
-        |_| RetryPolicy::Bounded(config.retry_budget),
+        |_| RetryPolicy::Bounded(RETRY_BUDGET),
         // A bad payload (unreachable on the faultless simulated link)
         // costs the child's entries, not the run.
         &mut false,
@@ -105,7 +106,7 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
             nodes: trace.compressed_size(),
         }]);
         trace.visit_events_mut(&mut |e| e.set_ranks(cluster.members.clone()));
-        let outcome = radix_tree_merge(tp.inner(), config.radix, &sel.leads, &trace);
+        let outcome = radix_tree_merge(tp.inner(), DEFAULT_RADIX, &sel.leads, &trace);
         if let Some(partial) = outcome.merged {
             if me == 0 {
                 global = Some(partial);

@@ -4,7 +4,7 @@
 
 use clusterkit::{ClusterAlgorithm, ClusterMap, LeadSelection};
 use mpisim::{Comm, Rank, RetryPolicy, Work};
-use scalatrace::reduction::{decode_wire_trace, radix_tree_merge};
+use scalatrace::reduction::{decode_wire_trace, radix_tree_merge, DEFAULT_RADIX};
 use scalatrace::TracedProc;
 use sigkit::SignatureTriple;
 
@@ -132,7 +132,7 @@ impl Chameleon {
                 nodes: trace.compressed_size(),
             }]);
             trace.visit_events_mut(&mut |e| e.set_ranks(cluster.members.clone()));
-            let outcome = radix_tree_merge(tp.inner(), self.config.radix, &participants, &trace);
+            let outcome = radix_tree_merge(tp.inner(), DEFAULT_RADIX, &participants, &trace);
             if outcome.degraded > 0 {
                 self.slice_degraded = true;
             }
@@ -208,7 +208,7 @@ pub(crate) fn cluster_up(
         .iter()
         .position(|&r| r == me)
         .expect("a running rank is always a participant");
-    let tree = mpisim::RadixTree::new(config.radix, participants.len());
+    let tree = mpisim::RadixTree::new(DEFAULT_RADIX, participants.len());
     let mut map = ClusterMap::from_rank(me, triple);
     for child_pos in tree.children(my_pos) {
         let child = participants[child_pos];

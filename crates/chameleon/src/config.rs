@@ -42,9 +42,6 @@ pub struct ChameleonConfig {
     /// `call_frequency`-th marker invocation; others return immediately
     /// (Algorithm 3 lines 1–3).
     pub call_frequency: u64,
-    /// Radix of the trace-merge reduction tree (2 = the paper's
-    /// left/right-child formulation).
-    pub radix: usize,
     /// Clustering algorithm.
     pub algo: AlgoChoice,
     /// Durable-checkpoint stride: every `ckpt_stride`-th *processed*
@@ -62,13 +59,6 @@ pub struct ChameleonConfig {
     /// checkpoint's marker, installs its online trace on the root, and
     /// continues normally.
     pub resume: Option<Checkpoint>,
-    /// Retry budget of the reliable tool-plane receives the runtime
-    /// performs during cluster folds and online-trace hand-offs
-    /// (`RetryPolicy::Bounded(retry_budget)`). 1 — the default — matches
-    /// the protocol's historical behavior: one retransmission round before
-    /// the slice degrades. Larger budgets trade tool time for fewer
-    /// degraded slices on very lossy links.
-    pub retry_budget: u32,
     /// Streaming anomaly detector. `None` — the default — keeps the
     /// health plane completely out of the run: no health gathers, no
     /// anomaly events, byte-identical journals. `Some(cfg)` arms the
@@ -86,12 +76,10 @@ impl ChameleonConfig {
         ChameleonConfig {
             k,
             call_frequency: 1,
-            radix: 2,
             algo: AlgoChoice::default(),
             ckpt_stride: 0,
             ckpt_dir: None,
             resume: None,
-            retry_budget: 1,
             detector: None,
         }
     }
@@ -106,13 +94,6 @@ impl ChameleonConfig {
     /// Set the clustering algorithm.
     pub fn with_algo(mut self, algo: AlgoChoice) -> Self {
         self.algo = algo;
-        self
-    }
-
-    /// Set the merge-tree radix.
-    pub fn with_radix(mut self, radix: usize) -> Self {
-        assert!(radix >= 1);
-        self.radix = radix;
         self
     }
 
@@ -132,14 +113,6 @@ impl ChameleonConfig {
     /// Resume from a decoded checkpoint (supervisor restart).
     pub fn with_resume(mut self, ckpt: Checkpoint) -> Self {
         self.resume = Some(ckpt);
-        self
-    }
-
-    /// Set the reliable-protocol retry budget for the runtime's
-    /// tool-plane receives.
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        assert!(budget >= 1, "retry budget must be at least 1");
-        self.retry_budget = budget;
         self
     }
 
@@ -166,12 +139,10 @@ mod tests {
         let c = ChameleonConfig::default();
         assert_eq!(c.k, 9);
         assert_eq!(c.call_frequency, 1);
-        assert_eq!(c.radix, 2);
         assert_eq!(c.algo, AlgoChoice::Farthest);
         assert_eq!(c.ckpt_stride, 0, "checkpointing is opt-in");
         assert!(c.ckpt_dir.is_none());
         assert!(c.resume.is_none());
-        assert_eq!(c.retry_budget, 1, "one retransmission round by default");
         assert!(c.detector.is_none(), "health plane is opt-in");
     }
 
@@ -191,12 +162,10 @@ mod tests {
     fn builder_chain() {
         let c = ChameleonConfig::with_k(3)
             .with_frequency(25)
-            .with_algo(AlgoChoice::Medoids)
-            .with_radix(4);
+            .with_algo(AlgoChoice::Medoids);
         assert_eq!(c.k, 3);
         assert_eq!(c.call_frequency, 25);
         assert_eq!(c.algo, AlgoChoice::Medoids);
-        assert_eq!(c.radix, 4);
     }
 
     #[test]
@@ -210,18 +179,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_frequency_rejected() {
         ChameleonConfig::with_k(3).with_frequency(0);
-    }
-
-    #[test]
-    fn retry_budget_builder() {
-        let c = ChameleonConfig::with_k(3).with_retry_budget(4);
-        assert_eq!(c.retry_budget, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_retry_budget_rejected() {
-        ChameleonConfig::with_k(3).with_retry_budget(0);
     }
 
     #[test]

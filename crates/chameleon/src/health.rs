@@ -15,10 +15,15 @@ pub const HEALTH_TAG: Tag = 3;
 /// survivor (the mitigation ladder runs in lock-step off this set).
 pub const FLAG_TAG: Tag = 4;
 
-/// Multiplier applied to the reliable-receive retry budget toward a
-/// currently-flagged peer: a degrading link earns more retransmission
-/// rounds (and therefore deeper exponential backoff) before its slice is
-/// written off as degraded.
+/// Retry budget of the reliable tool-plane receives in cluster folds and
+/// online-trace hand-offs (`RetryPolicy::Bounded`): one retransmission
+/// round before the slice degrades.
+pub(crate) const RETRY_BUDGET: u32 = 1;
+
+/// Multiplier applied to [`RETRY_BUDGET`] toward a currently-flagged
+/// peer: a degrading link earns more retransmission rounds (and therefore
+/// deeper exponential backoff) before its slice is written off as
+/// degraded.
 const HEALTH_RETRY_ESCALATION: u32 = 4;
 
 impl Chameleon {
@@ -178,12 +183,12 @@ impl Chameleon {
         sel.leads = sel.map.leads();
     }
 
-    /// Reliable-receive policy toward `peer`: the configured budget,
+    /// Reliable-receive policy toward `peer`: [`RETRY_BUDGET`],
     /// escalated by [`HEALTH_RETRY_ESCALATION`] while the detector has the
     /// peer flagged — a degrading link gets more retransmission rounds
     /// (and deeper backoff) before its payload is written off.
     pub(crate) fn retry_toward(&self, peer: Rank) -> RetryPolicy {
-        let mut budget = self.config.retry_budget;
+        let mut budget = RETRY_BUDGET;
         if self.config.detector.is_some() && self.flagged.binary_search(&peer).is_ok() {
             budget = budget.saturating_mul(HEALTH_RETRY_ESCALATION);
         }

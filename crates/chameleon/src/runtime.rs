@@ -59,27 +59,6 @@ fn state_hist(state: MarkerState) -> obs::HistId {
     }
 }
 
-/// Journal label for a counted marker state (matches `obs::STATES`).
-fn state_label(state: MarkerState) -> &'static str {
-    match state {
-        MarkerState::AllTracing => "AT",
-        MarkerState::Clustering => "C",
-        MarkerState::Lead => "L",
-        MarkerState::Final => "F",
-    }
-}
-
-/// Journal label for a marker decision (matches `obs::DECISIONS`).
-fn decision_label(d: MarkerDecision) -> &'static str {
-    match d {
-        MarkerDecision::FirstMarker => "first",
-        MarkerDecision::AllTracing => "all_tracing",
-        MarkerDecision::StableLead => "stable_lead",
-        MarkerDecision::Cluster => "cluster",
-        MarkerDecision::FlushLead => "flush_lead",
-    }
-}
-
 /// Tool-clock seconds elapsed since `t0`.
 pub(crate) fn tool_since(tp: &mut TracedProc, t0: f64) -> Duration {
     Duration::from_secs_f64(tp.inner().tool_time() - t0)
@@ -309,7 +288,7 @@ impl Chameleon {
         }
 
         let state = decision.counted_state();
-        self.close_slice(tp, state, decision_label(decision), pre_bytes, mtool0);
+        self.close_slice(tp, state, decision.label(), pre_bytes, mtool0);
         // Checkpoint before installing a resume payload: during a replay
         // the stride markers up to the resume point are skipped (they were
         // already persisted by the pre-kill run), and the install below
@@ -435,7 +414,7 @@ impl Chameleon {
         self.stats.states.bump(state);
         tp.inner().record(|| obs::EventKind::State {
             marker,
-            state: state_label(state),
+            state: state.label(),
             decision,
         });
         self.stats.reclusterings = self.stats.states.c;

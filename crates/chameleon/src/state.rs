@@ -44,6 +44,18 @@ pub enum MarkerState {
     Final,
 }
 
+impl MarkerState {
+    /// Journal and Table IV label (one of `obs::event::STATES`).
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            MarkerState::AllTracing => "AT",
+            MarkerState::Clustering => "C",
+            MarkerState::Lead => "L",
+            MarkerState::Final => "F",
+        }
+    }
+}
+
 /// What a marker call must do, decided by the global vote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MarkerDecision {
@@ -65,6 +77,18 @@ pub enum MarkerDecision {
 }
 
 impl MarkerDecision {
+    /// Journal label (one of `obs::event::DECISIONS`; finalize closes its
+    /// slice under the last one, `"finalize"`).
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            MarkerDecision::FirstMarker => "first",
+            MarkerDecision::AllTracing => "all_tracing",
+            MarkerDecision::StableLead => "stable_lead",
+            MarkerDecision::Cluster => "cluster",
+            MarkerDecision::FlushLead => "flush_lead",
+        }
+    }
+
     /// The Table II state this marker is counted under.
     pub fn counted_state(self) -> MarkerState {
         match self {
@@ -333,6 +357,26 @@ mod tests {
         ] {
             assert_eq!(d.counted_state(), MarkerState::AllTracing);
         }
+    }
+
+    #[test]
+    fn labels_match_the_journal_tables_in_order() {
+        use MarkerDecision as D;
+        use MarkerState as S;
+        let states = [S::AllTracing, S::Clustering, S::Lead, S::Final].map(S::label);
+        assert_eq!(states, obs::event::STATES);
+        let decisions: Vec<&str> = [
+            D::FirstMarker,
+            D::AllTracing,
+            D::StableLead,
+            D::Cluster,
+            D::FlushLead,
+        ]
+        .map(D::label)
+        .into_iter()
+        .chain(["finalize"])
+        .collect();
+        assert_eq!(decisions, obs::event::DECISIONS);
     }
 }
 

@@ -61,19 +61,9 @@ impl MemAccount {
     /// Record `bytes` of live trace allocation at a marker counted under
     /// `state`.
     pub fn record(&mut self, state: MarkerState, bytes: usize) {
-        let key = Self::label(state);
-        let slot = self.per_state.entry(key).or_insert((0, 0));
+        let slot = self.per_state.entry(state.label()).or_insert((0, 0));
         slot.0 += 1;
         slot.1 += bytes as u64;
-    }
-
-    fn label(state: MarkerState) -> &'static str {
-        match state {
-            MarkerState::AllTracing => "AT",
-            MarkerState::Clustering => "C",
-            MarkerState::Lead => "L",
-            MarkerState::Final => "F",
-        }
     }
 
     /// `(calls, total_bytes)` for a state label ("AT", "C", "L", "F").
@@ -178,47 +168,17 @@ pub struct AggregatedStats {
     pub clustering_time: Duration,
     /// Sum of per-rank inter-compression time.
     pub intercomp_time: Duration,
-    /// State tallies from rank 0 (identical on all ranks by lock-step).
-    pub states: StateCounts,
-    /// Markers that ran the transition graph (rank 0's count).
-    pub marker_calls: u64,
-    /// Degraded marker slices (first rank's count — survivors agree on the
-    /// slice verdict, so summing would multiply-count one event).
-    pub degraded_slices: u64,
-    /// Lead re-elections (first rank's count, same reasoning).
-    pub lead_reelections: u64,
-    /// Root promotions (first rank's count, same reasoning).
-    pub promotions: u64,
-    /// Anomaly flags applied (first rank's count — the flag sets are
-    /// agreed, so every rank tallies the same).
-    pub anomaly_flags: u64,
-    /// Quarantined ranks (first rank's count, same reasoning).
-    pub quarantines: u64,
-    /// Health-policy lead demotions (first rank's count, same reasoning).
-    pub lead_demotions: u64,
 }
 
 impl AggregatedStats {
     /// Fold per-rank stats.
     pub fn from_ranks<'a>(stats: impl IntoIterator<Item = &'a ChameleonStats>) -> Self {
         let mut agg = AggregatedStats::default();
-        let mut first = true;
         for s in stats {
             agg.signature_time += s.signature_time;
             agg.vote_time += s.vote_time;
             agg.clustering_time += s.clustering_time;
             agg.intercomp_time += s.intercomp_time;
-            if first {
-                agg.states = s.states;
-                agg.marker_calls = s.marker_calls;
-                agg.degraded_slices = s.degraded_slices;
-                agg.lead_reelections = s.lead_reelections;
-                agg.promotions = s.promotions;
-                agg.anomaly_flags = s.anomaly_flags;
-                agg.quarantines = s.quarantines;
-                agg.lead_demotions = s.lead_demotions;
-                first = false;
-            }
         }
         agg
     }
@@ -273,21 +233,21 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_sums_times_keeps_rank0_counts() {
-        let mk = |ms: u64, c: u64| {
-            let mut s = ChameleonStats {
-                signature_time: Duration::from_millis(ms),
-                marker_calls: 10,
-                ..ChameleonStats::default()
-            };
-            s.states.c = c;
-            s
+    fn aggregation_sums_the_four_times() {
+        let mk = |ms: u64| ChameleonStats {
+            signature_time: Duration::from_millis(ms),
+            vote_time: Duration::from_millis(ms + 1),
+            clustering_time: Duration::from_millis(ms + 2),
+            intercomp_time: Duration::from_millis(ms + 3),
+            ..ChameleonStats::default()
         };
-        let ranks = [mk(5, 1), mk(7, 1), mk(9, 1)];
+        let ranks = [mk(5), mk(7), mk(9)];
         let agg = AggregatedStats::from_ranks(ranks.iter());
         assert_eq!(agg.signature_time, Duration::from_millis(21));
-        assert_eq!(agg.states.c, 1, "rank 0's tally, not the sum");
-        assert_eq!(agg.marker_calls, 10);
+        assert_eq!(agg.vote_time, Duration::from_millis(24));
+        assert_eq!(agg.clustering_time, Duration::from_millis(27));
+        assert_eq!(agg.intercomp_time, Duration::from_millis(30));
+        assert_eq!(agg.total_overhead(), Duration::from_millis(102));
     }
 
     #[test]

@@ -215,13 +215,6 @@ pub fn run_chaos_result_on(
             None => stats.push(None),
         }
     }
-    // `CHAM_JOURNAL=<path>` drops the recorded journal to disk without
-    // writing Rust (same hook as the bench observability experiment).
-    if let (Some(path), Some(journal)) = (std::env::var_os("CHAM_JOURNAL"), &report.journal) {
-        if let Err(e) = std::fs::write(&path, journal.to_jsonl()) {
-            eprintln!("CHAM_JOURNAL {}: write failed: {e}", path.to_string_lossy());
-        }
-    }
     Ok(ChaosOutcome {
         online_trace: online_trace.expect("some survivor roots the online trace"),
         stats,

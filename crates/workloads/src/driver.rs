@@ -54,26 +54,15 @@ pub struct Overrides {
     pub algo: Option<AlgoChoice>,
     /// Arm the flight recorder and gather a run journal (off by default —
     /// the recorder is zero-cost when disabled, but the journal itself
-    /// holds every event).
+    /// holds every event). To query one without writing Rust, run a plan
+    /// with `chamtrace matrix run`: every trial writes its
+    /// `journal.jsonl` for `chamtrace journal <query>`.
     pub journal: bool,
-    /// Write the gathered journal to this path as canonical JSONL after
-    /// the run (implies `journal`). This is the no-Rust-required exit
-    /// ramp: point it at a file, then query it with
-    /// `chamtrace journal <summarize|timeline|spans|metrics|diff>`.
-    pub journal_path: Option<std::path::PathBuf>,
     /// Arm this fault plan on the world: crashed ranks report `None`
     /// (every run goes through [`World::run_faulty`]), and the report
     /// carries `crashed` plus per-rank fault counters. Used by the
     /// scenario-matrix runner to drive named workloads over lossy links.
     pub faults: Option<FaultPlan>,
-    /// Override the Chameleon reliable-protocol retry budget
-    /// ([`ChameleonConfig::with_retry_budget`]; Chameleon mode only).
-    pub retry_budget: Option<u32>,
-    /// Arm durable checkpoints every N processed markers (Chameleon mode
-    /// only; see [`ChameleonConfig::with_checkpoint_stride`]).
-    pub ckpt_stride: Option<u64>,
-    /// Persist checkpoint blobs into this directory (with `ckpt_stride`).
-    pub ckpt_dir: Option<std::path::PathBuf>,
     /// Arm the streaming anomaly detector and its mitigation ladder
     /// ([`ChameleonConfig::with_detector`]; Chameleon mode only).
     pub detector: Option<obs::DetectorConfig>,
@@ -240,9 +229,6 @@ pub fn run(
     let name = workload.name();
     let spec_for_ranks = spec.clone();
     let mode_for_ranks = mode.clone();
-    let retry_budget = overrides.retry_budget;
-    let ckpt_stride = overrides.ckpt_stride.unwrap_or(0);
-    let ckpt_dir = overrides.ckpt_dir.clone();
     let detector = overrides.detector;
 
     enum RankOutcome {
@@ -259,15 +245,6 @@ pub fn run(
                 let mut cfg = ChameleonConfig::with_k(spec.k)
                     .with_frequency(spec.call_frequency)
                     .with_algo(algo);
-                if let Some(budget) = retry_budget {
-                    cfg = cfg.with_retry_budget(budget);
-                }
-                if ckpt_stride > 0 {
-                    cfg = cfg.with_checkpoint_stride(ckpt_stride);
-                    if let Some(dir) = &ckpt_dir {
-                        cfg = cfg.with_checkpoint_dir(dir.clone());
-                    }
-                }
                 if let Some(d) = detector {
                     cfg = cfg.with_detector(d);
                 }
@@ -310,7 +287,7 @@ pub fn run(
     if overrides.workers > 0 {
         world_config = world_config.with_workers(overrides.workers);
     }
-    if overrides.journal || overrides.journal_path.is_some() {
+    if overrides.journal {
         world_config = world_config.with_recorder();
     }
     // Every run goes through the faulty world, so a planned crash is an
@@ -345,12 +322,6 @@ pub fn run(
                 }
                 cham_stats.push(f.stats.clone());
             }
-        }
-    }
-
-    if let (Some(path), Some(journal)) = (&overrides.journal_path, &report.journal) {
-        if let Err(e) = std::fs::write(path, journal.to_jsonl()) {
-            eprintln!("journal_path {}: write failed: {e}", path.display());
         }
     }
 
@@ -534,31 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_path_writes_canonical_jsonl() {
-        let path = std::env::temp_dir().join(format!(
-            "cham_journal_path_test_{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let rep = run(
-            Arc::new(scaled(Bt, 25)),
-            Class::A,
-            4,
-            Mode::Chameleon,
-            Overrides {
-                journal_path: Some(path.clone()),
-                ..Default::default()
-            },
-        );
-        let journal = rep.journal.expect("journal_path implies the recorder");
-        let text = std::fs::read_to_string(&path).expect("journal file written");
-        assert_eq!(text, journal.to_jsonl(), "file holds the canonical form");
-        let parsed = obs::RunJournal::from_jsonl(&text).expect("canonical form parses");
-        assert_eq!(parsed, journal);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn fault_armed_lossy_run_completes_and_counts() {
         // A crash-free lossy link: the run must complete with an online
         // trace, no crashed ranks, and the injected-fault counters (and
@@ -576,7 +522,6 @@ mod tests {
                             .corrupt_per_mille(200)
                             .duplicate_per_mille(50),
                     ),
-                    retry_budget: Some(2),
                     ..Default::default()
                 },
             )

@@ -156,7 +156,7 @@ fn chaos_trial(
                     unreachable!("validate() keeps degraded faults off the chaos scenario")
                 }
             };
-            let mut cfg = ChameleonConfig::with_k(trial.p).with_retry_budget(trial.retry_budget);
+            let mut cfg = ChameleonConfig::with_k(trial.p);
             if trial.ckpt_stride > 0 {
                 cfg = cfg
                     .with_checkpoint_stride(trial.ckpt_stride)
@@ -293,6 +293,8 @@ pub(super) fn merge_trial(
 /// 128, keeping the fold's O(width²·n²) alignment work class-independent.
 pub(super) const MERGE_DISJOINT_SITE_BUDGET: usize = 256 * 128;
 
+/// A registry workload in Chameleon mode (`validate()` keeps its
+/// checkpoint stride at 0).
 fn driver_trial(
     plan: &MatrixPlan,
     trial: &Trial,
@@ -313,9 +315,6 @@ fn driver_trial(
         Overrides {
             journal: trial.journal,
             faults,
-            retry_budget: Some(trial.retry_budget),
-            ckpt_stride: (trial.ckpt_stride > 0).then_some(trial.ckpt_stride),
-            ckpt_dir: (trial.ckpt_stride > 0).then(|| dir.to_path_buf()),
             ..Default::default()
         },
     );
@@ -339,11 +338,6 @@ fn driver_trial(
     }
     fault_stat_fields(fields, &rep.fault_stats);
     journal_fields(fields, rep.journal.as_ref(), dir);
-    if trial.ckpt_stride > 0 {
-        if let Some((marker, _)) = latest_checkpoint(dir) {
-            fields.insert("ckpt_latest_marker".to_string(), marker.to_string());
-        }
-    }
     match &rep.global_trace {
         Some(trace) => {
             trace_fields(fields, "trace", trace);
@@ -379,7 +373,6 @@ fn degraded_trial(
             Overrides {
                 journal,
                 faults: Some(fault_plan.clone()),
-                retry_budget: Some(trial.retry_budget),
                 detector,
                 ..Default::default()
             },
@@ -492,10 +485,6 @@ pub fn run_trial(plan: &MatrixPlan, trial: &Trial, dir: &Path) -> TrialRecord {
         (
             "ckpt_stride".to_string(),
             Json::Num(trial.ckpt_stride as f64),
-        ),
-        (
-            "retry_budget".to_string(),
-            Json::Num(f64::from(trial.retry_budget)),
         ),
     ]);
     let _ = std::fs::write(dir.join("trial_input.json"), input.to_pretty() + "\n");

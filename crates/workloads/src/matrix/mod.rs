@@ -5,9 +5,9 @@
 //! and the merge-scaling sweep each reinvented trial execution, seeding,
 //! and artifact capture. This module turns them into *plans*: a JSON file
 //! declares the axes — workload × class × rank count × fault plan × seed ×
-//! feature toggles (journal on/off, checkpoint stride, reliable-protocol
-//! retry budget) — and the runner expands the cross product, executes the
-//! trials on a bounded worker pool, and writes per-trial artifacts under
+//! feature toggles (journal on/off, checkpoint stride on `CHAOS`) — and
+//! the runner expands the cross product, executes the trials on a bounded
+//! worker pool, and writes per-trial artifacts under
 //! `experiments_out/matrix/<plan>/<trial>/`.
 //!
 //! ## Determinism contract
@@ -110,12 +110,11 @@ mod tests {
         plan.validate().unwrap();
         assert_eq!(plan.classes, vec![Class::A]);
         assert_eq!(plan.ckpt_strides, vec![0]);
-        assert_eq!(plan.retry_budgets, vec![1]);
         assert_eq!(plan.steps, 12);
         assert_eq!(plan.scale, 25);
-        // workloads x classes x ranks x seeds x faults x journal x strides x budgets
+        // workloads x classes x ranks x seeds x faults x journal x strides
         #[allow(clippy::identity_op)]
-        let want = 2 * 1 * 1 * 2 * 1 * 2 * 1 * 1;
+        let want = 2 * 1 * 1 * 2 * 1 * 2 * 1;
         assert_eq!(plan.cardinality(), want);
     }
 
@@ -140,6 +139,23 @@ mod tests {
         )
         .unwrap();
         assert!(rc.validate().unwrap_err().contains("ckpt_strides"));
+        assert_eq!(
+            MatrixPlan::from_json(
+                r#"{"name":"x","workloads":["BT"],"ranks":[2],"seeds":[1],"retry_budgets":[1]}"#
+            )
+            .unwrap_err(),
+            r#"unknown plan key "retry_budgets""#
+        );
+        let bt_ckpt = MatrixPlan::from_json(
+            r#"{"name":"x","workloads":["BT"],"ranks":[2],"seeds":[1],"ckpt_strides":[2]}"#,
+        )
+        .unwrap();
+        assert!(bt_ckpt.validate().unwrap_err().contains("ckpt_strides"));
+        let chaos_ckpt = MatrixPlan::from_json(
+            r#"{"name":"x","workloads":["CHAOS"],"ranks":[4],"seeds":[1],"ckpt_strides":[4]}"#,
+        )
+        .unwrap();
+        chaos_ckpt.validate().unwrap();
         let merge_faulty = MatrixPlan::from_json(
             r#"{"name":"x","workloads":["MERGE_NEAR"],"ranks":[4],"seeds":[1],"faults":["lossy"]}"#,
         )
@@ -332,7 +348,7 @@ mod tests {
             fields.insert("trace_digest".to_string(), digest.to_string());
             fields.insert("crashed".to_string(), "[]".to_string());
             TrialRecord {
-                id: "BT-A-p0004-none-s0000000000000001-j1-k00-r01".to_string(),
+                id: "BT-A-p0004-none-s0000000000000001-j1-k00".to_string(),
                 ok,
                 fields,
                 wall_ns: 123,

@@ -149,11 +149,8 @@ pub struct Trial {
     pub journal: bool,
     /// Durable-checkpoint stride (0 = off).
     pub ckpt_stride: u64,
-    /// Reliable-protocol retry budget.
-    pub retry_budget: u32,
 }
 
-#[allow(clippy::too_many_arguments)] // one parameter per matrix axis, by design
 fn trial_id(
     workload: &str,
     class: Class,
@@ -162,13 +159,12 @@ fn trial_id(
     seed: u64,
     journal: bool,
     ckpt_stride: u64,
-    retry_budget: u32,
 ) -> String {
     // Zero-padded numeric fields make the lexicographic ID sort agree
     // with the numeric axis order, so the canonical trial sequence is
     // stable under any axis-list or JSON-key reordering.
     format!(
-        "{workload}-{}-p{p:04}-{}-s{seed:016x}-j{}-k{ckpt_stride:02}-r{retry_budget:02}",
+        "{workload}-{}-p{p:04}-{}-s{seed:016x}-j{}-k{ckpt_stride:02}",
         class.label(),
         fault.id(),
         u8::from(journal),
@@ -192,10 +188,9 @@ pub struct MatrixPlan {
     pub faults: Vec<FaultSpec>,
     /// Journal toggle axis (default `[true]`).
     pub journal: Vec<bool>,
-    /// Checkpoint-stride axis (default `[0]`).
+    /// Checkpoint-stride axis (default `[0]`; other strides only on
+    /// `CHAOS`).
     pub ckpt_strides: Vec<u64>,
-    /// Retry-budget axis (default `[1]`).
-    pub retry_budgets: Vec<u32>,
     /// Chaos-ring markers per trial (default 40; `CHAOS` only).
     pub steps: usize,
     /// Named-workload iteration divisor (default 25; see
@@ -224,7 +219,7 @@ impl MatrixPlan {
             Json::Obj(entries) => entries,
             _ => return Err("plan must be a JSON object".to_string()),
         };
-        const KNOWN: [&str; 13] = [
+        const KNOWN: [&str; 12] = [
             "name",
             "workloads",
             "classes",
@@ -233,7 +228,6 @@ impl MatrixPlan {
             "faults",
             "journal",
             "ckpt_strides",
-            "retry_budgets",
             "steps",
             "scale",
             "merge_base_n",
@@ -308,13 +302,6 @@ impl MatrixPlan {
             None => vec![0],
             Some(v) => axis_u64(v, "ckpt_strides")?,
         };
-        let retry_budgets = match doc.get("retry_budgets") {
-            None => vec![1],
-            Some(v) => axis_u64(v, "retry_budgets")?
-                .into_iter()
-                .map(|b| b as u32)
-                .collect(),
-        };
         let scalar = |key: &str, default: u64| -> Result<u64, String> {
             match doc.get(key) {
                 None => Ok(default),
@@ -337,7 +324,6 @@ impl MatrixPlan {
             faults,
             journal,
             ckpt_strides,
-            retry_budgets,
             steps,
             scale,
             merge_base_n,
@@ -388,10 +374,6 @@ impl MatrixPlan {
         no_dupes(&self.faults, "faults")?;
         no_dupes(&self.journal, "journal")?;
         no_dupes(&self.ckpt_strides, "ckpt_strides")?;
-        no_dupes(&self.retry_budgets, "retry_budgets")?;
-        if self.retry_budgets.contains(&0) {
-            return Err("retry budgets must be >= 1".to_string());
-        }
         if self.steps == 0 || self.scale == 0 || self.merge_base_n == 0 {
             return Err("steps, scale, and merge_base_n must be >= 1".to_string());
         }
@@ -425,6 +407,13 @@ impl MatrixPlan {
                 );
             }
         }
+        if self.ckpt_strides != [0] && self.workloads.iter().any(|w| w != "CHAOS") {
+            return Err(
+                "ckpt_strides other than [0] require the CHAOS workload (only its ring \
+                 checkpoints)"
+                    .to_string(),
+            );
+        }
         for w in &self.workloads {
             if w == "CHAOS" {
                 if self.ranks.iter().any(|&p| p < 2) {
@@ -456,20 +445,11 @@ impl MatrixPlan {
                 return Err(format!("unknown workload {w:?}"));
             }
         }
-        if rootcrash {
-            if self.ckpt_strides.contains(&0) {
-                return Err(
-                    "rootcrash faults need ckpt_strides >= 1 (the supervisor resumes from disk)"
-                        .to_string(),
-                );
-            }
-            if self.retry_budgets != [1] {
-                return Err(
-                    "rootcrash faults pin retry_budgets to [1] (the supervised path uses the \
-                     protocol default)"
-                        .to_string(),
-                );
-            }
+        if rootcrash && self.ckpt_strides.contains(&0) {
+            return Err(
+                "rootcrash faults need ckpt_strides >= 1 (the supervisor resumes from disk)"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -483,7 +463,6 @@ impl MatrixPlan {
             * self.faults.len()
             * self.journal.len()
             * self.ckpt_strides.len()
-            * self.retry_budgets.len()
     }
 
     /// Expand the full cross product into trials in canonical (ID-sorted)
@@ -498,28 +477,24 @@ impl MatrixPlan {
                         for &seed in &self.seeds {
                             for &journal in &self.journal {
                                 for &ckpt_stride in &self.ckpt_strides {
-                                    for &retry_budget in &self.retry_budgets {
-                                        trials.push(Trial {
-                                            id: trial_id(
-                                                workload,
-                                                class,
-                                                p,
-                                                fault,
-                                                seed,
-                                                journal,
-                                                ckpt_stride,
-                                                retry_budget,
-                                            ),
-                                            workload: workload.clone(),
+                                    trials.push(Trial {
+                                        id: trial_id(
+                                            workload,
                                             class,
                                             p,
-                                            seed,
                                             fault,
+                                            seed,
                                             journal,
                                             ckpt_stride,
-                                            retry_budget,
-                                        });
-                                    }
+                                        ),
+                                        workload: workload.clone(),
+                                        class,
+                                        p,
+                                        seed,
+                                        fault,
+                                        journal,
+                                        ckpt_stride,
+                                    });
                                 }
                             }
                         }

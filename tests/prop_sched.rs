@@ -57,7 +57,6 @@ fn results_invariant_under_worker_pool_size() {
                         .corrupt_per_mille(100)
                         .duplicate_per_mille(30),
                 );
-                o.retry_budget = Some(3);
             }
             run(workload(name, 25), Class::A, p, Mode::Chameleon, o)
         };

@@ -109,7 +109,6 @@ fn lu_lossy_link_parity() {
                         .corrupt_per_mille(150)
                         .duplicate_per_mille(40),
                 ),
-                retry_budget: Some(3),
                 ..Default::default()
             },
             &format!("LU p=8 lossy seed={seed}"),
@@ -225,7 +224,6 @@ fn bt_and_lossy_lu_at_16_ranks_match_the_thread_oracle() {
             let overrides = Overrides {
                 journal: true,
                 faults: faults.clone(),
-                retry_budget: faults.as_ref().map(|_| 3),
                 thread_sched,
                 ..Default::default()
             };
