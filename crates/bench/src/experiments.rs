@@ -727,7 +727,8 @@ pub fn ablation_radix(cfg: &HarnessConfig) -> Table {
     );
     for radix in [2usize, 4, 8] {
         // Run ScalaTrace finalize with this radix by invoking the
-        // baseline directly.
+        // baseline directly: the driver's ScalaTrace mode merges at
+        // `DEFAULT_RADIX`.
         let w = workload("LU", cfg.scale);
         let class = cfg.class;
         let spec = w.spec(class, p);
@@ -735,13 +736,7 @@ pub fn ablation_radix(cfg: &HarnessConfig) -> Table {
             .run(move |proc| {
                 let mut tp = scalatrace::TracedProc::new(proc);
                 for step in 0..spec.total_steps() {
-                    match spec.phase_of(step) {
-                        None => w.step(&mut tp, class, step),
-                        Some(ph) => tp.frame(
-                            workloads::PHASE_FRAMES[ph % workloads::PHASE_FRAMES.len()],
-                            |tp| w.step(tp, class, step),
-                        ),
-                    }
+                    spec.run_step(w.as_ref(), &mut tp, class, step);
                 }
                 chameleon::baselines::scalatrace_finalize(&mut tp, radix)
             })

@@ -129,7 +129,7 @@ pub fn acurdion_finalize(tp: &mut TracedProc, config: &ChameleonConfig) -> Basel
         }]);
         // An undecodable payload leaves the global trace empty rather than
         // killing rank 0.
-        global = scalatrace::reduction::decode_wire_trace(&info.payload).ok();
+        global = scalatrace::reduction::decode_wire_trace(&info.payload.into_vec()).ok();
     }
     tp.tracer_mut().clear_trace();
     // Exit synchronization (see scalatrace_finalize).
@@ -154,7 +154,7 @@ mod tests {
         let p = tp.size();
         for _ in 0..steps {
             tp.frame("timestep", |tp| {
-                tp.send("halo_send", (me + 1) % p, 1, &[0u8; 16]);
+                tp.send("halo_send", (me + 1) % p, 1, 16);
                 tp.recv("halo_recv", (me + p - 1) % p, 1, 16);
                 tp.allreduce_sum("residual", 1);
             });
@@ -167,7 +167,7 @@ mod tests {
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 5);
-                scalatrace_finalize(&mut tp, 2)
+                scalatrace_finalize(&mut tp, DEFAULT_RADIX)
             })
             .unwrap();
         let global = report.results[0].global_trace.as_ref().unwrap();
@@ -211,7 +211,7 @@ mod tests {
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 4);
-                scalatrace_finalize(&mut tp, 2)
+                scalatrace_finalize(&mut tp, DEFAULT_RADIX)
             })
             .unwrap();
         let ac = World::new(WorldConfig::new(4))
@@ -235,7 +235,7 @@ mod tests {
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 app(&mut tp, 4);
-                scalatrace_finalize(&mut tp, 2)
+                scalatrace_finalize(&mut tp, DEFAULT_RADIX)
             })
             .unwrap();
         let ac = World::new(WorldConfig::new(4))

@@ -8,7 +8,7 @@ fn timestep(tp: &mut TracedProc) {
     let me = tp.rank();
     let p = tp.size();
     tp.frame("timestep", |tp| {
-        tp.send("halo_send", (me + 1) % p, 1, &[0u8; 16]);
+        tp.send("halo_send", (me + 1) % p, 1, 16);
         tp.recv("halo_recv", (me + p - 1) % p, 1, 16);
         tp.allreduce_sum("residual", 1);
     });
@@ -164,7 +164,7 @@ fn divergent_p2p_groups_two_callpaths() {
                 if me == 0 {
                     tp.frame("master", |tp| {
                         for w in 1..p {
-                            tp.send("task_out", w, 7, &[1u8; 8]);
+                            tp.send("task_out", w, 7, 8);
                         }
                         for _ in 1..p {
                             tp.recv_any("result_in", 8, 8);
@@ -174,7 +174,7 @@ fn divergent_p2p_groups_two_callpaths() {
                     tp.frame("worker", |tp| {
                         tp.recv("task_in", 0, 7, 8);
                         tp.compute(1e-6);
-                        tp.send_absolute("result_out", 0, 8, &[2u8; 8]);
+                        tp.send_absolute("result_out", 0, 8, 8);
                     });
                 }
                 cham.marker(&mut tp);
@@ -234,7 +234,7 @@ fn compute_timestep(tp: &mut TracedProc) {
     let p = tp.size();
     tp.frame("compute_step", |tp| {
         tp.compute(1e-4);
-        tp.send("halo_send", (me + 1) % p, 1, &[0u8; 16]);
+        tp.send("halo_send", (me + 1) % p, 1, 16);
         tp.recv("halo_recv", (me + p - 1) % p, 1, 16);
         tp.allreduce_sum("residual", 1);
     });

@@ -15,6 +15,7 @@
 //! communicator in the same order (the usual MPI requirement); per-instance
 //! sequence numbers keep back-to-back collectives from cross-matching.
 
+use crate::mailbox::Payload;
 use crate::proc::{Proc, Rank, SrcSel, TagSel};
 use crate::Comm;
 
@@ -115,19 +116,30 @@ impl Proc {
     /// callers pass an empty slice; every caller receives the root's
     /// payload as the return value.
     pub fn bcast(&mut self, payload: &[u8], root: Rank, comm: Comm) -> Vec<u8> {
+        self.bcast_payload(Payload::Bytes(payload.to_vec()), root, comm)
+            .into_vec()
+    }
+
+    /// [`Proc::bcast`] of an application message of the root's `len`
+    /// bytes: every round carries only the length (see [`Proc::send_len`]).
+    pub fn bcast_len(&mut self, len: usize, root: Rank, comm: Comm) {
+        self.bcast_payload(Payload::Zeros(len), root, comm);
+    }
+
+    fn bcast_payload(&mut self, payload: Payload, root: Rank, comm: Comm) -> Payload {
         let p = self.size();
         assert!(root < p, "bcast root {root} out of range {p}");
         let seq = self.next_coll_seq(comm);
         if p == 1 {
-            return payload.to_vec();
+            return payload;
         }
         let me = self.rank();
         let rel = (me + p - root) % p;
         // Receive phase: find the bit at which this rank hangs off the tree.
-        let data: Vec<u8>;
+        let data: Payload;
         let mut recv_mask = 1usize;
         if rel == 0 {
-            data = payload.to_vec();
+            data = payload;
             // Root "received" at the top of the tree: its send masks start
             // from the highest power of two below p.
             recv_mask = p.next_power_of_two();
@@ -155,7 +167,7 @@ impl Proc {
             if child_rel < p && child_rel != rel {
                 let child = (child_rel + root) % p;
                 let round = mask.trailing_zeros();
-                self.send(child, Proc::coll_tag(seq, round), comm, &data);
+                self.send_payload(child, Proc::coll_tag(seq, round), comm, data.clone());
             }
             mask >>= 1;
         }
@@ -243,7 +255,7 @@ impl Proc {
                     if let Some(info) = self.recv_or_dead(r, up, comm) {
                         let v = u64::from_le_bytes(
                             info.payload
-                                .as_slice()
+                                .into_vec()
                                 .try_into()
                                 .expect("resilient allreduce contribution is 8 bytes"),
                         );
@@ -275,7 +287,7 @@ impl Proc {
             let Some(info) = self.recv_or_dead(root, down, comm) else {
                 continue; // candidate root died: fail over in lock-step
             };
-            let buf = info.payload;
+            let buf = info.payload.into_vec();
             assert!(buf.len() >= 16, "resilient allreduce reply framing");
             let result = u64::from_le_bytes(buf[..8].try_into().unwrap());
             let n = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
@@ -296,45 +308,13 @@ impl Proc {
     /// `None` elsewhere.
     pub fn gather(&mut self, payload: &[u8], root: Rank, comm: Comm) -> Option<Vec<Vec<u8>>> {
         let p = self.size();
-        assert!(root < p, "gather root {root} out of range {p}");
-        let seq = self.next_coll_seq(comm);
-        let me = self.rank();
-        if p == 1 {
-            return Some(vec![payload.to_vec()]);
-        }
-        let rel = (me + p - root) % p;
-        // Accumulate (rank, payload) pairs from the subtree.
-        let mut items: Vec<(Rank, Vec<u8>)> = vec![(me, payload.to_vec())];
-        let mut mask = 1usize;
-        let mut round = 0u32;
-        loop {
-            if rel & mask != 0 {
-                let parent_rel = rel & !mask;
-                let parent = (parent_rel + root) % p;
-                self.send(
-                    parent,
-                    Proc::coll_tag(seq, round),
-                    comm,
-                    &encode_items(&items),
-                );
-                return None;
-            }
-            let child_rel = rel | mask;
-            if child_rel < p {
-                let child = (child_rel + root) % p;
-                let info = self.recv(
-                    SrcSel::Rank(child),
-                    TagSel::Tag(Proc::coll_tag(seq, round)),
-                    comm,
-                );
-                items.extend(decode_items(&info.payload));
-            }
-            mask <<= 1;
-            round += 1;
-            if mask >= p {
-                break;
-            }
-        }
+        let items = self.gather_tree(
+            vec![(self.rank(), payload.to_vec())],
+            |items| Payload::Bytes(encode_items(items)),
+            |items, msg| items.extend(decode_items(&msg.into_vec())),
+            root,
+            comm,
+        )?;
         // Root: order by rank.
         let mut out = vec![Vec::new(); p];
         let mut seen = vec![false; p];
@@ -345,6 +325,67 @@ impl Proc {
         }
         assert!(seen.iter().all(|&s| s), "gather: missing contributions");
         Some(out)
+    }
+
+    /// [`Proc::gather`] of an application message of `len` bytes per rank:
+    /// each round carries only the length of the frame the byte gather
+    /// would send, the subtree's `encode_items` size (see
+    /// [`Proc::send_len`]).
+    pub fn gather_len(&mut self, len: usize, root: Rank, comm: Comm) {
+        self.gather_tree(
+            16 + len,
+            |&bytes| Payload::Zeros(bytes),
+            |bytes, msg| *bytes += msg.len(),
+            root,
+            comm,
+        );
+    }
+
+    /// The binomial tree under both gathers: fold each child's message
+    /// into this rank's subtree state with `absorb`, then ship it to the
+    /// parent as `encode` renders it. Returns the whole tree's state on
+    /// `root`, `None` elsewhere.
+    fn gather_tree<T>(
+        &mut self,
+        mine: T,
+        encode: impl Fn(&T) -> Payload,
+        absorb: impl Fn(&mut T, Payload),
+        root: Rank,
+        comm: Comm,
+    ) -> Option<T> {
+        let p = self.size();
+        assert!(root < p, "gather root {root} out of range {p}");
+        let seq = self.next_coll_seq(comm);
+        if p == 1 {
+            return Some(mine);
+        }
+        let rel = (self.rank() + p - root) % p;
+        let mut acc = mine;
+        let mut mask = 1usize;
+        let mut round = 0u32;
+        loop {
+            if rel & mask != 0 {
+                let parent_rel = rel & !mask;
+                let parent = (parent_rel + root) % p;
+                self.send_payload(parent, Proc::coll_tag(seq, round), comm, encode(&acc));
+                return None;
+            }
+            let child_rel = rel | mask;
+            if child_rel < p {
+                let child = (child_rel + root) % p;
+                let info = self.recv(
+                    SrcSel::Rank(child),
+                    TagSel::Tag(Proc::coll_tag(seq, round)),
+                    comm,
+                );
+                absorb(&mut acc, info.payload);
+            }
+            mask <<= 1;
+            round += 1;
+            if mask >= p {
+                return Some(acc);
+            }
+        }
     }
 }
 

@@ -27,6 +27,18 @@
 //! clustering code still executes for real and can be wall-clock timed
 //! (Figures 4, 6, 8–11, Table III).
 //!
+//! ## Application payloads are lengths
+//!
+//! Only the size of an application message feeds the model: it sets the
+//! transfer cost, the byte stats and the traced `count`, and nothing ever
+//! reads its bytes. So the application plane moves lengths —
+//! [`Proc::send_len`], [`Proc::sendrecv`], [`Proc::bcast_len`] and
+//! [`Proc::gather_len`] carry a [`Payload::Zeros`] that is never
+//! allocated, zeroed or copied — while tool-plane traffic (votes, traces,
+//! reliable frames) keeps [`Proc::send`] and its bytes. A length send
+//! behaves exactly like a byte send of the same length in clocks, stats,
+//! matching and the fault plane.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -51,6 +63,7 @@ pub mod topology;
 pub mod world;
 
 pub use fault::{CrashFault, FaultPlan, FaultStats, InjectedCrash, LinkRamp};
+pub use mailbox::Payload;
 pub use proc::{Proc, Rank, RecvInfo, SrcSel, Tag, TagSel};
 pub use reliable::{ProtocolError, RetryPolicy};
 pub use sched::SchedMode;

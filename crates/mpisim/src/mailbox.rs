@@ -16,6 +16,54 @@ use crate::proc::{Rank, SrcSel, Tag, TagSel};
 use crate::time::VirtualTime;
 use crate::Comm;
 
+/// A message body.
+///
+/// The application plane moves lengths, not bytes: ScalaTrace records an
+/// application message as its `count`, and only that length feeds the
+/// model (the transfer cost, the byte stats, the traced count). So an
+/// application send carries [`Payload::Zeros`] — deposited and taken by
+/// value, never allocated. Tool-plane traffic (votes, traces, reliable
+/// frames, collective rounds) carries the [`Payload::Bytes`] it decodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Payload {
+    /// Bytes a receiver reads.
+    Bytes(Vec<u8>),
+    /// `n` zero bytes that nobody reads, held as their length.
+    Zeros(usize),
+}
+
+impl Payload {
+    /// Length in bytes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Zeros(n) => *n,
+        }
+    }
+
+    /// Whether the body is zero bytes long.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes, by value: free for [`Payload::Bytes`]; a length-only
+    /// body is materialized as zeros.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            Payload::Bytes(b) => b,
+            Payload::Zeros(n) => vec![0; n],
+        }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Payload::Bytes(bytes)
+    }
+}
+
 /// A message in flight.
 #[derive(Debug, Clone)]
 pub struct Envelope {
@@ -25,8 +73,8 @@ pub struct Envelope {
     pub tag: Tag,
     /// Communicator the message was sent on.
     pub comm: Comm,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Message body.
+    pub payload: Payload,
     /// Virtual time at which the message reaches the receiver (sender's
     /// clock at send plus transfer cost). The receiver's clock syncs to
     /// this on delivery.
@@ -168,7 +216,7 @@ mod tests {
             src,
             tag,
             comm,
-            payload: vec![byte],
+            payload: vec![byte].into(),
             arrival: 0.0,
         }
     }
@@ -178,7 +226,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.deliver(env(3, 7, Comm::WORLD, 0xaa));
         let got = recv(&mb, SrcSel::Rank(3), TagSel::Tag(7), Comm::WORLD);
-        assert_eq!(got.payload, vec![0xaa]);
+        assert_eq!(got.payload.into_vec(), vec![0xaa]);
         assert_eq!(mb.backlog(), 0);
     }
 
@@ -188,7 +236,7 @@ mod tests {
         mb.deliver(env(1, 1, Comm::WORLD, 1));
         mb.deliver(env(2, 2, Comm::WORLD, 2));
         let got = recv(&mb, SrcSel::Rank(2), TagSel::Tag(2), Comm::WORLD);
-        assert_eq!(got.payload, vec![2]);
+        assert_eq!(got.payload.into_vec(), vec![2]);
         assert_eq!(mb.backlog(), 1, "non-matching message must stay queued");
     }
 
@@ -215,7 +263,11 @@ mod tests {
         mb.deliver(env(1, 1, Comm(9), 9));
         mb.deliver(env(1, 1, Comm::WORLD, 0));
         let got = recv(&mb, SrcSel::Rank(1), TagSel::Tag(1), Comm::WORLD);
-        assert_eq!(got.payload, vec![0], "must not cross communicators");
+        assert_eq!(
+            got.payload.into_vec(),
+            vec![0],
+            "must not cross communicators"
+        );
     }
 
     #[test]
@@ -226,7 +278,7 @@ mod tests {
         }
         for i in 0..10u8 {
             let got = recv(&mb, SrcSel::Rank(4), TagSel::Tag(1), Comm::WORLD);
-            assert_eq!(got.payload, vec![i]);
+            assert_eq!(got.payload.into_vec(), vec![i]);
         }
     }
 
@@ -253,7 +305,7 @@ mod tests {
         mb.deliver(env(0, 0, Comm::WORLD, 0x5a));
         mb.wake_waiters();
         let got = handle.join().unwrap();
-        assert_eq!(got.payload, vec![0x5a]);
+        assert_eq!(got.payload.into_vec(), vec![0x5a]);
     }
 
     #[test]
@@ -271,8 +323,8 @@ mod tests {
         mb.deliver(env(2, 0, Comm::WORLD, 2));
         mb.deliver(env(1, 0, Comm::WORLD, 1));
         mb.wake_waiters();
-        assert_eq!(a.join().unwrap().payload, vec![1]);
-        assert_eq!(b.join().unwrap().payload, vec![2]);
+        assert_eq!(a.join().unwrap().payload.into_vec(), vec![1]);
+        assert_eq!(b.join().unwrap().payload.into_vec(), vec![2]);
     }
 
     #[test]

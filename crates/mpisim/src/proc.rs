@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::fault::{FaultPlan, FaultStats, InjectedCrash};
-use crate::mailbox::{Envelope, Mailbox};
+use crate::mailbox::{Envelope, Mailbox, Payload};
 use crate::sched::{ParkOutcome, Waiter};
 use crate::time::{CostModel, VirtualClock, VirtualTime, Work};
 use crate::Comm;
@@ -44,8 +44,9 @@ pub struct RecvInfo {
     pub src: Rank,
     /// Actual tag (resolves wildcards).
     pub tag: Tag,
-    /// Message payload.
-    pub payload: Vec<u8>,
+    /// Message body: its `len()` is what every reader may take; tool-plane
+    /// readers, which decode it, take the bytes with `into_vec()`.
+    pub payload: Payload,
 }
 
 /// Per-rank communication statistics.
@@ -271,11 +272,27 @@ impl Proc {
     }
 
     /// Blocking buffered send (MPI_Send with an eager protocol: completes
-    /// locally, the message is queued at the receiver).
+    /// locally, the message is queued at the receiver) of bytes the
+    /// receiver reads — tool-plane traffic. An application message, whose
+    /// bytes nobody reads, goes by [`Proc::send_len`].
     ///
     /// Panics if `dest` is out of range or the application tag intrudes on
     /// the reserved collective tag space.
     pub fn send(&mut self, dest: Rank, tag: Tag, comm: Comm, payload: &[u8]) {
+        self.send_payload(dest, tag, comm, Payload::Bytes(payload.to_vec()));
+    }
+
+    /// [`Proc::send`] of `len` bytes that carries only the length
+    /// ([`Payload::Zeros`]): no buffer is allocated, zeroed or copied.
+    /// Clocks, stats, matching, the receiver's `RecvInfo` length and the
+    /// fault plane see exactly what a send of `len` zero bytes shows them.
+    pub fn send_len(&mut self, dest: Rank, tag: Tag, comm: Comm, len: usize) {
+        self.send_payload(dest, tag, comm, Payload::Zeros(len));
+    }
+
+    /// The raw send of an owned body, under both [`Proc::send`] and
+    /// [`Proc::send_len`].
+    pub(crate) fn send_payload(&mut self, dest: Rank, tag: Tag, comm: Comm, payload: Payload) {
         // Raw sends never ask for the drop fault: nothing above them would
         // retransmit, so a drop would just deadlock the receiver. Only the
         // reliable layer (which retransmits) opts in.
@@ -298,7 +315,7 @@ impl Proc {
         dest: Rank,
         tag: Tag,
         comm: Comm,
-        payload: &[u8],
+        mut payload: Payload,
         allow_drop: bool,
     ) -> bool {
         assert!(
@@ -309,7 +326,6 @@ impl Proc {
         self.tick_op();
         let mut arrival = self.stamp_send(comm, payload.len());
 
-        let mut body = None;
         let mut duplicate = false;
         if let Some(plan) = &self.shared.faults {
             let faultable =
@@ -329,14 +345,14 @@ impl Proc {
                     return false;
                 }
                 if fate.corrupt && !payload.is_empty() {
-                    let mut bytes = payload.to_vec();
+                    let mut bytes = payload.into_vec();
                     let idx = (fate.entropy as usize) % bytes.len();
                     // XOR with a non-zero mask so the flip is never a no-op.
                     bytes[idx] ^= 1 + ((fate.entropy >> 8) % 255) as u8;
                     self.fstats.corruptions += 1;
                     self.recorder
                         .emit(vt, tt, || fired(obs::FaultKind::Corrupt));
-                    body = Some(bytes);
+                    payload = Payload::Bytes(bytes);
                 }
                 if fate.delay {
                     arrival += plan.delay_seconds;
@@ -351,11 +367,10 @@ impl Proc {
                 }
             }
         }
-        let body = body.unwrap_or_else(|| payload.to_vec());
         if duplicate {
-            self.deposit(dest, tag, comm, body.clone(), arrival);
+            self.deposit(dest, tag, comm, payload.clone(), arrival);
         }
-        self.deposit(dest, tag, comm, body, arrival);
+        self.deposit(dest, tag, comm, payload, arrival);
         true
     }
 
@@ -387,7 +402,7 @@ impl Proc {
     }
 
     /// Put a message in `dest`'s mailbox and wake it.
-    fn deposit(&self, dest: Rank, tag: Tag, comm: Comm, payload: Vec<u8>, arrival: f64) {
+    fn deposit(&self, dest: Rank, tag: Tag, comm: Comm, payload: Payload, arrival: f64) {
         let mailbox = &self.shared.mailboxes[dest];
         mailbox.deliver(Envelope {
             src: self.rank,
@@ -416,7 +431,7 @@ impl Proc {
             self.shared.size
         );
         let arrival = self.stamp_send(comm, payload.len());
-        self.deposit(dest, tag, comm, payload.to_vec(), arrival);
+        self.deposit(dest, tag, comm, Payload::Bytes(payload.to_vec()), arrival);
     }
 
     /// Seeded exponential backoff before a reliable-layer retransmission:
@@ -556,18 +571,19 @@ impl Proc {
         })
     }
 
-    /// Combined exchange: buffered send then blocking receive. Safe against
-    /// head-on exchanges (both sides send first) because sends are eager.
+    /// Combined exchange of an application message: a length-only send
+    /// ([`Proc::send_len`]) then a blocking receive. Safe against head-on
+    /// exchanges (both sides send first) because sends are eager.
     pub fn sendrecv(
         &mut self,
         dest: Rank,
         send_tag: Tag,
-        payload: &[u8],
+        len: usize,
         src: SrcSel,
         recv_tag: TagSel,
         comm: Comm,
     ) -> RecvInfo {
-        self.send(dest, send_tag, comm, payload);
+        self.send_len(dest, send_tag, comm, len);
         self.recv(src, recv_tag, comm)
     }
 
@@ -735,7 +751,7 @@ impl Proc {
     /// no fault coin). The arrival stamp is 0 — nothing on this channel
     /// ever synchronizes a clock to it.
     fn obs_send(&mut self, dest: Rank, tag: Tag, payload: Vec<u8>) {
-        self.deposit(dest, tag, Comm::OBS, payload, 0.0);
+        self.deposit(dest, tag, Comm::OBS, Payload::Bytes(payload), 0.0);
     }
 
     /// Out-of-band receive on [`Comm::OBS`] with dead-peer detection:
@@ -744,7 +760,7 @@ impl Proc {
     /// merely degrades).
     fn obs_recv_or_dead(&mut self, src: Rank, tag: Tag) -> Option<Vec<u8>> {
         self.block_on_peer(src, tag, Comm::OBS)
-            .map(|env| env.payload)
+            .map(|env| env.payload.into_vec())
     }
 
     /// Ship an opaque blob to `dest` over the out-of-band observability
@@ -918,7 +934,7 @@ impl Proc {
         let info = self.recv(src, tag, comm);
         let bytes: [u8; 8] = info
             .payload
-            .as_slice()
+            .into_vec()
             .try_into()
             .expect("recv_u64: payload is not 8 bytes");
         (info.src, u64::from_le_bytes(bytes))

@@ -181,7 +181,7 @@ impl Proc {
         let mut attempts = 0u32;
         'attempt: loop {
             attempts += 1;
-            if !self.send_faulty(dest, tag, comm, &framed, true) {
+            if !self.send_faulty(dest, tag, comm, framed.clone().into(), true) {
                 // The plan dropped this attempt; the sender observes the
                 // drop (it *is* the lossy link) and retransmits after a
                 // seeded exponential backoff (virtual time only).
@@ -198,7 +198,7 @@ impl Proc {
                 let Some(ack) = self.recv_or_dead(dest, ACK_TAG, comm) else {
                     return Err(ProtocolError::PeerDead { rank: dest });
                 };
-                match parse_ack(&ack.payload) {
+                match parse_ack(&ack.payload.into_vec()) {
                     Some((ACK_OK, s)) if s == seq => return Ok(()),
                     Some((ACK_NACK, s)) if s == seq => {
                         self.fstats.retransmits += 1;
@@ -240,7 +240,10 @@ impl Proc {
         policy: RetryPolicy,
     ) -> Result<Vec<u8>, ProtocolError> {
         if !self.faults_armed() {
-            return Ok(self.recv(SrcSel::Rank(src), TagSel::Tag(tag), comm).payload);
+            return Ok(self
+                .recv(SrcSel::Rank(src), TagSel::Tag(tag), comm)
+                .payload
+                .into_vec());
         }
         let expected = *self.seq_in.get(&(src, tag)).unwrap_or(&0);
         let mut nacks = 0u32;
@@ -248,7 +251,7 @@ impl Proc {
             let Some(info) = self.recv_or_dead(src, tag, comm) else {
                 return Err(ProtocolError::PeerDead { rank: src });
             };
-            match unframe(&info.payload) {
+            match unframe(&info.payload.into_vec()) {
                 Some((seq, payload)) if seq == expected => {
                     self.seq_in.insert((src, tag), expected + 1);
                     self.send(src, ACK_TAG, comm, &ack_bytes(ACK_OK, seq));

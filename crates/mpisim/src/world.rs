@@ -639,12 +639,12 @@ mod tests {
                 let info = proc.sendrecv(
                     peer,
                     7,
-                    &[proc.rank() as u8],
+                    proc.rank() + 1,
                     SrcSel::Rank(peer),
                     TagSel::Tag(7),
                     Comm::WORLD,
                 );
-                assert_eq!(info.payload, vec![peer as u8]);
+                assert_eq!((info.src, info.payload.len()), (peer, peer + 1));
             })
             .unwrap();
     }
@@ -712,6 +712,119 @@ mod tests {
             assert_eq!(report.results[0], Some((true, false)));
             assert_eq!(report.crashed, vec![1]);
         }
+    }
+
+    /// What [`length_sends_are_byte_sends_to_the_model`] compares of one
+    /// rank: its stats, every received length, and the bytes of every
+    /// tool-plane message it received.
+    type Observed = (crate::proc::ProcStats, Vec<usize>, Vec<Vec<u8>>);
+
+    /// One program over every length entry point, run with zero-filled
+    /// byte bodies (`lengths == false`) or with lengths only.
+    fn zeros_or_lengths(lengths: bool, faults: Option<FaultPlan>) -> FaultyWorldReport<Observed> {
+        let mut config = WorldConfig::new(5);
+        if let Some(plan) = faults {
+            config = config.with_faults(plan);
+        }
+        World::new(config)
+            .run_faulty(move |proc| {
+                let (me, p) = (proc.rank(), proc.size());
+                let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
+                let mut lens = Vec::new();
+                let mut tool = Vec::new();
+                for round in 0..4u32 {
+                    proc.compute(1e-5 * (me + 1) as f64);
+                    let len = 1000 * (me + 1) + 77 * round as usize;
+                    if lengths {
+                        proc.send_len(next, round, Comm::WORLD, len);
+                    } else {
+                        proc.send(next, round, Comm::WORLD, &vec![0; len]);
+                    }
+                    let info = proc.recv(SrcSel::Rank(prev), TagSel::Tag(round), Comm::WORLD);
+                    lens.push(info.payload.len());
+                    // `sendrecv` is the length send then the receive.
+                    let info = if lengths {
+                        proc.sendrecv(
+                            prev,
+                            9,
+                            len / 2,
+                            SrcSel::Rank(next),
+                            TagSel::Tag(9),
+                            Comm::WORLD,
+                        )
+                    } else {
+                        proc.send(prev, 9, Comm::WORLD, &vec![0; len / 2]);
+                        proc.recv(SrcSel::Rank(next), TagSel::Tag(9), Comm::WORLD)
+                    };
+                    lens.push(info.payload.len());
+                    // Faultable tool-plane traffic: corrupt and delay coins.
+                    if lengths {
+                        proc.send_len(next, 5, Comm::TOOL, 64);
+                    } else {
+                        proc.send(next, 5, Comm::TOOL, &[0; 64]);
+                    }
+                    let info = proc.recv(SrcSel::Rank(prev), TagSel::Tag(5), Comm::TOOL);
+                    tool.push(info.payload.into_vec());
+                }
+                if lengths {
+                    proc.bcast_len(4096, 1, Comm::WORLD);
+                    proc.gather_len(300 + me, 2, Comm::WORLD);
+                } else {
+                    proc.bcast(&vec![0; 4096], 1, Comm::WORLD);
+                    proc.gather(&vec![0; 300 + me], 2, Comm::WORLD);
+                }
+                proc.barrier(Comm::WORLD);
+                (proc.stats(), lens, tool)
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn length_sends_are_byte_sends_to_the_model() {
+        let armed = FaultPlan::new(7).corrupt_per_mille(500).delay(300, 1e-3);
+        for faults in [None, Some(armed)] {
+            let bytes = zeros_or_lengths(false, faults.clone());
+            let lens = zeros_or_lengths(true, faults.clone());
+            let bits = |v: &[VirtualTime]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(lens.max_vtime.to_bits(), bytes.max_vtime.to_bits());
+            assert_eq!(bits(&lens.rank_vtimes), bits(&bytes.rank_vtimes));
+            assert_eq!(lens.results, bytes.results, "stats, lengths, tool bytes");
+            assert_eq!(lens.fault_stats, bytes.fault_stats);
+            if faults.is_some() {
+                let corrupted: u64 = lens.fault_stats.iter().map(|f| f.corruptions).sum();
+                assert!(corrupted > 0, "the armed plan flipped no byte");
+            }
+        }
+    }
+
+    #[test]
+    fn tool_plane_corrupt_flips_one_byte_of_a_byte_payload() {
+        let plan = FaultPlan::new(3).corrupt_per_mille(1000);
+        let sent: Vec<u8> = (0..64).collect();
+        let expect = sent.clone();
+        let report = World::new(WorldConfig::new(2).with_faults(plan))
+            .run_faulty(move |proc| {
+                if proc.rank() == 0 {
+                    proc.send(1, 3, Comm::TOOL, &sent);
+                    None
+                } else {
+                    Some(
+                        proc.recv(SrcSel::Rank(0), TagSel::Tag(3), Comm::TOOL)
+                            .payload,
+                    )
+                }
+            })
+            .unwrap();
+        let got = report.results[1]
+            .clone()
+            .flatten()
+            .expect("rank 1 received");
+        assert!(matches!(got, crate::Payload::Bytes(_)));
+        let got = got.into_vec();
+        assert_eq!(got.len(), expect.len());
+        let flipped = got.iter().zip(&expect).filter(|(a, b)| a != b).count();
+        assert_eq!(flipped, 1, "exactly one byte flipped");
+        assert_eq!(report.fault_stats[0].corruptions, 1);
     }
 
     #[test]

@@ -248,26 +248,28 @@ impl<'a> TracedProc<'a> {
         self.tracer.last_event_vt = self.proc.now();
     }
 
-    /// Traced `MPI_Send`.
-    pub fn send(&mut self, site: CallSite, dest: Rank, tag: Tag, payload: &[u8]) {
+    /// Traced `MPI_Send` of a `len`-byte message. ScalaTrace records a
+    /// message as its count, so the message carries only its length
+    /// ([`Proc::send_len`]), as receives take only `expected_len`.
+    pub fn send(&mut self, site: CallSite, dest: Rank, tag: Tag, len: usize) {
         let op = MpiOp::send(
             Endpoint::encode(self.proc.rank(), dest),
             tag,
-            payload.len(),
+            len,
             Comm::WORLD,
         );
         self.record(site, op);
-        self.proc.send(dest, tag, Comm::WORLD, payload);
+        self.proc.send_len(dest, tag, Comm::WORLD, len);
         self.mark_event_end();
     }
 
     /// Traced `MPI_Send` with an endpoint the workload knows to be
     /// structurally absolute (e.g. a fixed master rank) — recorded
     /// absolutely so clustered replay does not transpose it.
-    pub fn send_absolute(&mut self, site: CallSite, dest: Rank, tag: Tag, payload: &[u8]) {
-        let op = MpiOp::send(Endpoint::Absolute(dest), tag, payload.len(), Comm::WORLD);
+    pub fn send_absolute(&mut self, site: CallSite, dest: Rank, tag: Tag, len: usize) {
+        let op = MpiOp::send(Endpoint::Absolute(dest), tag, len, Comm::WORLD);
         self.record(site, op);
-        self.proc.send(dest, tag, Comm::WORLD, payload);
+        self.proc.send_len(dest, tag, Comm::WORLD, len);
         self.mark_event_end();
     }
 
@@ -346,7 +348,7 @@ impl<'a> TracedProc<'a> {
         site: CallSite,
         dest: Rank,
         send_tag: Tag,
-        payload: &[u8],
+        len: usize,
         src: Rank,
         recv_tag: Tag,
     ) -> RecvInfo {
@@ -357,14 +359,14 @@ impl<'a> TracedProc<'a> {
             dest: Some(Endpoint::encode(me, dest)),
             tag: Some(send_tag),
             recv_tag: Some(recv_tag),
-            count: payload.len(),
+            count: len,
             comm: Comm::WORLD,
         };
         self.record(site, op);
         let info = self.proc.sendrecv(
             dest,
             send_tag,
-            payload,
+            len,
             SrcSel::Rank(src),
             TagSel::Tag(recv_tag),
             Comm::WORLD,
@@ -459,7 +461,7 @@ mod tests {
                 let me = tp.rank();
                 let p = tp.size();
                 for _ in 0..10 {
-                    tp.send("ring_send", (me + 1) % p, 0, &[0u8; 8]);
+                    tp.send("ring_send", (me + 1) % p, 0, 8);
                     tp.recv("ring_recv", (me + p - 1) % p, 0, 8);
                 }
                 let t = tp.tracer().trace().clone();
@@ -480,7 +482,7 @@ mod tests {
                 let me = tp.rank();
                 let p = tp.size();
                 tp.frame("timestep", |tp| {
-                    tp.send("s", (me + 1) % p, 0, &[0u8; 8]);
+                    tp.send("s", (me + 1) % p, 0, 8);
                     tp.recv("r", (me + p - 1) % p, 0, 8);
                     tp.barrier("b");
                 });
@@ -502,7 +504,7 @@ mod tests {
             .run(|proc| {
                 let mut tp = TracedProc::new(proc);
                 if tp.rank() == 0 {
-                    tp.send("master_send", 1, 0, &[1]);
+                    tp.send("master_send", 1, 0, 1);
                 } else {
                     tp.recv("worker_recv", 0, 0, 1);
                 }
@@ -582,7 +584,7 @@ mod tests {
                 let mut tp = TracedProc::new(proc);
                 let peer = 1 - tp.rank();
                 let (t_out, t_in) = if tp.rank() == 0 { (7, 9) } else { (9, 7) };
-                tp.sendrecv("exchange", peer, t_out, &[0u8; 8], peer, t_in);
+                tp.sendrecv("exchange", peer, t_out, 8, peer, t_in);
                 let mut tags = None;
                 tp.tracer().trace().visit_events(&mut |e| {
                     tags = Some((e.op.tag, e.op.recv_tag));

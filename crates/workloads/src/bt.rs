@@ -27,14 +27,14 @@ impl Bt {
     ) {
         let me = tp.rank();
         let p = tp.size();
-        let payload = vec![0u8; bytes + scale::count_jitter(me, p)];
+        let len = bytes + scale::count_jitter(me, p);
         // Exchange with the west (lower-rank) neighbor.
         if me > 0 {
-            tp.sendrecv(sites.0, me - 1, tags.1, &payload, me - 1, tags.0);
+            tp.sendrecv(sites.0, me - 1, tags.1, len, me - 1, tags.0);
         }
         // Exchange with the east (higher-rank) neighbor.
         if me + 1 < p {
-            tp.sendrecv(sites.1, me + 1, tags.0, &payload, me + 1, tags.1);
+            tp.sendrecv(sites.1, me + 1, tags.0, len, me + 1, tags.1);
         }
     }
 }

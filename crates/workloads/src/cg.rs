@@ -45,12 +45,11 @@ impl Workload for Cg {
             // SpMV: irregular compute, regular communication.
             tp.compute(dt * 0.8);
             if partner != me {
-                let payload = vec![0u8; bytes];
                 tp.sendrecv(
                     "transpose_exchange",
                     partner,
                     TAG_TRANSPOSE,
-                    &payload,
+                    bytes,
                     partner,
                     TAG_TRANSPOSE,
                 );

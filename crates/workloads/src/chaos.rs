@@ -114,7 +114,7 @@ pub fn chaos_step(tp: &mut TracedProc, alive: &[Rank], step: usize) {
         if ring.len() > 1 {
             let next = ring[(i + 1) % ring.len()];
             let prev = ring[(i + ring.len() - 1) % ring.len()];
-            tp.send("chaos_halo_send", next, 11, &[0u8; 64]);
+            tp.send("chaos_halo_send", next, 11, 64);
             let _ = tp.recv_dead_aware("chaos_halo_recv", prev, 11, 64);
         }
     });

@@ -132,7 +132,7 @@ impl Workload for DegradedRing {
             tp.compute(COMPUTE_DT);
             let next = (me + 1) % p;
             let prev = (me + p - 1) % p;
-            tp.send("dring_halo_send", next, 21, &[0u8; 64]);
+            tp.send("dring_halo_send", next, 21, 64);
             let _ = tp.recv("dring_halo_recv", prev, 21, 64);
         });
         heartbeat(tp);
@@ -183,10 +183,10 @@ impl Workload for DegradedGrid {
             // Eager sends first, then matched receives: distinct tags per
             // direction keep the wrapped 2-row case (north == south)
             // unambiguous.
-            tp.send("dgrid_halo_n", north, 24, &[0u8; 64]);
-            tp.send("dgrid_halo_s", south, 25, &[0u8; 64]);
-            tp.send("dgrid_halo_w", west, 26, &[0u8; 64]);
-            tp.send("dgrid_halo_e", east, 27, &[0u8; 64]);
+            tp.send("dgrid_halo_n", north, 24, 64);
+            tp.send("dgrid_halo_s", south, 25, 64);
+            tp.send("dgrid_halo_w", west, 26, 64);
+            tp.send("dgrid_halo_e", east, 27, 64);
             let _ = tp.recv("dgrid_halo_recv_s", south, 24, 64);
             let _ = tp.recv("dgrid_halo_recv_n", north, 25, 64);
             let _ = tp.recv("dgrid_halo_recv_e", east, 26, 64);

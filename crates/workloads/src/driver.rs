@@ -26,9 +26,10 @@ use std::time::Duration;
 use chameleon::baselines::{acurdion_finalize, scalatrace_finalize, BaselineOutcome};
 use chameleon::{AlgoChoice, Chameleon, ChameleonConfig, ChameleonStats};
 use mpisim::{FaultPlan, FaultStats, World, WorldConfig};
+use scalatrace::reduction::DEFAULT_RADIX;
 use scalatrace::{CompressedTrace, TracedProc};
 
-use crate::{Class, RunSpec, Workload, PHASE_FRAMES};
+use crate::{Class, RunSpec, Workload};
 
 /// Instrumentation mode.
 #[derive(Debug, Clone)]
@@ -257,19 +258,14 @@ pub fn run(
             _ => None,
         };
         for step in 0..spec.total_steps() {
-            match spec.phase_of(step) {
-                None => workload.step(&mut tp, class, step),
-                Some(phase) => tp.frame(PHASE_FRAMES[phase % PHASE_FRAMES.len()], |tp| {
-                    workload.step(tp, class, step)
-                }),
-            }
+            spec.run_step(workload.as_ref(), &mut tp, class, step);
             if let Some(cham) = cham.as_mut() {
                 cham.marker(&mut tp);
             }
         }
         match mode_for_ranks {
             Mode::AppOnly => RankOutcome::App,
-            Mode::ScalaTrace => RankOutcome::Baseline(scalatrace_finalize(&mut tp, 2)),
+            Mode::ScalaTrace => RankOutcome::Baseline(scalatrace_finalize(&mut tp, DEFAULT_RADIX)),
             Mode::Acurdion => RankOutcome::Baseline(acurdion_finalize(
                 &mut tp,
                 &ChameleonConfig::with_k(spec.k).with_algo(algo),

@@ -70,9 +70,8 @@ impl Workload for Emf {
         }
         if me == 0 {
             tp.frame("master_dispatch", |tp| {
-                let task = vec![0u8; task_bytes];
                 for worker in 1..p {
-                    tp.send_absolute("send_task", worker, TAG_TASK, &task);
+                    tp.send_absolute("send_task", worker, TAG_TASK, task_bytes);
                 }
                 for _ in 1..p {
                     tp.recv_any("collect_result", TAG_RESULT, result_bytes);
@@ -84,7 +83,7 @@ impl Workload for Emf {
                 // Pipeline stage compute: varies by worker (dataset sizes
                 // differ) — delta-time spread, stable Call-Path.
                 tp.compute(1e-5 * (1.0 + (me % 7) as f64 * 0.1));
-                tp.send_absolute("send_result", 0, TAG_RESULT, &vec![0u8; result_bytes]);
+                tp.send_absolute("send_result", 0, TAG_RESULT, result_bytes);
             });
         }
     }

@@ -99,6 +99,18 @@ impl RunSpec {
         self.main_steps + self.phase_steps.iter().sum::<usize>()
     }
 
+    /// Execute timestep `step` of `w` on this rank, framed the way every
+    /// run frames it: a trailing phase's steps run inside that phase's
+    /// [`PHASE_FRAMES`] frame.
+    pub fn run_step(&self, w: &dyn Workload, tp: &mut TracedProc, class: Class, step: usize) {
+        match self.phase_of(step) {
+            None => w.step(tp, class, step),
+            Some(phase) => tp.frame(PHASE_FRAMES[phase % PHASE_FRAMES.len()], |tp| {
+                w.step(tp, class, step)
+            }),
+        }
+    }
+
     /// Which trailing phase (0-based) a step belongs to; `None` during the
     /// main phase.
     pub fn phase_of(&self, step: usize) -> Option<usize> {

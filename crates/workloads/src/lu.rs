@@ -42,7 +42,7 @@ impl Lu {
     /// south/east.
     fn lower_sweep(tp: &mut TracedProc, grid: Grid2D, bytes: usize, dt: f64) {
         let me = tp.rank();
-        let payload = vec![0u8; bytes + scale::count_jitter(me, grid.len())];
+        let len = bytes + scale::count_jitter(me, grid.len());
         if let Some(n) = grid.north(me) {
             tp.recv("blts_recv_north", n, TAG_LOWER_V, bytes);
         }
@@ -51,17 +51,17 @@ impl Lu {
         }
         tp.compute(dt);
         if let Some(s) = grid.south(me) {
-            tp.send("blts_send_south", s, TAG_LOWER_V, &payload);
+            tp.send("blts_send_south", s, TAG_LOWER_V, len);
         }
         if let Some(e) = grid.east(me) {
-            tp.send("blts_send_east", e, TAG_LOWER_H, &payload);
+            tp.send("blts_send_east", e, TAG_LOWER_H, len);
         }
     }
 
     /// Upper-triangular wavefront: the mirror image.
     fn upper_sweep(tp: &mut TracedProc, grid: Grid2D, bytes: usize, dt: f64) {
         let me = tp.rank();
-        let payload = vec![0u8; bytes + scale::count_jitter(me, grid.len())];
+        let len = bytes + scale::count_jitter(me, grid.len());
         if let Some(s) = grid.south(me) {
             tp.recv("buts_recv_south", s, TAG_UPPER_V, bytes);
         }
@@ -70,10 +70,10 @@ impl Lu {
         }
         tp.compute(dt);
         if let Some(n) = grid.north(me) {
-            tp.send("buts_send_north", n, TAG_UPPER_V, &payload);
+            tp.send("buts_send_north", n, TAG_UPPER_V, len);
         }
         if let Some(w) = grid.west(me) {
-            tp.send("buts_send_west", w, TAG_UPPER_H, &payload);
+            tp.send("buts_send_west", w, TAG_UPPER_H, len);
         }
     }
 }

@@ -90,22 +90,45 @@ fn trace_fields(fields: &mut BTreeMap<String, String>, prefix: &str, trace: &Com
     fields.insert(format!("{prefix}_digest"), hex64(fnv64(text.as_bytes())));
 }
 
+/// Write one trial artifact under `dir`. A failed write fails the trial:
+/// returns `false` with the reason in the `error` field.
+fn write_artifact(
+    fields: &mut BTreeMap<String, String>,
+    dir: &Path,
+    name: &str,
+    text: &str,
+) -> bool {
+    let path = dir.join(name);
+    match std::fs::write(&path, text) {
+        Ok(()) => true,
+        Err(e) => {
+            fields.insert(
+                "error".to_string(),
+                format!("write {}: {e}", path.display()),
+            );
+            false
+        }
+    }
+}
+
+/// The journal's event count and digest, and the journal itself as
+/// `journal.jsonl`: one JSONL encoding serves both. `false` when the file
+/// could not be written (see [`write_artifact`]).
 fn journal_fields(
     fields: &mut BTreeMap<String, String>,
     journal: Option<&obs::RunJournal>,
     dir: &Path,
-) {
-    if let Some(journal) = journal {
-        fields.insert(
-            "journal_events".to_string(),
-            journal.events().count().to_string(),
-        );
-        fields.insert(
-            "journal_digest".to_string(),
-            hex64(fnv64(journal.to_jsonl().as_bytes())),
-        );
-        let _ = std::fs::write(dir.join("journal.jsonl"), journal.to_jsonl());
-    }
+) -> bool {
+    let Some(journal) = journal else {
+        return true;
+    };
+    let jsonl = journal.to_jsonl();
+    fields.insert(
+        "journal_events".to_string(),
+        journal.events().count().to_string(),
+    );
+    fields.insert("journal_digest".to_string(), hex64(fnv64(jsonl.as_bytes())));
+    write_artifact(fields, dir, "journal.jsonl", &jsonl)
 }
 
 fn fault_stat_fields(fields: &mut BTreeMap<String, String>, stats: &[mpisim::FaultStats]) {
@@ -196,13 +219,13 @@ fn chaos_trial(
     }
     trace_fields(fields, "trace", &outcome.online_trace);
     fault_stat_fields(fields, &outcome.fault_stats);
-    journal_fields(fields, outcome.journal.as_ref(), dir);
+    let written = journal_fields(fields, outcome.journal.as_ref(), dir);
     if trial.ckpt_stride > 0 {
         if let Some((marker, _)) = latest_checkpoint(dir) {
             fields.insert("ckpt_latest_marker".to_string(), marker.to_string());
         }
     }
-    outcome.online_trace.dynamic_size() > 0 && outcome.crashed.len() == expected_crashes
+    written && outcome.online_trace.dynamic_size() > 0 && outcome.crashed.len() == expected_crashes
 }
 
 /// A trace of `n` distinct sites with signatures starting at `base + 1`.
@@ -295,7 +318,7 @@ pub(super) const MERGE_DISJOINT_SITE_BUDGET: usize = 256 * 128;
 
 /// A registry workload in Chameleon mode (`validate()` keeps its
 /// checkpoint stride at 0).
-fn driver_trial(
+pub(super) fn driver_trial(
     plan: &MatrixPlan,
     trial: &Trial,
     dir: &Path,
@@ -337,11 +360,11 @@ fn driver_trial(
         );
     }
     fault_stat_fields(fields, &rep.fault_stats);
-    journal_fields(fields, rep.journal.as_ref(), dir);
+    let written = journal_fields(fields, rep.journal.as_ref(), dir);
     match &rep.global_trace {
         Some(trace) => {
             trace_fields(fields, "trace", trace);
-            trace.dynamic_size() > 0 && rep.crashed.is_empty()
+            written && trace.dynamic_size() > 0 && rep.crashed.is_empty()
         }
         None => false,
     }
@@ -441,7 +464,7 @@ fn degraded_trial(
         );
     }
     fault_stat_fields(fields, &on.fault_stats);
-    journal_fields(fields, Some(journal), dir);
+    let written = journal_fields(fields, Some(journal), dir);
     let trace_ok = match &on.global_trace {
         Some(trace) => {
             trace_fields(fields, "trace", trace);
@@ -449,27 +472,34 @@ fn degraded_trial(
         }
         None => false,
     };
-    trace_ok && on.crashed.is_empty() && off.crashed.is_empty() && precision >= 0.9 && recall >= 0.8
+    written
+        && trace_ok
+        && on.crashed.is_empty()
+        && off.crashed.is_empty()
+        && precision >= 0.9
+        && recall >= 0.8
 }
 
 /// Execute one trial, writing its artifacts (`trial_input.json`,
 /// `trial_output.json`, `journal.jsonl`, checkpoint blobs) under `dir`.
 /// Panics inside an executor are contained: the trial records `ok =
-/// false` with the panic text instead of killing the whole run.
+/// false` with the panic text instead of killing the whole run. So does
+/// an artifact that cannot be written.
 pub fn run_trial(plan: &MatrixPlan, trial: &Trial, dir: &Path) -> TrialRecord {
+    let mut fields = BTreeMap::new();
+    let failed = |fields| TrialRecord {
+        id: trial.id.clone(),
+        ok: false,
+        fields,
+        wall_ns: 0,
+    };
     let _ = std::fs::remove_dir_all(dir);
     if let Err(e) = std::fs::create_dir_all(dir) {
-        let mut fields = BTreeMap::new();
         fields.insert(
             "error".to_string(),
             format!("create {}: {e}", dir.display()),
         );
-        return TrialRecord {
-            id: trial.id.clone(),
-            ok: false,
-            fields,
-            wall_ns: 0,
-        };
+        return failed(fields);
     }
     let input = Json::Obj(vec![
         ("id".to_string(), Json::Str(trial.id.clone())),
@@ -487,10 +517,16 @@ pub fn run_trial(plan: &MatrixPlan, trial: &Trial, dir: &Path) -> TrialRecord {
             Json::Num(trial.ckpt_stride as f64),
         ),
     ]);
-    let _ = std::fs::write(dir.join("trial_input.json"), input.to_pretty() + "\n");
+    if !write_artifact(
+        &mut fields,
+        dir,
+        "trial_input.json",
+        &(input.to_pretty() + "\n"),
+    ) {
+        return failed(fields);
+    }
 
     let start = Instant::now();
-    let mut fields = BTreeMap::new();
     fields.insert(
         "kind".to_string(),
         scenario_kind(&trial.workload).to_string(),
@@ -530,7 +566,12 @@ pub fn run_trial(plan: &MatrixPlan, trial: &Trial, dir: &Path) -> TrialRecord {
             ),
         ),
     ]);
-    let _ = std::fs::write(dir.join("trial_output.json"), output.to_pretty() + "\n");
+    let ok = write_artifact(
+        &mut fields,
+        dir,
+        "trial_output.json",
+        &(output.to_pretty() + "\n"),
+    ) && ok;
 
     TrialRecord {
         id: trial.id.clone(),

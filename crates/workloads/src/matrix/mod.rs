@@ -62,7 +62,7 @@ pub use results::{
 mod tests {
     use std::collections::BTreeMap;
 
-    use super::exec::{merge_trial, MERGE_DISJOINT_SITE_BUDGET};
+    use super::exec::{driver_trial, merge_trial, MERGE_DISJOINT_SITE_BUDGET};
     use super::*;
     use crate::Class;
 
@@ -283,6 +283,45 @@ mod tests {
         // The armed journal landed on disk for drill-down.
         assert!(dir.join(&trials[0].id).join("journal.jsonl").is_file());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_trial_whose_artifacts_cannot_be_written_fails() {
+        let plan = MatrixPlan::from_json(
+            r#"{"name":"unit-write","workloads":["BT"],"ranks":[4],"seeds":[1],
+                "faults":["none"],"journal":[true],"steps":8}"#,
+        )
+        .unwrap();
+        plan.validate().unwrap();
+        let trial = &plan.expand()[0];
+        let base =
+            std::env::temp_dir().join(format!("cham_matrix_write_unit_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+
+        // Written: the digest is that of the file's bytes.
+        let good = base.join("good");
+        std::fs::create_dir_all(&good).unwrap();
+        let mut fields = BTreeMap::new();
+        assert!(driver_trial(&plan, trial, &good, &mut fields), "{fields:?}");
+        let jsonl = std::fs::read(good.join("journal.jsonl")).unwrap();
+        assert_eq!(
+            fields["journal_digest"],
+            format!("{:#018x}", obs::wire::fnv64(&jsonl))
+        );
+
+        // A directory below a regular file: every write is ENOTDIR (the
+        // tests run as root, so permissions would not stop a write).
+        let file = base.join("file");
+        std::fs::write(&file, b"").unwrap();
+        let bad = file.join("trial");
+        let mut fields = BTreeMap::new();
+        assert!(!driver_trial(&plan, trial, &bad, &mut fields));
+        assert!(fields["error"].contains("journal.jsonl"), "{fields:?}");
+        let record = run_trial(&plan, trial, &bad);
+        assert!(!record.ok);
+        assert!(record.fields.contains_key("error"), "{:?}", record.fields);
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]

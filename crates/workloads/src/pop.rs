@@ -53,38 +53,24 @@ impl Workload for Pop {
         // Call-Path.
         let wobble = 1.0 + 0.2 * ((step % 5) as f64 / 5.0);
         tp.frame("baroclinic", |tp| {
-            let payload = vec![0u8; bytes + scale::count_jitter(me, p)];
+            let len = bytes + scale::count_jitter(me, p);
             if me > 0 {
-                tp.sendrecv(
-                    "halo_north",
-                    me - 1,
-                    TAG_HALO_S,
-                    &payload,
-                    me - 1,
-                    TAG_HALO_N,
-                );
+                tp.sendrecv("halo_north", me - 1, TAG_HALO_S, len, me - 1, TAG_HALO_N);
             }
             if me + 1 < p {
-                tp.sendrecv(
-                    "halo_south",
-                    me + 1,
-                    TAG_HALO_N,
-                    &payload,
-                    me + 1,
-                    TAG_HALO_S,
-                );
+                tp.sendrecv("halo_south", me + 1, TAG_HALO_N, len, me + 1, TAG_HALO_S);
             }
             tp.compute(dt * 0.6 * wobble);
         });
         tp.frame("barotropic_solver", |tp| {
             for _ in 0..SOLVER_ITERS {
-                let payload = vec![0u8; bytes / 4 + scale::count_jitter(me, p)];
+                let len = bytes / 4 + scale::count_jitter(me, p);
                 if me > 0 {
                     tp.sendrecv(
                         "solver_halo_n",
                         me - 1,
                         TAG_HALO_S + 10,
-                        &payload,
+                        len,
                         me - 1,
                         TAG_HALO_N + 10,
                     );
@@ -94,7 +80,7 @@ impl Workload for Pop {
                         "solver_halo_s",
                         me + 1,
                         TAG_HALO_N + 10,
-                        &payload,
+                        len,
                         me + 1,
                         TAG_HALO_S + 10,
                     );

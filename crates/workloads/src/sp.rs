@@ -25,14 +25,14 @@ impl Sp {
         let p = tp.size();
         // Two half-size exchanges per direction (forward + back
         // substitution faces).
-        let payload = vec![0u8; bytes / 2 + scale::count_jitter(me, p)];
+        let len = bytes / 2 + scale::count_jitter(me, p);
         for round in 0..2u32 {
             let (t_out, t_in) = (tags.0 + round * 100, tags.1 + round * 100);
             if me > 0 {
-                tp.sendrecv(sites.0, me - 1, t_in, &payload, me - 1, t_out);
+                tp.sendrecv(sites.0, me - 1, t_in, len, me - 1, t_out);
             }
             if me + 1 < p {
-                tp.sendrecv(sites.1, me + 1, t_out, &payload, me + 1, t_in);
+                tp.sendrecv(sites.1, me + 1, t_out, len, me + 1, t_in);
             }
         }
     }

@@ -88,7 +88,7 @@ impl Sweep3d {
 
     fn sweep(tp: &mut TracedProc, grid: Grid2D, oct: &Octant, bytes: usize, dt: f64) {
         let me = tp.rank();
-        let payload = vec![0u8; bytes + scale::count_jitter(me, grid.len())];
+        let len = bytes + scale::count_jitter(me, grid.len());
         let (recv_v, send_v) = if oct.southward {
             (grid.north(me), grid.south(me))
         } else {
@@ -109,10 +109,10 @@ impl Sweep3d {
         let skew = 1.0 + 0.1 * (me % 4) as f64;
         tp.compute(dt * skew);
         if let Some(dst) = send_v {
-            tp.send(oct.send_site_v, dst, oct.tag, &payload);
+            tp.send(oct.send_site_v, dst, oct.tag, len);
         }
         if let Some(dst) = send_h {
-            tp.send(oct.send_site_h, dst, oct.tag + 1, &payload);
+            tp.send(oct.send_site_h, dst, oct.tag + 1, len);
         }
     }
 }

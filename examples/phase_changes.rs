@@ -25,7 +25,7 @@ fn main() {
                 for _ in 0..5 {
                     if block % 2 == 0 {
                         tp.frame("ring_phase", |tp| {
-                            tp.send("ring_send", (me + 1) % p, 1, &[0u8; 64]);
+                            tp.send("ring_send", (me + 1) % p, 1, 64);
                             tp.recv("ring_recv", (me + p - 1) % p, 1, 64);
                         });
                     } else {

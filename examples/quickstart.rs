@@ -26,7 +26,7 @@ fn main() {
             for _ in 0..timesteps {
                 tp.frame("timestep", |tp| {
                     // Halo exchange with ring neighbors.
-                    tp.send("halo_up", (me + 1) % p, 1, &[0u8; 256]);
+                    tp.send("halo_up", (me + 1) % p, 1, 256);
                     tp.recv("halo_down", (me + p - 1) % p, 1, 256);
                     // Convergence check.
                     tp.allreduce_sum("residual", 1);

@@ -264,7 +264,7 @@ fn delivery_between_probe_and_wait_is_never_slept_through() {
                         src,
                         tag: 7,
                         comm: Comm::WORLD,
-                        payload: vec![src as u8],
+                        payload: vec![src as u8].into(),
                         arrival: 0.0,
                     })
                 })

@@ -310,7 +310,7 @@ fn a_stall_releases_one_bounded_waiter_in_vtime_then_rank_order() {
             if me == 0 {
                 proc.send_u64(1, 7, Comm::WORLD, 42);
             }
-            got.map(|info| info.payload)
+            got.map(|info| info.payload.into_vec())
         })
         .unwrap()
         .results;
