@@ -1,7 +1,7 @@
 //! Interchangeable representative-selection algorithms.
 //!
 //! The paper: "Users could select any clustering algorithm (e.g.
-//! K-Medoid, K-Furthest, K-Random selection). Bahmani and Mueller [3]
+//! K-Medoid, K-Furthest, K-Random selection). Bahmani and Mueller \[3\]
 //! compared K-Medoid and K-Furthest clustering and observed that the
 //! accuracy of traces is very close for these clustering algorithms."
 //!

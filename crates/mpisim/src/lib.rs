@@ -76,7 +76,7 @@ pub use world::{FaultyWorldReport, World, WorldConfig, WorldReport};
 /// This simulator models world-sized communicators with distinct
 /// identities; that is all ScalaTrace/Chameleon need. The paper
 /// distinguishes the *marker* barrier from ordinary application barriers by
-/// giving it "a unique value [in] the communicator field" — hence
+/// giving it "a unique value \[in\] the communicator field" — hence
 /// [`Comm::MARKER`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Comm(pub u32);

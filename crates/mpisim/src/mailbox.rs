@@ -129,7 +129,7 @@ impl Mailbox {
     /// Deposit a message (called by the *sender*). Signals nobody: the
     /// sender's `Waiter::notify` wakes the receiver the way its engine
     /// needs — only the thread oracle sleeps on this mailbox
-    /// ([`Mailbox::wake_waiters`]), and a condvar signal is a syscall per
+    /// (`Mailbox::wake_waiters`), and a condvar signal is a syscall per
     /// message even with nobody waiting.
     pub fn deliver(&self, env: Envelope) {
         let mut inner = self.lock();

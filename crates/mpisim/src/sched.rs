@@ -16,10 +16,13 @@
 //!   its stack pointer and the scheduler loop continues on the thread's
 //!   own stack. No OS thread belongs to a rank, and a blocked rank costs a
 //!   register swap, not a futex hand-off.
-//! * **One thread.** [`Sched::run`] resumes every rank on the thread that
+//! * **One thread.** `Sched::run` resumes every rank on the thread that
 //!   calls it, one at a time, so nothing on a rank's stack ever changes OS
 //!   thread (`stack`'s rule 1) and dispatch is a sequential, deterministic
-//!   loop: the engine has no physical race at all.
+//!   loop: the engine has no physical race at all. Its state (tasks, ready
+//!   heap, counts, stall flag) therefore needs no lock: the running
+//!   `Sched::run` installs it in a thread-local and every block point
+//!   reaches it there.
 //! * **Virtual-clock ready heap.** The loop dispatches runnable tasks in
 //!   ascending order of their virtual timestamp at the moment they became
 //!   runnable, ties broken by rank ([`ReadyQueue`]). The order is a
@@ -56,10 +59,9 @@
 
 mod stack;
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::mailbox::Mailbox;
@@ -172,6 +174,7 @@ struct Task {
     stack: Option<Stack>,
 }
 
+#[derive(Default)]
 struct Inner {
     tasks: Vec<Task>,
     /// Runnable tasks.
@@ -184,14 +187,61 @@ struct Inner {
     stalled: bool,
 }
 
-/// The cooperative scheduler shared by all ranks of one world.
+thread_local! {
+    /// The state of the engine whose [`Sched::run`] is running on this
+    /// thread (the innermost, when worlds nest), or `None`. Only this
+    /// thread ever reaches it: every rank of the world runs here
+    /// (`stack`'s rule 1), so it needs no lock.
+    static ENGINE: RefCell<Option<Inner>> = const { RefCell::new(None) };
+}
+
+/// Apply `f` to the state of the engine running on this thread. The borrow
+/// ends when `f` returns, so none is live across a switch (`stack`'s
+/// rule 2).
 ///
-/// Its state sits behind a `Mutex` although one thread runs every rank:
-/// [`Waiter`] lives in the world's shared state, which the thread oracle
-/// hands to many threads, so it must be `Sync`. The lock is never
-/// contended and so never reaches the kernel.
+/// Panics outside [`Sched::run`].
+fn with_engine<R>(f: impl FnOnce(&mut Inner) -> R) -> R {
+    ENGINE.with_borrow_mut(|engine| {
+        f(engine
+            .as_mut()
+            .expect("no event engine runs on this thread"))
+    })
+}
+
+/// The engine state of a running [`Sched::run`], moved into `ENGINE`.
+/// Dropping it — on return or on unwind — moves the state back to its
+/// [`Sched`] and reinstalls whatever engine it displaced, so a nested world
+/// hands the outer one back and a failed run leaves the thread clean.
+struct Installed<'a> {
+    home: &'a mut Inner,
+    outer: Option<Inner>,
+}
+
+impl<'a> Installed<'a> {
+    fn new(home: &'a mut Inner) -> Self {
+        let outer = ENGINE.replace(Some(std::mem::take(home)));
+        Installed { home, outer }
+    }
+}
+
+impl Drop for Installed<'_> {
+    fn drop(&mut self) {
+        if let Some(state) = ENGINE.replace(self.outer.take()) {
+            *self.home = state;
+        }
+    }
+}
+
+/// The cooperative scheduler of one event-mode world.
+///
+/// It is owned by the thread that runs the world: [`Sched::run`] installs
+/// its state in a thread-local for the duration of the run, and the
+/// rank-side calls ([`Sched::park`], [`Sched::notify`], …) act on the
+/// state installed there. One thread runs every rank, so the state sits
+/// behind no lock, and the ranks share only the stateless
+/// [`Waiter::Events`].
 pub(crate) struct Sched {
-    inner: Mutex<Inner>,
+    inner: Inner,
 }
 
 impl Sched {
@@ -221,23 +271,14 @@ impl Sched {
             })
             .collect();
         Sched {
-            inner: Mutex::new(Inner {
+            inner: Inner {
                 tasks,
                 ready,
                 live: ranks,
                 active: 0,
                 stalled: false,
-            }),
+            },
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Whether the scheduler has proven the world deadlocked.
-    pub(crate) fn stalled(&self) -> bool {
-        self.lock().stalled
     }
 
     /// The whole world, on the calling thread: run `body(rank)` for every
@@ -246,9 +287,9 @@ impl Sched {
     /// the bodies' results in rank order once all have finished.
     ///
     /// Call it once per scheduler.
-    pub(crate) fn run<T>(&self, body: &dyn Fn(Rank) -> T) -> Vec<T> {
+    pub(crate) fn run<T>(&mut self, body: &dyn Fn(Rank) -> T) -> Vec<T> {
         let stacks: Vec<Stack> = self
-            .lock()
+            .inner
             .tasks
             .iter_mut()
             .map(|task| task.stack.take().expect("a world is run once"))
@@ -261,13 +302,15 @@ impl Sched {
             .map(|(rank, (stack, result))| {
                 Fiber::new(stack, move || {
                     result.set(Some(body(rank)));
-                    self.exit(rank);
+                    Sched::exit(rank);
                 })
             })
             .collect();
-        while let Some(rank) = self.next_ready() {
+        let installed = Installed::new(&mut self.inner);
+        while let Some(rank) = Sched::next_ready() {
             fibers[rank].resume();
         }
+        drop(installed);
         drop(fibers);
         results
             .into_iter()
@@ -277,24 +320,30 @@ impl Sched {
 
     /// Mark the earliest ready task running and return it; `None` once
     /// every task is done.
-    fn next_ready(&self) -> Option<Rank> {
-        let mut g = self.lock();
-        let Some(rank) = g.ready.pop() else {
-            assert_eq!(g.live, 0, "`check_stall` readies a task whenever none runs");
-            return None;
-        };
-        debug_assert_eq!(g.tasks[rank].state, TaskState::Ready);
-        g.tasks[rank].state = TaskState::Running;
-        g.active += 1;
-        Some(rank)
+    fn next_ready() -> Option<Rank> {
+        with_engine(|g| {
+            let Some(rank) = g.ready.pop() else {
+                assert_eq!(g.live, 0, "`check_stall` readies a task whenever none runs");
+                return None;
+            };
+            debug_assert_eq!(g.tasks[rank].state, TaskState::Ready);
+            g.tasks[rank].state = TaskState::Running;
+            g.active += 1;
+            Some(rank)
+        })
+    }
+
+    /// Whether the running engine has proven the world deadlocked.
+    pub(crate) fn stalled() -> bool {
+        with_engine(|g| g.stalled)
     }
 
     /// Snapshot the rank's wake epoch *before* re-checking the wait
     /// condition. Passing the snapshot to [`Sched::park`] makes the
     /// check-then-park sequence race-free: any wake in between bumps the
     /// epoch and the park returns immediately.
-    pub(crate) fn pre_wait(&self, rank: Rank) -> u64 {
-        self.lock().tasks[rank].epoch
+    pub(crate) fn pre_wait(rank: Rank) -> u64 {
+        with_engine(|g| g.tasks[rank].epoch)
     }
 
     /// Park the running task at a block point: switch to the scheduler
@@ -305,19 +354,12 @@ impl Sched {
     /// `vtime` is the task's virtual timestamp at the block point; it
     /// becomes the ready-heap key when the task is woken. Must be called
     /// from the rank's own stack, i.e. from inside [`Sched::run`]'s `body`.
-    pub(crate) fn park(
-        &self,
-        rank: Rank,
-        epoch: u64,
-        vtime: VirtualTime,
-        bounded: bool,
-    ) -> ParkOutcome {
-        {
-            let mut g = self.lock();
+    pub(crate) fn park(rank: Rank, epoch: u64, vtime: VirtualTime, bounded: bool) -> ParkOutcome {
+        let parked = with_engine(|g| {
             let task = &mut g.tasks[rank];
             if task.epoch != epoch {
                 // A wake raced the re-check; keep running and re-check.
-                return ParkOutcome::Granted;
+                return false;
             }
             debug_assert_eq!(task.state, TaskState::Running);
             task.state = TaskState::Waiting;
@@ -325,38 +367,42 @@ impl Sched {
             task.bounded = bounded;
             g.active -= 1;
             g.check_stall();
-            // The guard ends here: the scheduler loop takes this lock
-            // next (`stack`'s rule 2).
+            true
+        });
+        if !parked {
+            return ParkOutcome::Granted;
         }
         stack::suspend();
-        self.lock().tasks[rank].outcome
+        with_engine(|g| g.tasks[rank].outcome)
     }
 
     /// Wake `rank`: bump its epoch and, if it is parked, move it to the
     /// ready heap. Called after every message delivery to the rank's
     /// mailbox.
-    pub(crate) fn notify(&self, rank: Rank) {
-        let mut g = self.lock();
-        g.tasks[rank].epoch += 1;
-        if g.tasks[rank].state == TaskState::Waiting {
-            g.make_ready(rank, ParkOutcome::Granted);
-        }
+    pub(crate) fn notify(rank: Rank) {
+        with_engine(|g| {
+            g.tasks[rank].epoch += 1;
+            if g.tasks[rank].state == TaskState::Waiting {
+                g.make_ready(rank, ParkOutcome::Granted);
+            }
+        })
     }
 
     /// Wake every parked task — death flags and world poison are global
     /// conditions any waiter might be blocked on.
-    pub(crate) fn notify_all(&self) {
-        self.lock().ready_all();
+    pub(crate) fn notify_all() {
+        with_engine(Inner::ready_all)
     }
 
     /// The task's program returned or unwound.
-    fn exit(&self, rank: Rank) {
-        let mut g = self.lock();
-        debug_assert_eq!(g.tasks[rank].state, TaskState::Running);
-        g.tasks[rank].state = TaskState::Done;
-        g.live -= 1;
-        g.active -= 1;
-        g.check_stall();
+    fn exit(rank: Rank) {
+        with_engine(|g| {
+            debug_assert_eq!(g.tasks[rank].state, TaskState::Running);
+            g.tasks[rank].state = TaskState::Done;
+            g.live -= 1;
+            g.active -= 1;
+            g.check_stall();
+        })
     }
 }
 
@@ -417,9 +463,9 @@ impl Inner {
 /// scheduler's per-rank wake epoch in event mode, the mailbox's delivery
 /// counter in thread mode.
 pub(crate) enum Waiter {
-    /// [`SchedMode::Events`]: park on the scheduler until woken or
-    /// released by a stall.
-    Events(Sched),
+    /// [`SchedMode::Events`]: park on the scheduler running on this
+    /// thread until woken or released by a stall.
+    Events,
     /// [`SchedMode::Threads`]: every rank free-runs on its own OS thread;
     /// a blocked rank sleeps on its mailbox condvar one poll slice at a
     /// time. Nothing signals a death or poison flag here — the slice
@@ -429,14 +475,17 @@ pub(crate) enum Waiter {
 }
 
 impl Waiter {
-    /// The engine for `mode` over `ranks` tasks (`stack_bytes` per rank in
-    /// event mode; thread mode sizes its threads' stacks itself). Where
-    /// `stack` has no switch routine — anywhere but x86-64 Linux — event
-    /// mode runs on the thread engine too.
-    pub(crate) fn new(mode: SchedMode, ranks: usize, stack_bytes: usize) -> Self {
+    /// The engine for `mode` over `ranks` tasks: the waiter the ranks
+    /// share and, in event mode, the scheduler that runs them, owned by the
+    /// caller (`stack_bytes` per rank; thread mode sizes its threads'
+    /// stacks itself). Where `stack` has no switch routine — anywhere but
+    /// x86-64 Linux — event mode runs on the thread engine too.
+    pub(crate) fn new(mode: SchedMode, ranks: usize, stack_bytes: usize) -> (Self, Option<Sched>) {
         match mode {
-            SchedMode::Events if stack::SUPPORTED => Waiter::Events(Sched::new(ranks, stack_bytes)),
-            _ => Waiter::Threads,
+            SchedMode::Events if stack::SUPPORTED => {
+                (Waiter::Events, Some(Sched::new(ranks, stack_bytes)))
+            }
+            _ => (Waiter::Threads, None),
         }
     }
 
@@ -444,7 +493,7 @@ impl Waiter {
     #[inline]
     pub(crate) fn notify(&self, rank: Rank, mailbox: &Mailbox) {
         match self {
-            Waiter::Events(s) => s.notify(rank),
+            Waiter::Events => Sched::notify(rank),
             Waiter::Threads => mailbox.wake_waiters(),
         }
     }
@@ -452,8 +501,8 @@ impl Waiter {
     /// A global condition changed (a death flag, the world poison flag)
     /// that any waiter might be blocked on.
     pub(crate) fn notify_all(&self) {
-        if let Waiter::Events(s) = self {
-            s.notify_all();
+        if let Waiter::Events = self {
+            Sched::notify_all();
         }
     }
 
@@ -461,7 +510,7 @@ impl Waiter {
     #[inline]
     pub(crate) fn ticket(&self, rank: Rank, mailbox: &Mailbox) -> u64 {
         match self {
-            Waiter::Events(s) => s.pre_wait(rank),
+            Waiter::Events => Sched::pre_wait(rank),
             Waiter::Threads => mailbox.deliveries(),
         }
     }
@@ -471,7 +520,7 @@ impl Waiter {
     /// scheduler proves stalls instead, and reads no clock.
     pub(crate) fn deadline(&self, budget: Option<Duration>) -> Option<Instant> {
         match self {
-            Waiter::Events(_) => None,
+            Waiter::Events => None,
             Waiter::Threads => budget.map(|b| Instant::now() + b),
         }
     }
@@ -497,8 +546,8 @@ impl Waiter {
         deadline: Option<Instant>,
     ) -> ParkOutcome {
         match self {
-            Waiter::Events(s) => match s.park(rank, ticket, vtime, bounded) {
-                ParkOutcome::Granted if s.stalled() => ParkOutcome::TimedOut,
+            Waiter::Events => match Sched::park(rank, ticket, vtime, bounded) {
+                ParkOutcome::Granted if Sched::stalled() => ParkOutcome::TimedOut,
                 outcome => outcome,
             },
             Waiter::Threads => {
@@ -551,14 +600,15 @@ mod tests {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     mod engine {
         use super::*;
+        use std::sync::Mutex;
 
         const STACK: usize = 64 * 1024;
 
-        /// Run a whole `ranks`-task world on this thread and return each
-        /// rank's result.
-        fn run_alone<T>(ranks: usize, body: impl Fn(&Sched, Rank) -> T) -> (Sched, Vec<T>) {
-            let sched = Sched::new(ranks, STACK);
-            let results = sched.run(&|rank| body(&sched, rank));
+        /// Run a whole `ranks`-task world on this thread and return the
+        /// scheduler, its state back from the run, and each rank's result.
+        fn run_alone<T>(ranks: usize, body: impl Fn(Rank) -> T) -> (Sched, Vec<T>) {
+            let mut sched = Sched::new(ranks, STACK);
+            let results = sched.run(&body);
             (sched, results)
         }
 
@@ -566,24 +616,24 @@ mod tests {
         fn untimed_parks_with_nothing_runnable_are_a_stall_not_a_hang() {
             // Every live task parks on an event that will never come: the last
             // one to park must flag the stall and ready them all.
-            let (sched, outcomes) = run_alone(3, |sched, rank| {
-                let epoch = sched.pre_wait(rank);
-                let outcome = sched.park(rank, epoch, rank as f64, false);
-                (outcome, sched.stalled())
+            let (sched, outcomes) = run_alone(3, |rank| {
+                let epoch = Sched::pre_wait(rank);
+                let outcome = Sched::park(rank, epoch, rank as f64, false);
+                (outcome, Sched::stalled())
             });
             assert_eq!(outcomes, [(ParkOutcome::Granted, true); 3]);
-            assert!(sched.stalled());
+            assert!(sched.inner.stalled);
         }
 
         #[test]
         fn bounded_park_is_released_when_nothing_else_can_run() {
-            let (sched, outcomes) = run_alone(1, |sched, rank| {
-                let epoch = sched.pre_wait(rank);
-                sched.park(rank, epoch, 0.0, true)
+            let (sched, outcomes) = run_alone(1, |rank| {
+                let epoch = Sched::pre_wait(rank);
+                Sched::park(rank, epoch, 0.0, true)
             });
             assert_eq!(outcomes, [ParkOutcome::TimedOut]);
             assert!(
-                !sched.stalled(),
+                !sched.inner.stalled,
                 "releasing a bounded waiter is not a stalled world"
             );
         }
@@ -592,10 +642,10 @@ mod tests {
         fn bounded_park_is_released_before_the_world_is_stalled() {
             // Rank 0 parks unbounded for good, rank 1 bounded: the first
             // stall releases rank 1; once it exits, rank 0 is stalled.
-            let (_, outcomes) = run_alone(2, |sched, rank| {
-                let epoch = sched.pre_wait(rank);
-                let outcome = sched.park(rank, epoch, 0.0, rank == 1);
-                (outcome, sched.stalled())
+            let (_, outcomes) = run_alone(2, |rank| {
+                let epoch = Sched::pre_wait(rank);
+                let outcome = Sched::park(rank, epoch, 0.0, rank == 1);
+                (outcome, Sched::stalled())
             });
             assert_eq!(
                 outcomes,
@@ -608,25 +658,25 @@ mod tests {
             // Ranks 0..3 park bounded; rank 2 earliest in virtual time, then
             // ranks 0 and 1 tied. Each stall releases exactly one of them.
             let order = Mutex::new(Vec::new());
-            let (sched, outcomes) = run_alone(3, |sched, rank| {
-                let epoch = sched.pre_wait(rank);
-                let outcome = sched.park(rank, epoch, [1.0, 1.0, 0.5][rank], true);
+            let (sched, outcomes) = run_alone(3, |rank| {
+                let epoch = Sched::pre_wait(rank);
+                let outcome = Sched::park(rank, epoch, [1.0, 1.0, 0.5][rank], true);
                 order.lock().unwrap().push(rank);
                 outcome
             });
             assert_eq!(outcomes, [ParkOutcome::TimedOut; 3]);
             assert_eq!(*order.lock().unwrap(), [2, 0, 1]);
-            assert!(!sched.stalled());
+            assert!(!sched.inner.stalled);
         }
 
         #[test]
         fn raced_wake_keeps_the_task_running_without_a_switch() {
             let order = Mutex::new(Vec::new());
-            run_alone(2, |sched, rank| {
+            run_alone(2, |rank| {
                 if rank == 0 {
-                    let epoch = sched.pre_wait(0);
-                    sched.notify(0); // wake lands between re-check and park
-                    assert_eq!(sched.park(0, epoch, 1.0, false), ParkOutcome::Granted);
+                    let epoch = Sched::pre_wait(0);
+                    Sched::notify(0); // wake lands between re-check and park
+                    assert_eq!(Sched::park(0, epoch, 1.0, false), ParkOutcome::Granted);
                 }
                 order.lock().unwrap().push(rank);
             });
@@ -637,18 +687,19 @@ mod tests {
         #[test]
         fn notify_moves_a_waiter_through_ready_back_to_running() {
             let order = Mutex::new(Vec::new());
-            let (sched, outcomes) = run_alone(2, |sched, rank| {
+            let state = |rank: Rank| with_engine(|g| g.tasks[rank].state);
+            let (sched, outcomes) = run_alone(2, |rank| {
                 let log = |what| order.lock().unwrap().push((rank, what));
                 if rank == 0 {
-                    let epoch = sched.pre_wait(0);
+                    let epoch = Sched::pre_wait(0);
                     log("parks");
-                    let outcome = sched.park(0, epoch, 5.0, false);
+                    let outcome = Sched::park(0, epoch, 5.0, false);
                     log("resumed");
                     Some(outcome)
                 } else {
-                    assert_eq!(sched.lock().tasks[0].state, TaskState::Waiting);
-                    sched.notify(0); // message delivery
-                    assert_eq!(sched.lock().tasks[0].state, TaskState::Ready);
+                    assert_eq!(state(0), TaskState::Waiting);
+                    Sched::notify(0); // message delivery
+                    assert_eq!(state(0), TaskState::Ready);
                     log("notified");
                     None
                 }
@@ -658,8 +709,8 @@ mod tests {
                 *order.lock().unwrap(),
                 [(0, "parks"), (1, "notified"), (0, "resumed")]
             );
-            assert!(!sched.stalled());
-            let g = sched.lock();
+            assert!(!sched.inner.stalled);
+            let g = &sched.inner;
             assert!(g.tasks.iter().all(|t| t.state == TaskState::Done));
             assert_eq!((g.active, g.live), (0, 0));
         }
@@ -669,22 +720,65 @@ mod tests {
             // Ranks 1..=4 park at chosen virtual times; rank 0 readies them
             // all at once. The loop must resume them by (vtime, rank).
             let order = Mutex::new(Vec::new());
-            run_alone(5, |sched, rank| {
+            run_alone(5, |rank| {
                 if rank == 0 {
                     // Dispatched first (rank order at vtime 0): park bounded
                     // so the others run up to their own parks and the stall
                     // releases it, then wake them.
-                    let epoch = sched.pre_wait(0);
-                    sched.park(0, epoch, 0.0, true);
-                    sched.notify_all();
+                    let epoch = Sched::pre_wait(0);
+                    Sched::park(0, epoch, 0.0, true);
+                    Sched::notify_all();
                 } else {
                     let vtime = [0.0, 2.0, 1.0, 2.0, 1.0][rank];
-                    let epoch = sched.pre_wait(rank);
-                    sched.park(rank, epoch, vtime, false);
+                    let epoch = Sched::pre_wait(rank);
+                    Sched::park(rank, epoch, vtime, false);
                     order.lock().unwrap().push(rank);
                 }
             });
             assert_eq!(*order.lock().unwrap(), [2, 4, 1, 3]);
+        }
+
+        #[test]
+        fn a_nested_run_hands_the_outer_engine_back() {
+            // Rank 1 of the outer world runs a whole world of its own while
+            // rank 0 is parked; the outer engine must see rank 0 parked
+            // again afterwards and the inner world's state must stay its own.
+            let (outer, inner) = run_alone(2, |rank| {
+                if rank == 0 {
+                    let epoch = Sched::pre_wait(0);
+                    Sched::park(0, epoch, 0.0, false);
+                    None
+                } else {
+                    let (inner, results) = run_alone(3, |r| {
+                        let epoch = Sched::pre_wait(r);
+                        Sched::park(r, epoch, 0.0, r == 2);
+                        r * 10
+                    });
+                    assert_eq!(with_engine(|g| g.tasks[0].state), TaskState::Waiting);
+                    Sched::notify(0);
+                    Some((results, inner.inner.stalled))
+                }
+            });
+            assert_eq!(inner, [None, Some((vec![0, 10, 20], true))]);
+            assert!(!outer.inner.stalled);
+            assert_eq!((outer.inner.active, outer.inner.live), (0, 0));
+            assert!(ENGINE.with_borrow(Option::is_none), "the thread is clean");
+        }
+
+        #[test]
+        fn a_run_that_unwinds_leaves_the_thread_clean() {
+            let failed = std::panic::catch_unwind(|| {
+                run_alone(2, |rank| {
+                    let epoch = Sched::pre_wait(rank);
+                    Sched::park(rank, epoch, 0.0, true);
+                    assert_ne!(rank, 1, "rank 1 fails");
+                })
+            });
+            assert!(failed.is_err());
+            assert!(ENGINE.with_borrow(Option::is_none), "the thread is clean");
+            let (sched, results) = run_alone(2, |rank| rank);
+            assert_eq!(results, [0, 1]);
+            assert_eq!((sched.inner.active, sched.inner.live), (0, 0));
         }
     }
 }

@@ -17,9 +17,11 @@
 //!    the panic count on a fiber's stack never see a second thread
 //!    (`sched`: `Sched::run` resumes every rank on the thread that calls
 //!    it).
-//! 2. **No lock guard is live across a switch.** `suspend` hands the
-//!    thread to code that may take the same lock; `Sched::park` drops the
-//!    scheduler guard before it suspends and takes no mailbox lock at all.
+//! 2. **No borrow of the engine state is live across a switch.** `suspend`
+//!    hands the thread to code that borrows the same state (the scheduler
+//!    loop, the next rank): `Sched::park` ends its borrow of the
+//!    thread-local engine state before it suspends, and holds no mailbox
+//!    lock either.
 //! 3. **No unwind crosses a switch.** The closure runs under
 //!    `catch_unwind` in [`entry`]; a panic that reaches it is carried back
 //!    and re-raised by `resume` on the owner's stack.

@@ -187,10 +187,14 @@ impl World {
     /// to its end, and an error listing the failures is returned. Worlds
     /// that should *survive* injected crashes go through
     /// [`World::run_faulty`] instead.
+    ///
+    /// Both engines finish every rank before `run` returns, so `program`
+    /// may borrow from the caller (replay walks the caller's trace in
+    /// place instead of cloning it).
     pub fn run<R, F>(self, program: F) -> Result<WorldReport<R>, WorldError>
     where
         R: Send + 'static,
-        F: Fn(&mut Proc) -> R + Send + Sync + 'static,
+        F: Fn(&mut Proc) -> R + Send + Sync,
     {
         let (exits, vtimes, fstats, journal, wall) = self.run_inner(false, program);
         let p = exits.len();
@@ -228,7 +232,7 @@ impl World {
     pub fn run_faulty<R, F>(self, program: F) -> Result<FaultyWorldReport<R>, WorldError>
     where
         R: Send + 'static,
-        F: Fn(&mut Proc) -> R + Send + Sync + 'static,
+        F: Fn(&mut Proc) -> R + Send + Sync,
     {
         let (exits, vtimes, fstats, journal, wall) = self.run_inner(true, program);
         let p = exits.len();
@@ -275,13 +279,13 @@ impl World {
     )
     where
         R: Send + 'static,
-        F: Fn(&mut Proc) -> R + Send + Sync + 'static,
+        F: Fn(&mut Proc) -> R + Send + Sync,
     {
         let p = self.config.ranks;
         let record = self.config.record;
         let armed = self.config.faults.is_some();
         let stack_bytes = self.config.stack_bytes;
-        let waiter = Waiter::new(self.config.sched, p, stack_bytes);
+        let (waiter, sched) = Waiter::new(self.config.sched, p, stack_bytes);
         let shared = Arc::new(Shared {
             mailboxes: (0..p).map(|_| Mailbox::new()).collect(),
             cost: self.config.cost,
@@ -329,11 +333,11 @@ impl World {
             (exit, vtime, fstats, obs_log)
         };
 
-        let ends: Vec<RankEnd<R>> = match &shared.waiter {
+        let ends: Vec<RankEnd<R>> = match sched {
             // Every rank on this thread, each on its own stack.
-            Waiter::Events(sched) => sched.run(&rank_main),
+            Some(mut sched) => sched.run(&rank_main),
             // The oracle: one free-running thread per rank.
-            Waiter::Threads => std::thread::scope(|scope| {
+            None => std::thread::scope(|scope| {
                 let threads: Vec<_> = (0..p)
                     .map(|rank| {
                         let rank_main = &rank_main;
@@ -610,6 +614,56 @@ mod tests {
             .any(|(r, m)| *r == 1 && m.contains("injected")));
         // The blocked ranks fail with the poison message rather than hanging.
         assert_eq!(err.failures.len(), 3);
+    }
+
+    #[test]
+    fn a_fresh_world_after_a_panicked_one_runs_as_usual() {
+        // The failed world must hand the thread back clean: the next world
+        // on it runs its ring and collectives to the same answers.
+        let ring = || {
+            World::new(WorldConfig::new(4))
+                .run(|proc| {
+                    let me = proc.rank();
+                    proc.send_len((me + 1) % 4, 3, Comm::WORLD, 8);
+                    let got = proc.recv(SrcSel::Rank((me + 3) % 4), TagSel::Tag(3), Comm::WORLD);
+                    (got.src, proc.allreduce_sum(me as u64), proc.now().to_bits())
+                })
+                .unwrap()
+        };
+        let before = ring();
+        World::new(WorldConfig::new(3))
+            .run(|proc| {
+                if proc.rank() == 1 {
+                    panic!("injected failure");
+                }
+                proc.recv(SrcSel::Rank(1), TagSel::Tag(9), Comm::WORLD);
+            })
+            .unwrap_err();
+        let after = ring();
+        assert_eq!(after.results, before.results);
+        assert_eq!(after.rank_vtimes, before.rank_vtimes);
+    }
+
+    #[test]
+    fn a_world_runs_inside_a_rank_of_an_event_mode_world() {
+        // Rank 1 runs a whole world of its own between two messages of the
+        // outer one, while rank 0 is blocked on it; both worlds finish with
+        // their own answers.
+        let report = World::new(WorldConfig::new(2))
+            .run(|proc| {
+                if proc.rank() == 0 {
+                    proc.recv(SrcSel::Rank(1), TagSel::Tag(1), Comm::WORLD);
+                    proc.allreduce_sum(1)
+                } else {
+                    let inner = World::new(WorldConfig::new(5))
+                        .run(|p| p.allreduce_sum(p.rank() as u64))
+                        .unwrap();
+                    proc.send_len(0, 1, Comm::WORLD, 4);
+                    proc.allreduce_sum(inner.results[0])
+                }
+            })
+            .unwrap();
+        assert_eq!(report.results, [11, 11]);
     }
 
     #[test]

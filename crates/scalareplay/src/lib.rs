@@ -13,11 +13,17 @@
 //! the same cluster. These other nodes re-interpret the single node trace
 //! and transpose any parameters relative to their task ID automatically
 //! because ScalaTrace utilizes relative encodings of end-points." In this
-//! engine that is not a separate mode: every rank simply walks the global
-//! trace and executes the events whose ranklist contains it, resolving
-//! relative endpoints against its own rank. A ScalaTrace trace (per-rank
-//! ranklists) and a Chameleon trace (cluster-wide ranklists) replay
-//! through the identical code path — the ranklists are what differ.
+//! engine that is not a separate mode: every rank executes, in dynamic
+//! order, the events of the global trace whose ranklist contains it,
+//! resolving relative endpoints against its own rank. A ScalaTrace trace
+//! (per-rank ranklists) and a Chameleon trace (cluster-wide ranklists)
+//! replay through the identical code path — the ranklists are what differ.
+//!
+//! Each rank walks only its own projection of the trace (ScalaReplay's
+//! per-rank view): before the world starts, one bitmask per node records
+//! which ranks it holds — a loop's is the union of its body's — and a rank
+//! enters no loop whose mask lacks it. A rank's cost is its own dynamic
+//! events, not every rank's.
 //!
 //! Endpoints that transpose out of the world (a boundary rank replaying an
 //! interior lead's ±c pattern) are *dropped*, consistently on both the
@@ -33,11 +39,9 @@
 //! ([`mpisim::Proc::send_len`], `bcast_len`, `gather_len`) and allocates
 //! no payload buffer for any message.
 
-use std::sync::Arc;
-
 use mpisim::collectives::ReduceOp;
-use mpisim::{Comm, CostModel, SrcSel, TagSel, World, WorldConfig};
-use scalatrace::{CompressedTrace, EventRecord, OpKind};
+use mpisim::{Comm, CostModel, Rank, SrcSel, TagSel, World, WorldConfig};
+use scalatrace::{CompressedTrace, EventRecord, OpKind, TraceNode};
 
 /// Outcome of replaying a trace.
 #[derive(Debug, Clone)]
@@ -67,25 +71,22 @@ pub fn accuracy(t: f64, t_prime: f64) -> f64 {
 
 /// Replay `trace` on a simulated world of `p` ranks.
 ///
-/// Every rank walks the trace in dynamic order and executes the events
-/// whose ranklists contain it. Returns an error (instead of hanging) if
-/// the trace is inconsistent enough that a rank blocks forever on a
-/// receive with no matching send.
+/// Every rank executes, in dynamic order, the events whose ranklists
+/// contain it, skipping the loops that hold none of them. Returns an
+/// error (instead of hanging) if the trace is inconsistent enough that a
+/// rank blocks forever on a receive with no matching send.
 pub fn replay(
     trace: &CompressedTrace,
     p: usize,
     cost: CostModel,
 ) -> Result<ReplayReport, mpisim::world::WorldError> {
-    let trace = Arc::new(trace.clone());
-    let report = World::new(WorldConfig::new(p).with_cost(cost)).run(move |proc| {
+    let members = Membership::new(trace, p);
+    let report = World::new(WorldConfig::new(p).with_cost(cost)).run(|proc| {
         let me = proc.rank();
         let size = proc.size();
         let mut executed = 0u64;
         let mut dropped = 0u64;
-        trace.walk(&mut |e: &EventRecord| {
-            if !e.ranks.contains(me) {
-                return;
-            }
+        members.walk(trace.nodes(), 0, me, &mut |e: &EventRecord| {
             // Simulated computation since the previous event.
             proc.compute(e.pre_time.replay_sample());
             match replay_event(proc, e, me, size) {
@@ -105,6 +106,93 @@ pub fn replay(
         dropped_events,
         wall: report.wall,
     })
+}
+
+/// Which ranks below `p` each node of a trace holds: one bitmask of
+/// `words` 64-bit words per node, nodes numbered in preorder. An event's
+/// mask is its ranklist; a loop's is the union of its body's, so a rank
+/// whose bit a loop lacks has no event anywhere inside it.
+struct Membership {
+    words: usize,
+    /// Node `i`'s mask is `bits[i * words..(i + 1) * words]`.
+    bits: Vec<u64>,
+    /// Node `i`'s subtree spans the preorder numbers `i..end[i]`.
+    end: Vec<usize>,
+}
+
+impl Membership {
+    fn new(trace: &CompressedTrace, p: usize) -> Self {
+        let mut m = Membership {
+            words: p.div_ceil(64),
+            bits: Vec::new(),
+            end: Vec::new(),
+        };
+        m.add(trace.nodes(), p);
+        m
+    }
+
+    fn add(&mut self, nodes: &[TraceNode], p: usize) {
+        for node in nodes {
+            let i = self.end.len();
+            self.end.push(i + 1);
+            self.bits.resize(self.bits.len() + self.words, 0);
+            match node {
+                TraceNode::Event(e) => {
+                    for s in e.ranks.sections() {
+                        // A section longer than the world names ranks past
+                        // it; test the world's ranks instead of listing it.
+                        if s.len() <= p {
+                            s.iter().filter(|&r| r < p).for_each(|r| self.set(i, r));
+                        } else {
+                            (0..p)
+                                .filter(|&r| s.contains(r))
+                                .for_each(|r| self.set(i, r));
+                        }
+                    }
+                }
+                TraceNode::Loop { body, .. } => {
+                    self.add(body, p);
+                    self.end[i] = self.end.len();
+                    let mut child = i + 1;
+                    while child < self.end[i] {
+                        for w in 0..self.words {
+                            self.bits[i * self.words + w] |= self.bits[child * self.words + w];
+                        }
+                        child = self.end[child];
+                    }
+                }
+            }
+        }
+    }
+
+    fn set(&mut self, node: usize, rank: Rank) {
+        self.bits[node * self.words + rank / 64] |= 1 << (rank % 64);
+    }
+
+    fn holds(&self, node: usize, rank: Rank) -> bool {
+        self.bits[node * self.words + rank / 64] >> (rank % 64) & 1 == 1
+    }
+
+    /// Rank `me`'s events among `nodes`, whose first is preorder number
+    /// `first`, in dynamic order: [`CompressedTrace::walk`] filtered to the
+    /// events whose ranklist contains `me`, without entering a loop that
+    /// holds none.
+    fn walk(&self, nodes: &[TraceNode], first: usize, me: Rank, f: &mut impl FnMut(&EventRecord)) {
+        let mut i = first;
+        for node in nodes {
+            if self.holds(i, me) {
+                match node {
+                    TraceNode::Event(e) => f(e),
+                    TraceNode::Loop { iters, body } => {
+                        for _ in 0..*iters {
+                            self.walk(body, i + 1, me, f);
+                        }
+                    }
+                }
+            }
+            i = self.end[i];
+        }
+    }
 }
 
 enum ReplayOutcome {
@@ -203,7 +291,9 @@ mod tests {
     use super::*;
     use chameleon::{Chameleon, ChameleonConfig};
     use mpisim::{World as W, WorldConfig as WC};
-    use scalatrace::TracedProc;
+    use scalatrace::{Endpoint, MpiOp, RankList, RankSet, TracedProc};
+    use sigkit::StackSig;
+    use xrand::Xoshiro256;
 
     /// Run a small SPMD app and return (app virtual time, ScalaTrace
     /// global trace, Chameleon online trace).
@@ -384,6 +474,244 @@ mod tests {
             assert_eq!(rep.replay_vtime.to_bits(), runs[0].replay_vtime.to_bits());
             assert_eq!(rep.rank_vtimes, runs[0].rank_vtimes);
         }
+    }
+
+    /// The replay as it was before [`Membership`]: every rank walks every
+    /// rank's events and tests its ranklist at each one. The reference the
+    /// per-rank walk must equal.
+    fn replay_every_rank_walk(trace: &CompressedTrace, p: usize) -> ReplayReport {
+        let report = W::new(WC::new(p))
+            .run(|proc| {
+                let me = proc.rank();
+                let size = proc.size();
+                let (mut executed, mut dropped) = (0u64, 0u64);
+                trace.walk(&mut |e: &EventRecord| {
+                    if !e.ranks.contains(me) {
+                        return;
+                    }
+                    proc.compute(e.pre_time.replay_sample());
+                    match replay_event(proc, e, me, size) {
+                        ReplayOutcome::Executed => executed += 1,
+                        ReplayOutcome::Dropped => dropped += 1,
+                    }
+                });
+                (executed, dropped)
+            })
+            .unwrap();
+        ReplayReport {
+            replay_vtime: report.max_vtime,
+            rank_vtimes: report.rank_vtimes,
+            events_executed: report.results.iter().map(|&(e, _)| e).sum(),
+            dropped_events: report.results.iter().map(|&(_, d)| d).sum(),
+            wall: report.wall,
+        }
+    }
+
+    /// Replay `trace` both ways and require equal reports, field by field
+    /// and clocks to the bit; returns the report.
+    fn assert_replays_like_every_rank_walk(
+        what: &str,
+        trace: &CompressedTrace,
+        p: usize,
+    ) -> ReplayReport {
+        let got = replay(trace, p, CostModel::default()).unwrap();
+        let want = replay_every_rank_walk(trace, p);
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            got.replay_vtime.to_bits(),
+            want.replay_vtime.to_bits(),
+            "{what}: replay_vtime"
+        );
+        assert_eq!(
+            bits(&got.rank_vtimes),
+            bits(&want.rank_vtimes),
+            "{what}: rank_vtimes"
+        );
+        assert_eq!(
+            got.events_executed, want.events_executed,
+            "{what}: events_executed"
+        );
+        assert_eq!(
+            got.dropped_events, want.dropped_events,
+            "{what}: dropped_events"
+        );
+        got
+    }
+
+    #[test]
+    fn per_rank_walk_replays_every_registry_workload_like_the_every_rank_walk() {
+        use workloads::driver::{run, Mode, Overrides};
+        use workloads::{registry, Class};
+        let names = [
+            "BT", "SP", "LU", "LUW", "POP", "S3D", "S3DW", "CG", "EMF", "DRING", "DGRID",
+        ];
+        let mut dropped = 0;
+        for name in names {
+            for mode in [Mode::ScalaTrace, Mode::Chameleon] {
+                let what = format!("{name}/{mode:?}");
+                let rep = run(
+                    registry::workload(name, 25),
+                    Class::A,
+                    16,
+                    mode,
+                    Overrides::default(),
+                );
+                let trace = rep.global_trace.expect("a traced run has a trace");
+                let got = assert_replays_like_every_rank_walk(&what, &trace, 16);
+                assert!(got.events_executed > 0, "{what}: replays something");
+                dropped += got.dropped_events;
+            }
+        }
+        assert!(dropped > 0, "some trace (CG's) drops events");
+    }
+
+    /// A finalize event: replays as its compute and nothing else, so any
+    /// ranklist replays without a partner.
+    fn compute_event(sig: u64, dt: f64, ranks: RankSet) -> TraceNode {
+        let op = MpiOp {
+            kind: OpKind::Finalize,
+            src: None,
+            dest: None,
+            tag: None,
+            recv_tag: None,
+            count: 0,
+            comm: Comm::WORLD,
+        };
+        event(op, sig, dt, ranks)
+    }
+
+    fn event(op: MpiOp, sig: u64, dt: f64, ranks: RankSet) -> TraceNode {
+        let mut e = EventRecord::new(op, StackSig(sig), 0, dt);
+        e.set_ranks(ranks);
+        TraceNode::Event(e)
+    }
+
+    #[test]
+    fn per_rank_walk_matches_on_wide_worlds_and_ranks_past_the_world() {
+        // P = 130: three mask words. Sections run past the world (a member
+        // at 140, a strided section of 1000). In the nested loop only one
+        // inner event holds rank 129, and none holds the odd ranks 65..127.
+        let p = 130;
+        let strided = |start, n, stride| RankList::from_parts(start, vec![(n, stride)]).unwrap();
+        let ring = RankSet::from_ranks(0..p);
+        let nodes = vec![
+            compute_event(
+                1,
+                1e-3,
+                RankSet::from_ranks([0, 63, 64, 127, 128, 129, 140]),
+            ),
+            TraceNode::Loop {
+                iters: 3,
+                body: vec![
+                    event(
+                        MpiOp::send(Endpoint::Relative(1), 4, 32, Comm::WORLD),
+                        2,
+                        2e-4,
+                        ring.clone(),
+                    ),
+                    event(
+                        MpiOp::recv(Endpoint::Relative(-1), 4, 32, Comm::WORLD),
+                        3,
+                        1e-4,
+                        ring.clone(),
+                    ),
+                    TraceNode::Loop {
+                        iters: 2,
+                        body: vec![
+                            compute_event(4, 5e-4, RankSet::from_ranks(0..64)),
+                            compute_event(5, 7e-4, RankSet::singleton(129)),
+                            compute_event(
+                                6,
+                                3e-4,
+                                RankSet::from_sections(vec![strided(0, 1000, 2)]),
+                            ),
+                        ],
+                    },
+                ],
+            },
+            TraceNode::Loop {
+                iters: 4,
+                body: vec![compute_event(
+                    7,
+                    1e-4,
+                    RankSet::from_sections(vec![strided(200, 5, 1)]),
+                )],
+            },
+            // A receive from a rank that never sends drops at the stall.
+            event(
+                MpiOp::recv(Endpoint::Absolute(5), 9, 8, Comm::WORLD),
+                8,
+                0.0,
+                RankSet::singleton(66),
+            ),
+            compute_event(9, 2e-3, RankSet::from_sections(vec![strided(129, 130, -1)])),
+        ];
+        let trace = CompressedTrace::from_nodes(nodes);
+        let got = assert_replays_like_every_rank_walk("hand-built P=130", &trace, p);
+        assert_eq!(
+            got.dropped_events,
+            1 + 2 * 3,
+            "the unmatched receive; the ring's two ends, thrice"
+        );
+    }
+
+    #[test]
+    fn per_rank_walk_matches_on_seeded_random_traces() {
+        let mut rng = Xoshiro256::seed_from_u64(0x5EED42);
+        for case in 0..24 {
+            let p = [3, 64, 65, 97, 150][case % 5];
+            let trace = CompressedTrace::from_nodes(random_nodes(&mut rng, p, 2));
+            assert_replays_like_every_rank_walk(&format!("random case {case} P={p}"), &trace, p);
+        }
+    }
+
+    /// Up to six nodes: loops (to `depth`) and events over random ranksets
+    /// reaching past the world, sends and receives at ±1 or ±2, and
+    /// compute-only events.
+    fn random_nodes(rng: &mut Xoshiro256, p: usize, depth: usize) -> Vec<TraceNode> {
+        (0..rng.range_usize(1, 7))
+            .map(|_| {
+                if depth > 0 && rng.gen_bool(0.3) {
+                    return TraceNode::Loop {
+                        iters: rng.range_u64(1, 4),
+                        body: random_nodes(rng, p, depth - 1),
+                    };
+                }
+                let ranks = match rng.below(3) {
+                    0 => RankSet::singleton(rng.usize_below(p + 10)),
+                    1 => RankSet::from_ranks(
+                        (0..rng.range_usize(1, 8)).map(|_| rng.usize_below(p + 10)),
+                    ),
+                    _ => {
+                        let start = rng.usize_below(p);
+                        let stride = rng.range_u64(1, 4) as i64;
+                        RankSet::from_sections(vec![RankList::from_parts(
+                            start,
+                            vec![(rng.range_usize(1, p + 20), stride)],
+                        )
+                        .unwrap()])
+                    }
+                };
+                let off = rng.range_u64(1, 3) as i64;
+                let dt = rng.f64_unit() * 1e-3;
+                let sig = rng.next_u64();
+                match rng.below(3) {
+                    0 => event(
+                        MpiOp::send(Endpoint::Relative(off), 1, 16, Comm::WORLD),
+                        sig,
+                        dt,
+                        ranks,
+                    ),
+                    1 => event(
+                        MpiOp::recv(Endpoint::Relative(-off), 1, 16, Comm::WORLD),
+                        sig,
+                        dt,
+                        ranks,
+                    ),
+                    _ => compute_event(sig, dt, ranks),
+                }
+            })
+            .collect()
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! formatting, which uses Rust's shortest-roundtrip representation and is
 //! therefore lossless).
 
+use std::fmt::{Display, Write};
+
 use mpisim::Comm;
 use sigkit::StackSig;
 
@@ -59,66 +61,88 @@ pub fn to_text(trace: &CompressedTrace) -> String {
     out
 }
 
+// Every field is written straight into `out`: no line builds a `String`
+// of its own. Writing to a `String` cannot fail, so the `fmt::Result`s
+// are dropped.
 fn write_node(node: &TraceNode, out: &mut String) {
     match node {
         TraceNode::Loop { iters, body } => {
-            out.push_str(&format!("L {iters} {}\n", body.len()));
+            let _ = writeln!(out, "L {iters} {}", body.len());
             for n in body {
                 write_node(n, out);
             }
         }
         TraceNode::Event(e) => {
-            out.push_str(&format!(
-                "E {} sig={:016x} src={} dest={} tag={} tag2={} count={} comm={} ranks={} time={}\n",
+            let _ = write!(
+                out,
+                "E {} sig={:016x} src=",
                 e.op.kind.mnemonic(),
-                e.stack_sig.0,
-                fmt_endpoint(&e.op.src),
-                fmt_endpoint(&e.op.dest),
-                e.op.tag.map_or("-".to_string(), |t| t.to_string()),
-                e.op.recv_tag.map_or("-".to_string(), |t| t.to_string()),
-                e.op.count,
-                e.op.comm.0,
-                fmt_rankset(&e.ranks),
-                fmt_time(&e.pre_time),
-            ));
+                e.stack_sig.0
+            );
+            write_endpoint(&e.op.src, out);
+            out.push_str(" dest=");
+            write_endpoint(&e.op.dest, out);
+            out.push_str(" tag=");
+            write_opt(e.op.tag, out);
+            out.push_str(" tag2=");
+            write_opt(e.op.recv_tag, out);
+            let _ = write!(out, " count={} comm={} ranks=", e.op.count, e.op.comm.0);
+            write_rankset(&e.ranks, out);
+            out.push_str(" time=");
+            write_time(&e.pre_time, out);
+            out.push('\n');
         }
     }
 }
 
-fn fmt_endpoint(ep: &Option<Endpoint>) -> String {
-    match ep {
-        None => "-".to_string(),
-        Some(Endpoint::Relative(off)) => format!("r{off}"),
-        Some(Endpoint::Absolute(r)) => format!("a{r}"),
-        Some(Endpoint::Any) => "any".to_string(),
+fn write_opt(v: Option<impl Display>, out: &mut String) {
+    match v {
+        Some(v) => {
+            let _ = write!(out, "{v}");
+        }
+        None => out.push('-'),
     }
 }
 
-fn fmt_rankset(rs: &RankSet) -> String {
+fn write_endpoint(ep: &Option<Endpoint>, out: &mut String) {
+    let _ = match ep {
+        None => write!(out, "-"),
+        Some(Endpoint::Relative(off)) => write!(out, "r{off}"),
+        Some(Endpoint::Absolute(r)) => write!(out, "a{r}"),
+        Some(Endpoint::Any) => write!(out, "any"),
+    };
+}
+
+fn write_rankset(rs: &RankSet, out: &mut String) {
     if rs.is_empty() {
-        return "-".to_string();
+        out.push('-');
+        return;
     }
-    rs.sections()
-        .iter()
-        .map(|s| {
-            let mut part = s.start().to_string();
-            for (iters, stride) in s.dims() {
-                part.push_str(&format!("/{iters},{stride}"));
-            }
-            part
-        })
-        .collect::<Vec<_>>()
-        .join("+")
+    for (i, s) in rs.sections().iter().enumerate() {
+        if i > 0 {
+            out.push('+');
+        }
+        let _ = write!(out, "{}", s.start());
+        for (iters, stride) in s.dims() {
+            let _ = write!(out, "/{iters},{stride}");
+        }
+    }
 }
 
-fn fmt_time(ts: &TimeStats) -> String {
-    let mut s = format!("{},{},{},{}", ts.count(), ts.total(), ts.min(), ts.max());
+fn write_time(ts: &TimeStats, out: &mut String) {
+    let _ = write!(
+        out,
+        "{},{},{},{}",
+        ts.count(),
+        ts.total(),
+        ts.min(),
+        ts.max()
+    );
     for (i, &b) in ts.bins().iter().enumerate() {
         if b != 0 {
-            s.push_str(&format!(",{i}:{b}"));
+            let _ = write!(out, ",{i}:{b}");
         }
     }
-    s
 }
 
 /// Parse a trace from its text representation.
@@ -643,8 +667,131 @@ mod props {
             for _ in 0..rng.usize_below(30) {
                 t.append(random_event(&mut rng));
             }
-            let back = from_text(&to_text(&t)).unwrap();
-            assert_eq!(back, t);
+            let text = to_text(&t);
+            assert_eq!(text, reference::to_text(&t));
+            assert_eq!(from_text(&text).unwrap(), t);
+        }
+    }
+
+    /// The writer as it was, one `String` per field: the bytes `to_text`
+    /// must reproduce.
+    mod reference {
+        use super::*;
+
+        pub(super) fn to_text(trace: &CompressedTrace) -> String {
+            let mut out = String::with_capacity(4096);
+            out.push_str(HEADER);
+            out.push('\n');
+            for node in trace.nodes() {
+                write_node(node, &mut out);
+            }
+            out
+        }
+
+        fn write_node(node: &TraceNode, out: &mut String) {
+            match node {
+                TraceNode::Loop { iters, body } => {
+                    out.push_str(&format!("L {iters} {}\n", body.len()));
+                    for n in body {
+                        write_node(n, out);
+                    }
+                }
+                TraceNode::Event(e) => {
+                    out.push_str(&format!(
+                        "E {} sig={:016x} src={} dest={} tag={} tag2={} count={} comm={} ranks={} time={}\n",
+                        e.op.kind.mnemonic(),
+                        e.stack_sig.0,
+                        fmt_endpoint(&e.op.src),
+                        fmt_endpoint(&e.op.dest),
+                        e.op.tag.map_or("-".to_string(), |t| t.to_string()),
+                        e.op.recv_tag.map_or("-".to_string(), |t| t.to_string()),
+                        e.op.count,
+                        e.op.comm.0,
+                        fmt_rankset(&e.ranks),
+                        fmt_time(&e.pre_time),
+                    ));
+                }
+            }
+        }
+
+        fn fmt_endpoint(ep: &Option<Endpoint>) -> String {
+            match ep {
+                None => "-".to_string(),
+                Some(Endpoint::Relative(off)) => format!("r{off}"),
+                Some(Endpoint::Absolute(r)) => format!("a{r}"),
+                Some(Endpoint::Any) => "any".to_string(),
+            }
+        }
+
+        fn fmt_rankset(rs: &RankSet) -> String {
+            if rs.is_empty() {
+                return "-".to_string();
+            }
+            rs.sections()
+                .iter()
+                .map(|s| {
+                    let mut part = s.start().to_string();
+                    for (iters, stride) in s.dims() {
+                        part.push_str(&format!("/{iters},{stride}"));
+                    }
+                    part
+                })
+                .collect::<Vec<_>>()
+                .join("+")
+        }
+
+        fn fmt_time(ts: &TimeStats) -> String {
+            let mut s = format!("{},{},{},{}", ts.count(), ts.total(), ts.min(), ts.max());
+            for (i, &b) in ts.bins().iter().enumerate() {
+                if b != 0 {
+                    s.push_str(&format!(",{i}:{b}"));
+                }
+            }
+            s
+        }
+    }
+
+    /// Beyond `roundtrip_arbitrary`: the same generator with repeated
+    /// events (so `append` folds loops), the operations it never draws
+    /// (absolute and wildcard endpoints, two tags, rooted collectives), and
+    /// merges of consecutive traces (multi-section ranksets).
+    #[test]
+    fn to_text_writes_the_reference_writers_bytes() {
+        let exotic = [
+            MpiOp::recv(Endpoint::Any, 7, 16, Comm::WORLD),
+            MpiOp::send(Endpoint::Absolute(5), 2, 8, Comm::MARKER),
+            MpiOp::rooted(OpKind::Bcast, 3, 8, Comm::WORLD),
+            MpiOp {
+                kind: OpKind::SendRecv,
+                src: Some(Endpoint::Relative(-1)),
+                dest: Some(Endpoint::Relative(1)),
+                tag: Some(7),
+                recv_tag: Some(9),
+                count: 128,
+                comm: Comm::WORLD,
+            },
+        ];
+        let mut rng = Xoshiro256::seed_from_u64(0x4011D);
+        let mut previous = CompressedTrace::new();
+        for case in 0..256 {
+            let mut t = CompressedTrace::new();
+            for _ in 0..rng.usize_below(30) {
+                let mut e = random_event(&mut rng);
+                if rng.gen_bool(0.2) {
+                    e.op = exotic[rng.usize_below(exotic.len())].clone();
+                }
+                for _ in 0..rng.range_usize(1, 3) {
+                    t.append(e.clone());
+                }
+            }
+            assert_eq!(to_text(&t), reference::to_text(&t), "case {case}");
+            let merged = crate::merge::merge_traces(&previous, &t);
+            assert_eq!(
+                to_text(&merged),
+                reference::to_text(&merged),
+                "merged case {case}"
+            );
+            previous = t;
         }
     }
 }

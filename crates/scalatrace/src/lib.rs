@@ -20,7 +20,7 @@
 //! * [`merge`] — **inter-node compression**: structural merging of two
 //!   compressed traces (the O(n²) pairwise step of the paper's
 //!   O(n² log P) radix-tree reduction);
-//! * [`format`] — the text trace-file format (serialize + parse);
+//! * [`format`](mod@format) — the text trace-file format (serialize + parse);
 //! * [`tracer`] — the PMPI-style interposition layer over
 //!   [`mpisim::Proc`]: records events with stack signatures, maintains
 //!   per-interval Call-Path/SRC/DEST signatures, and supports disabling

@@ -134,7 +134,7 @@ impl Workload for Lu {
     }
 }
 
-/// The Figure 10 experiment: LU modified so that "for every [period]
+/// The Figure 10 experiment: LU modified so that "for every \[period\]
 /// timesteps, processes call a new `MPI_Barrier`. This indicates a new
 /// Call-Path and changes the program phase." Sweeping the period sweeps
 /// the number of re-clusterings.

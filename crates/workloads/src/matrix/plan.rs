@@ -40,10 +40,10 @@ pub enum FaultSpec {
     /// The standard lossy link (2% corruption, 0.5% duplication, 0.5%
     /// delay) with no crash — legal on every workload.
     Lossy,
-    /// [`chaos_plan`]: one non-root rank crash plus the lossy link
+    /// [`chaos_plan`](crate::chaos::chaos_plan): one non-root rank crash plus the lossy link
     /// (`CHAOS` workload only).
     Chaos,
-    /// [`root_crash_plan`] at a marker boundary, run under the checkpoint
+    /// [`root_crash_plan`](crate::chaos::root_crash_plan) at a marker boundary, run under the checkpoint
     /// supervisor (`CHAOS` workload only; needs `ckpt_stride >= 1`).
     RootCrash(CrashPoint),
     /// [`straggler_plan`]: rank `p - 1` computes 4x slower (`DRING` /
@@ -198,7 +198,7 @@ pub struct MatrixPlan {
     pub scale: usize,
     /// Class-A merged-trace size for `MERGE_*` trials (default 128).
     pub merge_base_n: usize,
-    /// Timing band for [`diff_timings`], in percent (default 50).
+    /// Timing band for [`diff_timings`](super::results::diff_timings), in percent (default 50).
     pub timing_tolerance_pct: f64,
 }
 

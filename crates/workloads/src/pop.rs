@@ -4,7 +4,7 @@
 //! solver whose inner iterations are global reductions. The paper notes
 //! POP "experiences different data-dependent convergence points in
 //! timestep computation" and that Chameleon handles it with "the automatic
-//! filter from [2] for call parameters so that the communication pattern
+//! filter from \[2\] for call parameters so that the communication pattern
 //! becomes regular and can be represented by 3 clusters". The skeleton
 //! models the *post-filter* view: a fixed solver-iteration count per
 //! timestep (the filter's regularization) with the residual time variance
