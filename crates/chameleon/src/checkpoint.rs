@@ -532,6 +532,31 @@ mod tests {
     }
 
     #[test]
+    fn hostile_trace_loop_length_is_an_error() {
+        // A CRC-valid blob whose trace text declares a loop of 10^8 (or
+        // 2^64 - 1) nodes must decode to `Err`, not reserve the nodes.
+        let wire = specimen().encode();
+        let text = scalatrace::format::to_text(&CompressedTrace::new());
+        let at = wire
+            .windows(text.len())
+            .position(|w| w == text.as_bytes())
+            .expect("the trace text is in the blob");
+        for len in ["100000000", "18446744073709551615"] {
+            let hostile = format!("{text}L 1 {len}\n");
+            let mut bad = wire[..at - 8].to_vec();
+            bad.extend_from_slice(&(hostile.len() as u64).to_le_bytes());
+            bad.extend_from_slice(hostile.as_bytes());
+            bad.extend_from_slice(&wire[at + text.len()..wire.len() - 4]);
+            let crc = frame_crc(u64::from(VERSION), &bad[7..]);
+            bad.extend_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                Checkpoint::decode(&bad),
+                Err(CkptError::Malformed { what: "trace", .. })
+            ));
+        }
+    }
+
+    #[test]
     fn version_and_magic_gate() {
         let mut wire = specimen().encode();
         wire[0] = b'X';

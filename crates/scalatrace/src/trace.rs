@@ -228,36 +228,50 @@ impl CompressedTrace {
     }
 
     /// One folding step. Returns true if the tail shrank.
+    ///
+    /// Windows are tried shortest first, and for each window case A before
+    /// case B. Every candidate is first tested on the node just appended:
+    /// in all but the rarest tails it is the one that fails to match, so a
+    /// step that folds nothing costs one `matches` per window instead of a
+    /// walk down each window from its oldest node.
     fn try_fold_tail(&mut self) -> bool {
         let n = self.nodes.len();
-        for w in 1..=MAX_WINDOW {
+        for w in 1..=MAX_WINDOW.min(n.saturating_sub(1)) {
+            let newest = &self.nodes[n - 1];
             // Case A: the node right before the tail window is a loop whose
             // body matches the window — one more iteration of it.
-            if n > w {
-                let (head, tail) = self.nodes.split_at_mut(n - w);
-                if let Some(TraceNode::Loop { iters, body }) = head.last_mut() {
-                    if body.len() == w && body.iter().zip(tail.iter()).all(|(b, t)| b.matches(t)) {
+            if let TraceNode::Loop { body, .. } = &self.nodes[n - w - 1] {
+                if body.len() == w
+                    && body[w - 1].matches(newest)
+                    && body
+                        .iter()
+                        .zip(&self.nodes[n - w..n - 1])
+                        .all(|(b, t)| b.matches(t))
+                {
+                    let (head, tail) = self.nodes.split_at_mut(n - w);
+                    if let Some(TraceNode::Loop { iters, body }) = head.last_mut() {
                         for (b, t) in body.iter_mut().zip(tail.iter()) {
                             b.absorb(t);
                         }
                         *iters += 1;
-                        self.nodes.truncate(n - w);
-                        return true;
                     }
+                    self.nodes.truncate(n - w);
+                    return true;
                 }
             }
             // Case B: the tail window repeats the window right before it —
             // fold both into a fresh 2-iteration loop.
             if n >= 2 * w {
                 let (first, second) = (n - 2 * w, n - w);
-                let windows_match =
-                    (0..w).all(|i| self.nodes[first + i].matches(&self.nodes[second + i]));
-                if windows_match {
-                    let tail: Vec<TraceNode> = self.nodes.drain(second..).collect();
-                    let mut body: Vec<TraceNode> = self.nodes.drain(first..).collect();
-                    for (b, t) in body.iter_mut().zip(tail.iter()) {
+                if self.nodes[second - 1].matches(newest)
+                    && (0..w - 1).all(|i| self.nodes[first + i].matches(&self.nodes[second + i]))
+                {
+                    let (head, tail) = self.nodes.split_at_mut(second);
+                    for (b, t) in head[first..].iter_mut().zip(tail.iter()) {
                         b.absorb(t);
                     }
+                    self.nodes.truncate(second);
+                    let body: Vec<TraceNode> = self.nodes.drain(first..).collect();
                     self.nodes.push(TraceNode::Loop { iters: 2, body });
                     return true;
                 }
@@ -591,6 +605,53 @@ mod tests {
 }
 
 #[cfg(test)]
+mod reference {
+    //! The tail fold as it was: each window compared from its oldest node,
+    //! and case B's fold through two drained `Vec`s. The tests hold
+    //! [`CompressedTrace::append`] and [`CompressedTrace::append_node`] to
+    //! the traces this builds.
+    use super::*;
+
+    pub(super) fn append_node(trace: &mut CompressedTrace, node: TraceNode) {
+        trace.nodes.push(node);
+        while try_fold_tail(&mut trace.nodes) {}
+    }
+
+    fn try_fold_tail(nodes: &mut Vec<TraceNode>) -> bool {
+        let n = nodes.len();
+        for w in 1..=MAX_WINDOW {
+            if n > w {
+                let (head, tail) = nodes.split_at_mut(n - w);
+                if let Some(TraceNode::Loop { iters, body }) = head.last_mut() {
+                    if body.len() == w && body.iter().zip(tail.iter()).all(|(b, t)| b.matches(t)) {
+                        for (b, t) in body.iter_mut().zip(tail.iter()) {
+                            b.absorb(t);
+                        }
+                        *iters += 1;
+                        nodes.truncate(n - w);
+                        return true;
+                    }
+                }
+            }
+            if n >= 2 * w {
+                let (first, second) = (n - 2 * w, n - w);
+                let windows_match = (0..w).all(|i| nodes[first + i].matches(&nodes[second + i]));
+                if windows_match {
+                    let tail: Vec<TraceNode> = nodes.drain(second..).collect();
+                    let mut body: Vec<TraceNode> = nodes.drain(first..).collect();
+                    for (b, t) in body.iter_mut().zip(tail.iter()) {
+                        b.absorb(t);
+                    }
+                    nodes.push(TraceNode::Loop { iters: 2, body });
+                    return true;
+                }
+            }
+        }
+        false
+    }
+}
+
+#[cfg(test)]
 mod props {
     use super::*;
     use crate::op::{Endpoint, MpiOp};
@@ -681,6 +742,114 @@ mod props {
                 "period {period} reps {reps} -> compressed {}",
                 t.compressed_size()
             );
+        }
+    }
+
+    /// An event of site `sig` on `rank`. Sites are sends to `sig % 3 - 1`,
+    /// so equal sites need equal signatures and offsets; rank and time are
+    /// payload that the fold aggregates.
+    fn site(sig: u64, rank: usize, dt: f64) -> EventRecord {
+        EventRecord::new(
+            MpiOp::send(Endpoint::Relative(sig as i64 % 3 - 1), 0, 8, Comm::WORLD),
+            StackSig(sig),
+            rank,
+            dt,
+        )
+    }
+
+    /// Append `sigs` to a trace through `append` and through the fold as
+    /// it was; the two traces must be equal, payload included.
+    fn assert_folds_like_reference(sigs: &[u64], rng: &mut Xoshiro256, what: &str) {
+        let mut fast = CompressedTrace::new();
+        let mut slow = CompressedTrace::new();
+        for &s in sigs {
+            let e = site(s, rng.usize_below(64), rng.f64_unit());
+            super::reference::append_node(&mut slow, TraceNode::Event(e.clone()));
+            fast.append(e);
+        }
+        assert_eq!(fast, slow, "{what}: {sigs:?}");
+    }
+
+    /// The newest-first tail fold builds the traces the fold as it was
+    /// built, on periodic, nested, irregular and EMF-like streams and on
+    /// bodies either side of `MAX_WINDOW`.
+    #[test]
+    fn append_agrees_with_the_reference_fold() {
+        let mut rng = Xoshiro256::seed_from_u64(0xF01D);
+        // Periodic, with periods either side of the window bound.
+        for period in (1..=12).chain([31, 32, 33]) {
+            let reps = rng.range_usize(2, 6);
+            let sigs: Vec<u64> = (0..reps).flat_map(|_| 0..period as u64).collect();
+            assert_folds_like_reference(&sigs, &mut rng, "periodic");
+        }
+        // Nested: an inner loop of `inner` repetitions, then a barrier-like
+        // site, repeated; inner trip counts sometimes vary.
+        for _ in 0..64 {
+            let body = rng.range_usize(1, 4) as u64;
+            let mut sigs = Vec::new();
+            for _ in 0..rng.range_usize(2, 8) {
+                let inner = if rng.gen_bool(0.2) { 3 } else { 4 };
+                for _ in 0..inner {
+                    sigs.extend(0..body);
+                }
+                sigs.push(99);
+            }
+            assert_folds_like_reference(&sigs, &mut rng, "nested");
+        }
+        // Irregular: random sites from small alphabets.
+        for _ in 0..128 {
+            let alphabet = rng.range_u64(2, 8);
+            let sigs: Vec<u64> = (0..rng.usize_below(300))
+                .map(|_| rng.below(alphabet))
+                .collect();
+            assert_folds_like_reference(&sigs, &mut rng, "irregular");
+        }
+        // EMF-like rounds: 2(P-1) distinct events per round (a send and a
+        // receive per peer), repeated; P = 17 gives a 32-node body.
+        for p in [4u64, 8, 16, 17, 18] {
+            let round: Vec<u64> = (1..p).flat_map(|i| [2 * i, 2 * i + 1]).collect();
+            let sigs: Vec<u64> = (0..rng.range_usize(2, 5))
+                .flat_map(|_| round.clone())
+                .collect();
+            assert_folds_like_reference(&sigs, &mut rng, "emf-like");
+        }
+        // Bodies of 31, 32 and 33 nodes around an inner loop.
+        for len in [31u64, 32, 33] {
+            let mut sigs = Vec::new();
+            for _ in 0..3 {
+                sigs.extend([7, 7, 7]);
+                sigs.extend(100..100 + len - 1);
+            }
+            assert_folds_like_reference(&sigs, &mut rng, "window edge");
+        }
+    }
+
+    /// Phases absorbed node by node (Chameleon's online trace) fold like
+    /// the reference too: loops meet loops in the window.
+    #[test]
+    fn append_node_agrees_with_the_reference_fold() {
+        let mut rng = Xoshiro256::seed_from_u64(0xAB50);
+        for _ in 0..64 {
+            let phases: Vec<CompressedTrace> = (0..3)
+                .map(|_| {
+                    let mut t = CompressedTrace::new();
+                    let sigs = random_sigs(&mut rng, 40, 3);
+                    for &s in &sigs {
+                        t.append(site(s, rng.usize_below(64), rng.f64_unit()));
+                    }
+                    t
+                })
+                .collect();
+            let mut fast = CompressedTrace::new();
+            let mut slow = CompressedTrace::new();
+            for _ in 0..rng.range_usize(1, 12) {
+                let phase = &phases[rng.usize_below(phases.len())];
+                fast.absorb_trace(phase);
+                for node in phase.nodes() {
+                    super::reference::append_node(&mut slow, node.clone());
+                }
+            }
+            assert_eq!(fast, slow);
         }
     }
 }

@@ -293,30 +293,32 @@ pub fn run(
     if let Some(plan) = overrides.faults {
         world_config = world_config.with_faults(plan);
     }
-    let report = World::new(world_config)
+    let mut report = World::new(world_config)
         .run_faulty(program)
         .unwrap_or_else(|e| panic!("workload {name} failed: {e}"));
 
+    // The outcomes are taken by value: the global trace moves out of the
+    // rank that holds it instead of being copied.
     let mut global_trace = None;
     let mut cham_stats = Vec::new();
     let mut baseline = Vec::new();
-    for (rank, outcome) in report.results.iter().enumerate() {
+    for (rank, outcome) in std::mem::take(&mut report.results).into_iter().enumerate() {
         match outcome {
             None => {} // killed by the plan
             Some(RankOutcome::App) => {}
             Some(RankOutcome::Baseline(b)) => {
+                baseline.push(BaselineSummary::from(&b));
                 if rank == 0 {
-                    global_trace = b.global_trace.clone();
+                    global_trace = b.global_trace;
                 }
-                baseline.push(BaselineSummary::from(b));
             }
             Some(RankOutcome::Chameleon(f)) => {
                 // Whichever survivor roots the online trace surfaces it —
                 // rank 0 normally, the promoted deputy after a root crash.
-                if let Some(trace) = &f.online_trace {
-                    global_trace = Some(trace.clone());
+                if f.online_trace.is_some() {
+                    global_trace = f.online_trace;
                 }
-                cham_stats.push(f.stats.clone());
+                cham_stats.push(f.stats);
             }
         }
     }
